@@ -11,6 +11,12 @@ schedule can drive to arbitrarily poor welfare on the structured family,
 and the stateful cost-scaled oracle, which admits the previously
 decremented seller once its marginal exceeds twice its price and is immune
 to the adversary up to an n*epsilon term.
+
+A clock tick costs one demand call and one schedule pick: the active set
+is rebuilt only when a seller drops, the cost-scaled oracle keeps its
+demanded set between calls, and its admission test is one O(|cover(i)|)
+scratch marginal.  The online-to-descending conversion prices each arrival
+from the run's scratch, like the posted-price mechanism it mirrors.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .online import as_arrival_order
-from .scoring import ScoringRule, UnsupportedRuleError, online_price
+from .scoring import ScoringRule, UnsupportedRuleError
 from .sealed_bid import AuctionOutcome, DEFAULT_OPT_CONFIG, ExactOptimizerConfig, best_subset
+from .selection import _check_bids
 from .valuation import AdversarialFamilyOracle, ValuationOracle, canonical_set
 
 
@@ -107,11 +114,14 @@ class CostScaledDemand:
     previous iteration joins T if its marginal exceeds twice its current
     price.  Members of T are returned demanded forever, so a compliant
     schedule never decrements them again.  One instance serves one run.
+    A call costs at most one scratch marginal; the returned frozenset is
+    kept between calls and grows only on admission.
     """
 
     def __init__(self, oracle: ValuationOracle):
         self.oracle = oracle
         self.scratch = oracle.scratch()
+        self._demanded: frozenset[int] = frozenset()
         self._started = False
 
     @property
@@ -127,7 +137,8 @@ class CostScaledDemand:
         i = prev_selected
         if i is not None and i in active and i not in self.scratch and self.scratch.marginal(i) > 2.0 * prices[i]:
             self.scratch.add(i)
-        return frozenset(self.scratch.members)
+            self._demanded = self._demanded | {i}
+        return self._demanded
 
 
 def cost_scaled_demand(
@@ -147,7 +158,7 @@ def cost_scaled_demand(
 
 class LexicographicSchedule:
     def pick(self, active: set[int], demanded: frozenset[int], prices: Sequence[float]) -> int:
-        return min(i for i in active if i not in demanded)
+        return min(active - demanded)
 
 
 class RoundRobinSchedule:
@@ -234,6 +245,11 @@ def named_schedule(spec: str, n: int):
 # ---------------------------------------------------------------------------
 
 
+def _check_step(epsilon: float) -> None:
+    if not epsilon > 0:
+        raise ValueError(f"step size must be positive, got {epsilon}")
+
+
 def run_descending(
     oracle: ValuationOracle,
     bids: Sequence[float],
@@ -245,23 +261,21 @@ def run_descending(
 
     Terminates because prices strictly decrease and sellers drop once
     priced below their bids; a generous iteration cap guards against a
-    non-compliant demand/schedule pair.
+    non-compliant demand/schedule pair.  The demand oracle and the schedule
+    see the same frozenset of active sellers, rebuilt only when one drops.
     """
-    if epsilon <= 0:
-        raise ValueError(f"step size must be positive, got {epsilon}")
+    _check_step(epsilon)
     n = oracle.n
-    bids = [float(b) for b in bids]
-    if len(bids) != n:
-        raise ValueError(f"expected {n} bids, got {len(bids)}")
+    bids = _check_bids(bids, n)
     prices = [oracle.marginal(i, ()) for i in range(n)]
-    active: set[int] = set(range(n))
+    active = frozenset(range(n))
     demand.begin_run()
 
     cap = sum(math.ceil(p / epsilon) + 1 for p in prices) + n + 1
     iterations = 0
     prev: int | None = None
     while True:
-        demanded = demand(frozenset(active), prices, prev)
+        demanded = demand(active, prices, prev)
         if not demanded <= active:
             raise ScheduleError(f"demand oracle returned inactive sellers {set(demanded) - active}")
         if demanded == active:
@@ -275,7 +289,7 @@ def run_descending(
         if iterations > cap:
             raise RuntimeError("descending auction exceeded its iteration cap")
         if prices[i] < bids[i]:
-            active.remove(i)
+            active = active - {i}
             prices[i] = 0.0
 
     winners = canonical_set(active)
@@ -295,20 +309,25 @@ def run_descending_from_online(
 
     Each seller's price descends from f(k|0) straight to the zero of its
     online score; the seller stays (and is paid that price) iff its bid is
-    strictly below it.  ``step_epsilon`` switches on a demonstration mode
-    that walks the price down an epsilon grid instead of assigning it,
-    paying the first grid price at or below the target.
+    strictly below it.  The target is ``rule.posted_price`` of the seller's
+    marginal read from the run's scratch, O(|cover(k)|) per arrival on a
+    coverage oracle, so payments equal ``run_posted_price``'s bit for bit.
+    ``step_epsilon`` switches on a demonstration mode that walks the price
+    down an epsilon grid instead of assigning it, paying the first grid
+    price at or below the target.
     """
     if not rule.online_capable:
         raise UnsupportedRuleError(f"rule {rule.kind!r} cannot drive the tailored schedule")
+    if step_epsilon is not None:
+        _check_step(step_epsilon)
     n = oracle.n
     order = as_arrival_order(order, n)
-    bids = [float(b) for b in bids]
+    bids = _check_bids(bids, n)
     scratch = oracle.scratch()
     payments = [0.0] * n
     admitted: list[int] = []
     for k in order:
-        target = online_price(rule, k, scratch.members, oracle)
+        target = rule.posted_price(scratch.marginal(k))
         if step_epsilon is None:
             offered = target
         else:

@@ -7,6 +7,11 @@ instead offers the arrival the bid at which that score crosses zero, which
 the seller accepts exactly when its cost is strictly below the offer.  Both
 produce the same winner set, and the telescoping marginals bound the total
 payment by the value of the winners.
+
+Both loops read each arrival's marginal from the run's incremental oracle
+scratch, so an arrival costs one O(|cover(k)|) query on a coverage oracle
+(O(1) on the family oracle) rather than a from-scratch marginal over the
+admitted set.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scoring import ScoringRule, UnsupportedRuleError, online_price
+from .scoring import ScoringRule, UnsupportedRuleError
+from .selection import _check_bids
 from .valuation import ValuationOracle, canonical_set
 
 
@@ -103,13 +109,17 @@ def run_online_meta(
     order: Iterable[int],
     seed=None,
 ) -> tuple[int, ...]:
-    """Admit each arrival iff its score is strictly positive; irrevocably."""
+    """Admit each arrival iff its score is strictly positive; irrevocably.
+
+    One scratch marginal per arrival and one scratch add per admission.
+    """
     _check_online(rule)
+    costs = _check_bids(costs, oracle.n)
     order = as_arrival_order(order, oracle.n)
     scratch = oracle.scratch()
     admitted: list[int] = []
     for pos, k in enumerate(order, start=1):
-        sc = rule.score_from_marginal(scratch.marginal(k), float(costs[k]), pos)
+        sc = rule.score_from_marginal(scratch.marginal(k), costs[k], pos)
         if sc > 0.0:
             scratch.add(k)
             admitted.append(k)
@@ -123,9 +133,17 @@ def run_posted_price(
     order: Iterable[int],
     seed=None,
 ) -> PostedPriceOutcome:
-    """Offer each arrival the bid at which its score would hit zero."""
+    """Offer each arrival the bid at which its score would hit zero.
+
+    The price is ``rule.posted_price`` of the arrival's marginal, read from
+    the run's scratch against the sellers admitted so far: O(|cover(k)|)
+    per arrival on a coverage oracle, and exactly the value
+    ``online_price(rule, k, admitted, oracle)`` would give.  The run makes
+    n + |winners| oracle queries.
+    """
     _check_online(rule)
     n = oracle.n
+    costs = _check_bids(costs, n)
     order = as_arrival_order(order, n)
     scratch = oracle.scratch()
     posted = [0.0] * n
@@ -133,7 +151,7 @@ def run_posted_price(
     accepted = [False] * n
     admitted: list[int] = []
     for k in order:
-        price = online_price(rule, k, scratch.members, oracle)
+        price = rule.posted_price(scratch.marginal(k))
         posted[k] = price
         if costs[k] < price:
             scratch.add(k)

@@ -203,6 +203,8 @@ class ScoringRule:
         if kind == "roi":
             if bid == 0.0:
                 return math.inf if m > 0.0 else -1.0
+            if bid == math.inf:
+                return -1.0  # the limit; inf / inf would be NaN and block every argmax
             return (m - bid) / bid
         if kind in ("distorted", "stochastic-distorted"):
             return self.multiplier(k) * m - bid
@@ -246,6 +248,17 @@ class ScoringRule:
             return max(0.0, self.multiplier(k) * m - target)
         # noisy-distorted
         return max(0.0, (self.multiplier(k) * m - target) / self.x)
+
+    def posted_price(self, m: float) -> float:
+        """Bid at which the online score of a seller with marginal m crosses zero.
+
+        The seller is admitted iff its bid is strictly below this price.
+        """
+        if not self.online_capable:
+            raise UnsupportedRuleError(f"rule {self.kind!r} cannot run online")
+        if self.kind == "cost-scaled":
+            return m / 2.0
+        return m
 
 
 def make_rule(name: str, n: int, **kwargs) -> ScoringRule:
@@ -337,13 +350,12 @@ def argmax_threshold(
 
 
 def online_price(rule: ScoringRule, k: int, members: Iterable[int], oracle: ValuationOracle) -> float:
-    """Root of G(k, S, (.., z)) = 0 in z for an online-capable rule."""
-    if not rule.online_capable:
-        raise UnsupportedRuleError(f"rule {rule.kind!r} cannot run online")
-    m = oracle.marginal(k, members)
-    if rule.kind == "cost-scaled":
-        return m / 2.0
-    return m
+    """Root of G(k, S, (.., z)) = 0 in z for an online-capable rule.
+
+    One from-scratch marginal query; the online loops read the same
+    marginal from their incremental scratch and share ``posted_price``.
+    """
+    return rule.posted_price(oracle.marginal(k, members))
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,16 @@ class SelectionTrace:
 
 
 def _check_bids(bids, n: int) -> list[float]:
+    """Bids (or costs) as n floats; rejects a wrong length, NaN and negatives.
+
+    +inf is accepted: such a seller's score is never positive, so it is
+    never admitted.
+    """
     bids = [float(b) for b in bids]
     if len(bids) != n:
         raise ValueError(f"expected {n} bids, got {len(bids)}")
+    if any(math.isnan(b) for b in bids):
+        raise ValueError("bids must not be NaN")
     if any(b < 0 for b in bids):
         raise ValueError("bids must be nonnegative")
     return bids

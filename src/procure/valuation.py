@@ -98,8 +98,10 @@ class ValuationOracle:
 class OracleScratch:
     """Per-run growing set with marginal queries against an oracle.
 
-    The generic version recomputes values through the oracle; coverage and
-    family oracles provide O(|cover|) / O(1) incremental subclasses.  Each
+    The generic version asks the oracle's own ``_marginal`` about the
+    current set, so it returns exactly what ``oracle.marginal(i, members)``
+    would; coverage and family oracles provide O(|cover|) / O(1)
+    incremental subclasses that sum the same terms in the same order.  Each
     marginal/value read and each add counts one oracle query.
     """
 
@@ -143,9 +145,7 @@ class OracleScratch:
     # -- hooks -----------------------------------------------------------
 
     def _marginal(self, i: int) -> float:
-        base = self.oracle._value(tuple(sorted(self._members)))
-        withi = self.oracle._value(tuple(sorted(self._members | {i})))
-        return withi - base
+        return self.oracle._marginal(i, self.members)
 
     def _apply_add(self, i: int) -> None:
         pass

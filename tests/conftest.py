@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from procure.instances import random_instance
+from procure.instances import ExperimentConfig, build_instance, random_instance, synthetic_bipartite_graph
+from procure.scoring import online_price
 from procure.valuation import CoverageInstance, CoverageOracle
 
 
@@ -30,3 +31,29 @@ def brute_force_opt(oracle, costs, prefer_small=False, candidates=None):
         if best_key is None or w > best_w or (w == best_w and key < best_key):
             best_w, best_s, best_key = w, s, key
     return best_s, best_w
+
+
+def posted_price_reference(rule, instance, costs, order):
+    """Posted-price run built from one from-scratch ``online_price`` per arrival.
+
+    Returns (winners, posted prices, payments) on a fresh oracle; the
+    mechanisms must reproduce it bit for bit.
+    """
+    oracle = CoverageOracle(instance)
+    posted = [0.0] * oracle.n
+    payments = [0.0] * oracle.n
+    admitted: list[int] = []
+    for k in order:
+        price = online_price(rule, k, admitted, oracle)
+        posted[k] = price
+        if costs[k] < price:
+            admitted.append(k)
+            payments[k] = price
+    return tuple(sorted(admitted)), tuple(posted), tuple(payments)
+
+
+def synthetic_instances(count: int, n: int = 60):
+    """A few degree-based instances cut from a small synthetic graph."""
+    graph = synthetic_bipartite_graph(200, 120, seed=3)
+    cfg = ExperimentConfig(n=n, s=1.0, instances=count, seed=11)
+    return [build_instance(graph, cfg, j) for j in range(count)]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,9 +21,36 @@ from procure.descending import (
 from procure.online import order_random
 from procure.scoring import UnsupportedRuleError, make_rule
 from procure.sealed_bid import exact_opt
-from procure.valuation import AdditiveOracle, AdversarialFamilyOracle
+from procure.instances import random_instance
+from procure.valuation import AdditiveOracle, AdversarialFamilyOracle, CoverageOracle
 from procure.verification import lowerbound_report
-from conftest import brute_force_opt, random_oracle
+from conftest import brute_force_opt, posted_price_reference, random_oracle, synthetic_instances
+
+ONLINE_RULES = ("greedy-margin", "greedy-rate", "roi", "cost-scaled")
+BAD_BIDS = {
+    "short": [1.0],
+    "long": [1.0, 1.0, 1.0],
+    "negative": [1.0, -0.5],
+    "nan": [math.nan, 1.0],
+}
+BAD_STEPS = (0.0, -0.25, math.nan)
+
+
+class _CheckedDemand:
+    """Wraps a CostScaledDemand and checks its returned set after every call."""
+
+    def __init__(self, inner: CostScaledDemand):
+        self.inner = inner
+        self.calls = 0
+
+    def begin_run(self):
+        self.inner.begin_run()
+
+    def __call__(self, active, prices, prev):
+        demanded = self.inner(active, prices, prev)
+        assert demanded == frozenset(self.inner.tentative)
+        self.calls += 1
+        return demanded
 
 
 class TestExactDemand:
@@ -85,6 +113,16 @@ class TestCostScaledDemand:
         state = CostScaledDemand(oracle)
         assert cost_scaled_demand(state, 0, {0}, [6.0]) == frozenset()
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_returned_set_is_the_tentative_set(self, seed):
+        oracle, costs = random_oracle(seed, 2, 9)
+        eps = max(max(oracle.marginal(i, ()) for i in range(oracle.n)), 1.0) / 30.0
+        for schedule in (LexicographicSchedule(), RoundRobinSchedule(oracle.n)):
+            demand = _CheckedDemand(CostScaledDemand(oracle))
+            run_descending(oracle, costs, demand, schedule, eps)
+            assert demand.calls > 0
+
     def test_state_reuse_rejected(self):
         oracle = AdditiveOracle([10.0])
         state = CostScaledDemand(oracle)
@@ -110,6 +148,20 @@ class TestRunDescending:
         oracle = AdditiveOracle([1.0])
         with pytest.raises(ValueError):
             run_descending(oracle, [0.5], ExactDemand(oracle), LexicographicSchedule(), 0.0)
+
+    def test_nan_epsilon_rejected(self):
+        oracle = AdditiveOracle([1.0])
+        with pytest.raises(ValueError, match="step size"):
+            run_descending(oracle, [0.5], ExactDemand(oracle), LexicographicSchedule(), math.nan)
+
+    @pytest.mark.parametrize("case", sorted(BAD_BIDS))
+    def test_bad_bids_rejected(self, case):
+        oracle = AdditiveOracle([1.0, 2.0])
+        with pytest.raises(ValueError):
+            run_descending(oracle, BAD_BIDS[case], CostScaledDemand(oracle), LexicographicSchedule(), 0.5)
+
+    def test_lexicographic_pick_is_smallest_undemanded(self):
+        assert LexicographicSchedule().pick(frozenset({4, 1, 7, 2}), frozenset({1}), []) == 2
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
@@ -199,6 +251,37 @@ class TestOnlineConversion:
         converted = run_descending_from_online(rule, oracle, costs, order)
         assert posted.winners == converted.winners
         assert posted.payments == converted.payments
+
+    @staticmethod
+    def _assert_matches_reference(rule_name, instance, costs, order):
+        oracle = CoverageOracle(instance)
+        rule = make_rule(rule_name, oracle.n)
+        out = run_descending_from_online(rule, oracle, costs, order)
+        winners, _, payments = posted_price_reference(rule, instance, costs, order)
+        assert (out.winners, out.payments) == (winners, payments)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(ONLINE_RULES))
+    def test_payments_match_from_scratch_pricing(self, seed, rule_name):
+        instance, costs = random_instance(2 + seed % 14, seed)
+        self._assert_matches_reference(rule_name, instance, costs, order_random(len(costs), seed))
+
+    @pytest.mark.parametrize("rule_name", ONLINE_RULES)
+    def test_synthetic_graph_payments_match(self, rule_name):
+        for j, (instance, costs) in enumerate(synthetic_instances(3)):
+            self._assert_matches_reference(rule_name, instance, costs, order_random(len(costs), j))
+
+    @pytest.mark.parametrize("case", sorted(BAD_BIDS))
+    def test_bad_bids_rejected(self, case):
+        oracle = AdditiveOracle([1.0, 2.0])
+        with pytest.raises(ValueError):
+            run_descending_from_online(make_rule("cost-scaled", 2), oracle, BAD_BIDS[case], (0, 1))
+
+    @pytest.mark.parametrize("step", BAD_STEPS)
+    def test_bad_step_rejected(self, step):
+        oracle = AdditiveOracle([10.0])
+        with pytest.raises(ValueError, match="step size"):
+            run_descending_from_online(make_rule("cost-scaled", 1), oracle, [3.0], (0,), step_epsilon=step)
 
     def test_epsilon_stepping_demo_mode(self):
         oracle = AdditiveOracle([10.0])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +14,16 @@ from procure.online import (
 )
 from procure.scoring import UnsupportedRuleError, make_rule
 from procure.sealed_bid import exact_opt
-from procure.valuation import AdditiveOracle
-from conftest import random_oracle
+from procure.instances import random_instance
+from procure.valuation import AdditiveOracle, CoverageOracle
+from conftest import posted_price_reference, random_oracle, synthetic_instances
+
+BAD_COSTS = {
+    "short": [1.0],
+    "long": [1.0, 1.0, 1.0],
+    "negative": [1.0, -0.5],
+    "nan": [math.nan, 1.0],
+}
 
 ONLINE_RULES = ("greedy-margin", "greedy-rate", "roi", "cost-scaled")
 
@@ -101,6 +111,51 @@ class TestPostedPrice:
             assert utility == pytest.approx(max(0.0, out.posted_prices[i] - costs[i]) if out.accepted[i] else 0.0)
             # the rejected branch always yields zero; accepted iff strictly profitable
             assert out.accepted[i] == (out.posted_prices[i] > costs[i])
+
+
+class TestPostedPriceMatchesFromScratchPricing:
+    """The scratch-priced loop against one ``online_price`` per arrival."""
+
+    @staticmethod
+    def _assert_matches_reference(rule_name, instance, costs, order):
+        oracle = CoverageOracle(instance)
+        rule = make_rule(rule_name, oracle.n)
+        out = run_posted_price(rule, oracle, costs, order)
+        winners, posted, payments = posted_price_reference(rule, instance, costs, order)
+        assert out.winners == winners
+        assert out.posted_prices == posted
+        assert out.payments == payments
+        assert oracle.query_count == oracle.n + len(out.winners)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(ONLINE_RULES))
+    def test_random_instances(self, seed, rule_name):
+        instance, costs = random_instance(2 + seed % 14, seed)
+        self._assert_matches_reference(rule_name, instance, costs, order_random(len(costs), seed))
+
+    @pytest.mark.parametrize("rule_name", ONLINE_RULES)
+    def test_synthetic_graph_instances(self, rule_name):
+        for j, (instance, costs) in enumerate(synthetic_instances(3)):
+            self._assert_matches_reference(rule_name, instance, costs, order_random(len(costs), j))
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_COSTS))
+    def test_posted_price_rejects_bad_costs(self, case):
+        oracle = AdditiveOracle([1.0, 2.0])
+        with pytest.raises(ValueError):
+            run_posted_price(make_rule("greedy-margin", 2), oracle, BAD_COSTS[case], (0, 1))
+
+    @pytest.mark.parametrize("case", sorted(BAD_COSTS))
+    def test_online_meta_rejects_bad_costs(self, case):
+        oracle = AdditiveOracle([1.0, 2.0])
+        with pytest.raises(ValueError):
+            run_online_meta(make_rule("greedy-margin", 2), oracle, BAD_COSTS[case], (0, 1))
+
+    def test_infinite_cost_is_never_admitted(self):
+        oracle = AdditiveOracle([1.0, 2.0])
+        out = run_posted_price(make_rule("roi", 2), oracle, [math.inf, 1.0], (0, 1))
+        assert out.winners == (1,)
 
 
 def test_cost_scaled_online_guarantee_with_adversarial_orders():

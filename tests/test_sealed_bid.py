@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +43,11 @@ class TestSealedBidExamples:
         out = run_sealed_bid(make_rule("greedy-margin", 2), coverage_pair, [50.0, 50.0])
         assert out.winners == ()
         assert out.payments == (0.0, 0.0)
+
+    @pytest.mark.parametrize("mechanism", (run_sealed_bid, run_sealed_bid_lazy))
+    def test_nan_bid_rejected_by_both_engines(self, coverage_pair, mechanism):
+        with pytest.raises(ValueError, match="NaN"):
+            mechanism(make_rule("greedy-margin", 2), coverage_pair, [math.nan, 1.0])
 
     def test_focus_restricts_payments(self, coverage_pair):
         out = run_sealed_bid(make_rule("greedy-margin", 2), coverage_pair, [1.0, 1.0], focus=1)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,6 +48,17 @@ class TestRunMeta:
     def test_negative_bid_rejected(self, coverage_pair):
         with pytest.raises(ValueError):
             run_meta(make_rule("greedy-margin", 2), coverage_pair, [1.0, -1.0])
+
+    def test_nan_bid_rejected(self, coverage_pair):
+        with pytest.raises(ValueError, match="NaN"):
+            run_meta(make_rule("greedy-margin", 2), coverage_pair, [math.nan, 1.0])
+
+    @pytest.mark.parametrize("rule_name", DIMINISHING)
+    def test_infinite_bid_never_admitted_nor_blocking(self, coverage_pair, rule_name):
+        rule = make_rule(rule_name, 2)
+        naive = run_meta(rule, coverage_pair, [math.inf, 1.0])
+        assert naive.winners == (1,)
+        assert run_meta_lazy(rule, coverage_pair, [math.inf, 1.0]).winners == naive.winners
 
     def test_excluded_seller_never_wins(self, coverage_pair):
         trace = run_meta(make_rule("greedy-margin", 2), coverage_pair, [0.0, 0.0], excluded=1)

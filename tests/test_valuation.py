@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,6 +83,35 @@ def test_incremental_marginal_consistency(seed):
         if i % 2 == 0:
             scratch.add(i)
             members.append(i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_scratch_marginal_equals_oracle_marginal_exactly(seed):
+    """Incremental and from-scratch marginals agree bit for bit along a run."""
+    coverage, _ = random_oracle(seed, 2, 10)
+    rng = np.random.default_rng(seed)
+    oracles = (
+        coverage,
+        AdditiveOracle(rng.uniform(0.0, 1.0, size=coverage.n)),
+        AdversarialFamilyOracle(coverage.n),
+        NoisyOracle(coverage, 0.1, seed),
+    )
+    for oracle in oracles:
+        scratch = oracle.scratch()
+        for i in rng.permutation(oracle.n):
+            for j in range(oracle.n):
+                if j not in scratch:
+                    assert scratch.marginal(j) == oracle.marginal(j, scratch.members)
+            if rng.random() < 0.5:
+                scratch.add(int(i))
+
+
+def test_additive_scratch_uses_the_oracle_marginal():
+    oracle = AdditiveOracle([0.1, 0.2])
+    scratch = oracle.scratch()
+    scratch.add(0)
+    assert scratch.marginal(1) == oracle.marginal(1, (0,)) == 0.2
 
 
 def test_scratch_remove_restores_marginals(coverage_pair):
