@@ -141,16 +141,6 @@ class CostScaledDemand:
         return self._demanded
 
 
-def cost_scaled_demand(
-    state: CostScaledDemand,
-    previous_selected: int | None,
-    active: Iterable[int],
-    prices: Sequence[float],
-) -> frozenset[int]:
-    """Functional form of the stateful oracle update."""
-    return state(frozenset(active), prices, previous_selected)
-
-
 # ---------------------------------------------------------------------------
 # Schedules
 # ---------------------------------------------------------------------------
@@ -316,7 +306,7 @@ def run_descending_from_online(
     down an epsilon grid instead of assigning it, paying the first grid
     price at or below the target.
     """
-    if not rule.online_capable:
+    if not rule.diminishing_return:
         raise UnsupportedRuleError(f"rule {rule.kind!r} cannot drive the tailored schedule")
     if step_epsilon is not None:
         _check_step(step_epsilon)

@@ -98,7 +98,7 @@ class PostedPriceOutcome:
 
 
 def _check_online(rule: ScoringRule) -> None:
-    if not rule.online_capable:
+    if not rule.diminishing_return:
         raise UnsupportedRuleError(f"rule {rule.kind!r} needs the round index; it cannot run online")
 
 

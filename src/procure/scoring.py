@@ -20,7 +20,7 @@ Canonical rule names (used by the CLI and ``make_rule``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -142,10 +142,6 @@ class ScoringRule:
         return self.kind in _ROUND_FREE
 
     @property
-    def online_capable(self) -> bool:
-        return self.kind in _ROUND_FREE
-
-    @property
     def randomized(self) -> bool:
         return self.kind == "stochastic-distorted"
 
@@ -254,7 +250,7 @@ class ScoringRule:
 
         The seller is admitted iff its bid is strictly below this price.
         """
-        if not self.online_capable:
+        if not self.diminishing_return:
             raise UnsupportedRuleError(f"rule {self.kind!r} cannot run online")
         if self.kind == "cost-scaled":
             return m / 2.0
@@ -264,10 +260,6 @@ class ScoringRule:
 def make_rule(name: str, n: int, **kwargs) -> ScoringRule:
     """Build a rule by canonical name for a run over n sellers."""
     return ScoringRule(kind=name, horizon=n, **kwargs)
-
-
-def with_horizon(rule: ScoringRule, n: int) -> ScoringRule:
-    return rule if rule.horizon == n else replace(rule, horizon=n)
 
 
 # ---------------------------------------------------------------------------

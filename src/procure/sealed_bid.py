@@ -1,25 +1,32 @@
 """Sealed-bid mechanisms: critical-bid payments, an exact optimizer, VCG.
 
 The mechanism construction runs the meta selection loop on the reported
-bids, then prices each winner at its critical bid: re-run the loop with the
-winner's bid raised to infinity, and per round take the supremum bid at
-which the winner would simultaneously be the argmax and score positive.
-The payment is the maximum of those round suprema, which makes truthful
-reporting optimal (Myerson) while the positive-score gate keeps the
-auctioneer's surplus nonnegative.
+bids, then prices each winner at its critical bid with one more greedy pass
+over the other sellers (the winner's bid raised to infinity): per round,
+the supremum bid at which the winner would simultaneously be the argmax and
+score positive.  The payment is the maximum of those round suprema, which
+makes truthful reporting optimal (Myerson) while the positive-score gate
+keeps the auctioneer's surplus nonnegative.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .scoring import NOT_SAMPLED, RandomSeed, ScoringRule, UnsupportedRuleError, as_random_seed
-from .selection import SelectionTrace, _check_bids, _marginal_provider, _PlainMarginals, run_meta, run_meta_lazy
+from .scoring import RandomSeed, ScoringRule, UnsupportedRuleError, as_random_seed
+from .selection import (
+    SelectionTrace,
+    _check_bids,
+    _greedy_rounds,
+    _lazy_greedy,
+    _marginal_provider,
+    _PlainMarginals,
+    run_meta,
+    run_meta_lazy,
+)
 from .valuation import ValuationOracle
 
 
@@ -75,7 +82,7 @@ class AuctionOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Critical-bid payments (naive, per the n-round re-run)
+# Critical-bid payments (naive: one meta pass per winner)
 # ---------------------------------------------------------------------------
 
 
@@ -85,20 +92,14 @@ def _critical_payment(
     bids: Sequence[float],
     seed: RandomSeed,
     i: int,
-    ex_trace: SelectionTrace,
-    *,
-    separate_sups: bool = False,
 ) -> float:
     """max over rounds k of sup{ z : i argmax at round k and score(z) > 0 }.
 
     The supremum set is down-closed in z because scores are non-increasing
     in the bid, so it equals min(positive threshold, argmax threshold).
-    Rounds are replayed against the infinity-bid trajectory of ``ex_trace``.
-
-    ``separate_sups`` switches to reading the two round suprema as
-    independent max updates instead of their conjunction.  That reading
-    overpays (a competitor-free round contributes an unbounded argmax
-    supremum); it exists for side-by-side study only.
+    One meta pass over every seller but i gives each round's tentative set
+    and competitor argmax; i's marginal is read against that set before the
+    argmax is admitted.
 
     For a winner the critical bid is at least its own report (it won at
     that report), so the running maximum starts there; this absorbs the
@@ -106,38 +107,17 @@ def _critical_payment(
     """
     n = oracle.n
     provider = _marginal_provider(rule, oracle)
-    in_set: set[int] = set()
+    others = [ell for ell in range(n) if ell != i]
     best = bids[i]
-
-    for k in range(1, n + 1):
-        provider.begin_round(k)
-        batch = seed.round_batch(k, n, rule.batch_size()) if rule.randomized else None
-
-        comp_score, comp_id = NOT_SAMPLED, None
-        for ell in range(n):
-            if ell == i or ell in in_set:
-                continue
-            if batch is not None and ell not in batch:
-                continue
-            sc = rule.score_from_marginal(provider.get(ell), bids[ell], k)
-            if comp_id is None or sc > comp_score:
-                comp_score, comp_id = sc, ell
-
-        if batch is None or i in batch:
-            m_i = provider.get(i)
-            pos = rule.threshold_from_marginal(m_i, 0.0, k)
-            if comp_id is None:
-                arg = math.inf
-            else:
-                arg = rule.threshold_from_marginal(m_i, comp_score, k, wins_tie=i < comp_id)
-            z = max(pos, arg) if separate_sups else min(pos, arg)
-            if z > best:
-                best = z
-
-        for j in ex_trace.tentative_sets[k]:
-            if j not in in_set:
-                provider.admit(j)
-                in_set.add(j)
+    for k, batch, comp_id, comp_score in _greedy_rounds(rule, provider, bids, seed, others, n):
+        if batch is not None and i not in batch:
+            continue
+        m_i = provider.get(i)
+        z = rule.threshold_from_marginal(m_i, 0.0, k)
+        if comp_id is not None:
+            z = min(z, rule.threshold_from_marginal(m_i, comp_score, k, wins_tie=i < comp_id))
+        if z > best:
+            best = z
     return best
 
 
@@ -148,18 +128,12 @@ def run_sealed_bid(
     seed: RandomSeed | int | None = None,
     *,
     focus: int | None = None,
-    pseudocode_payments: bool = False,
 ) -> AuctionOutcome:
     """Allocate via the meta loop and pay every winner its critical bid.
 
-    The same seed drives the allocation run and every per-winner re-run.
+    The same seed drives the allocation run and every per-winner pass.
     ``focus`` restricts the payment computation to one seller, for callers
     that only need that seller's outcome (incentive checks).
-
-    ``pseudocode_payments`` is a debug mode that takes the positive-score
-    and argmax suprema as two independent max updates per round rather than
-    the supremum of their conjunction; it overpays (competitor-free rounds
-    contribute an infinite supremum) and exists only for study.
     """
     if rule.cardinality is not None:
         raise UnsupportedRuleError("the mechanism runs n rounds; cardinality-capped rules are not supported")
@@ -171,10 +145,7 @@ def run_sealed_bid(
     payments = [0.0] * n
     targets = winners if focus is None else ((focus,) if focus in winners else ())
     for i in targets:
-        ex_trace = run_meta(rule, oracle, bids, seed, excluded=i)
-        payments[i] = _critical_payment(
-            rule, oracle, bids, seed, i, ex_trace, separate_sups=pseudocode_payments
-        )
+        payments[i] = _critical_payment(rule, oracle, bids, seed, i)
     return AuctionOutcome(winners, tuple(payments), value=oracle.value(winners), trace=trace)
 
 
@@ -188,7 +159,6 @@ def _critical_payment_lazy(
     oracle: ValuationOracle,
     bids: Sequence[float],
     i: int,
-    admission_round: int,
     trace: SelectionTrace,
 ) -> float:
     """Continue the greedy without i from its admission point, lazily.
@@ -197,44 +167,24 @@ def _critical_payment_lazy(
     those argmax races at its own bid), so the running payment starts at
     bids[i].  Once the continuation runs out of positive competitors the
     remaining rounds all contribute i's positive threshold at the final
-    tentative set, which is added as the closing term.
+    tentative set, which is added as the closing term.  These rules ignore
+    the round index, so every threshold is taken at i's admission round.
     """
     n = oracle.n
+    k = trace.chosen_at[i]
     provider = _PlainMarginals(oracle)
-    before = trace.tentative_sets[admission_round - 1]
+    before = trace.tentative(k - 1)
     for j in before:
         provider.admit(j)
-    pool = [ell for ell in range(n) if ell != i and ell not in before]
-
-    heap = [(-rule.score_from_marginal(provider.get(ell), bids[ell], admission_round), ell, 0) for ell in pool]
-    heapq.heapify(heap)
+    admitted = set(before)
+    pool = [ell for ell in range(n) if ell != i and ell not in admitted]
 
     payment = bids[i]
-    steps = 0
-    while steps < n - admission_round and heap:
-        epoch = steps
-        best_ell, best_score = None, NOT_SAMPLED
-        while heap:
-            neg, ell, stamp = heapq.heappop(heap)
-            if stamp == epoch:
-                best_ell, best_score = ell, -neg
-                break
-            fresh = rule.score_from_marginal(provider.get(ell), bids[ell], admission_round + steps)
-            runner_up = -heap[0][0] if heap else NOT_SAMPLED
-            if fresh > max(0.0, runner_up) or runner_up < 0.0:
-                best_ell, best_score = ell, fresh
-                break
-            heapq.heappush(heap, (-fresh, ell, epoch))
-        if best_ell is None or not best_score > 0.0:
-            break
-        m_i = provider.get(i)
-        z = rule.threshold_from_marginal(m_i, best_score, admission_round + steps, wins_tie=i < best_ell)
+    for ell, score in _lazy_greedy(rule, provider, bids, pool, n - k):
+        z = rule.threshold_from_marginal(provider.get(i), score, k, wins_tie=i < ell)
         if z > payment:
             payment = z
-        provider.admit(best_ell)
-        steps += 1
-
-    closing = rule.threshold_from_marginal(provider.get(i), 0.0, min(admission_round + steps, n))
+    closing = rule.threshold_from_marginal(provider.get(i), 0.0, k)
     return max(payment, closing)
 
 
@@ -253,10 +203,10 @@ def run_sealed_bid_lazy(
     bids = _check_bids(bids, n)
     trace = run_meta_lazy(rule, oracle, bids, seed)
     payments = [0.0] * n
-    for i, k in trace.chosen_at.items():
+    for i in trace.order:
         if focus is not None and i != focus:
             continue
-        payments[i] = _critical_payment_lazy(rule, oracle, bids, i, k, trace)
+        payments[i] = _critical_payment_lazy(rule, oracle, bids, i, trace)
     return AuctionOutcome(trace.winners, tuple(payments), value=oracle.value(trace.winners), trace=trace)
 
 

@@ -1,18 +1,21 @@
-"""Greedy selection loops: the n-round meta algorithm and its lazy variant.
+"""The greedy selection engine: the meta loop and its lazy variant.
 
-``run_meta`` scores every remaining candidate each round and admits the
-lexicographically-first argmax while its score is strictly positive.  For
-rules whose score has a diminishing-return structure, ``run_meta_lazy``
-keeps a max-priority queue of stale scores and only re-scores the top until
-its fresh score provably dominates, which is where the large-instance
-speedups come from.
+``_greedy_rounds`` scores every remaining candidate each round and admits
+the lexicographically-first argmax while its score is strictly positive;
+``_lazy_greedy`` keeps a max-heap of stale scores for diminishing-return
+rules and re-scores only the top until its fresh score provably dominates.
+Both yield before they admit, so the allocation (``run_meta``,
+``run_meta_lazy``) and the critical-bid payments of ``sealed_bid`` (one
+pass per winner over the other sellers) consume the same loops.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .scoring import (
     NOT_SAMPLED,
@@ -26,29 +29,46 @@ from .valuation import ValuationOracle, canonical_set
 
 @dataclass
 class SelectionTrace:
-    """Full record of one selection run.
+    """Full record of one selection run over n sellers.
 
-    ``tentative_sets`` holds S_0 .. S_n (padded so every round is present
-    even when the loop exited early); ``chosen_at`` maps each admitted
-    seller to its admission round, and ``scores_at_admission`` to the score
-    that admitted it.
+    ``order`` holds the admitted sellers in admission order, ``chosen_at``
+    their admission rounds and ``scores_at_admission`` the scores that
+    admitted them; the tentative sets S_0 .. S_n are derived from these.
     """
 
-    tentative_sets: tuple[tuple[int, ...], ...]
+    n: int
+    order: list[int] = field(default_factory=list)
     chosen_at: dict[int, int] = field(default_factory=dict)
     scores_at_admission: dict[int, float] = field(default_factory=dict)
 
+    def admit(self, i: int, k: int, score: float) -> None:
+        self.order.append(i)
+        self.chosen_at[i] = k
+        self.scores_at_admission[i] = score
+
     @property
     def winners(self) -> tuple[int, ...]:
-        return self.tentative_sets[-1]
+        return tuple(sorted(self.order))
 
     @property
     def rounds(self) -> int:
-        return len(self.tentative_sets) - 1
+        return self.n
 
-    def admissions(self) -> list[tuple[int, int]]:
-        """(round, seller) pairs in admission order."""
-        return sorted((k, i) for i, k in self.chosen_at.items())
+    def tentative(self, k: int) -> tuple[int, ...]:
+        """S_k: the sellers admitted in rounds 1 .. k, sorted."""
+        return tuple(sorted(i for i in self.order if self.chosen_at[i] <= k))
+
+    @property
+    def tentative_sets(self) -> tuple[tuple[int, ...], ...]:
+        """S_0 .. S_n in one pass; a round without an admission reuses S_{k-1}."""
+        by_round = {k: i for i, k in self.chosen_at.items()}
+        sets: list[tuple[int, ...]] = [()]
+        current: list[int] = []
+        for k in range(1, self.n + 1):
+            if k in by_round:
+                bisect.insort(current, by_round[k])
+            sets.append(tuple(current) if k in by_round else sets[-1])
+        return tuple(sets)
 
     def to_json(self) -> dict:
         return {
@@ -81,9 +101,6 @@ class _PlainMarginals:
     def __init__(self, oracle: ValuationOracle):
         self.scratch = oracle.scratch()
 
-    def begin_round(self, k: int) -> None:
-        pass
-
     def get(self, i: int) -> float:
         return self.scratch.marginal(i)
 
@@ -105,11 +122,6 @@ class _TrajectoryMinMarginals:
         self.members: list[int] = []
         self._value = oracle.value(())
         self._min: dict[int, float] = {}
-        self._folded_round = -1
-        self._round = 0
-
-    def begin_round(self, k: int) -> None:
-        self._round = k
 
     def get(self, i: int) -> float:
         cur = self.oracle.value(canonical_set(self.members + [i])) - self._value
@@ -137,58 +149,80 @@ def _validate_rule(rule: ScoringRule, oracle: ValuationOracle) -> None:
         )
 
 
-def run_meta(
-    rule: ScoringRule,
-    oracle: ValuationOracle,
-    bids,
-    seed: RandomSeed | int | None = None,
-    *,
-    excluded: int | None = None,
-) -> SelectionTrace:
-    """One full n-round run of the meta selection algorithm.
+def _greedy_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, rounds: int) -> Iterator[tuple]:
+    """The meta loop: yields (k, batch, argmax, score) for rounds 1 .. ``rounds``.
 
-    ``excluded`` marks a seller whose bid is treated as raised to infinity
-    (it scores below every candidate and is never admitted); payments use
-    this instead of a float infinity so ratio rules never see NaNs.
+    The argmax (None when no candidate was scored) is admitted when the
+    caller resumes, iff its score is strictly positive; until then the
+    provider still answers against the set the round was scored on.
     """
-    n = oracle.n
-    _validate_rule(rule, oracle)
-    bids = _check_bids(bids, n)
-    seed = as_random_seed(seed)
-    provider = _marginal_provider(rule, oracle)
-
-    rounds = rule.cardinality if rule.cardinality is not None else n
-    remaining = [i for i in range(n)]
-    tentatives: list[tuple[int, ...]] = [()]
-    current: list[int] = []
-    chosen_at: dict[int, int] = {}
-    scores_at: dict[int, float] = {}
-
+    n = len(bids)
+    remaining = list(candidates)
     for k in range(1, rounds + 1):
-        provider.begin_round(k)
         batch = seed.round_batch(k, n, rule.batch_size()) if rule.randomized else None
         best_i = None
         best_score = NOT_SAMPLED
         for i in remaining:
-            if i == excluded:
-                continue
             if batch is not None and i not in batch:
                 continue
             sc = rule.score_from_marginal(provider.get(i), bids[i], k)
             if best_i is None or sc > best_score:
                 best_i, best_score = i, sc
+        yield k, batch, best_i, best_score
         if best_i is not None and best_score > 0.0:
             provider.admit(best_i)
             remaining.remove(best_i)
-            current.append(best_i)
-            chosen_at[best_i] = k
-            scores_at[best_i] = best_score
-        tentatives.append(canonical_set(current))
 
-    while len(tentatives) < n + 1:
-        tentatives.append(tentatives[-1])
 
-    return SelectionTrace(tuple(tentatives), chosen_at, scores_at)
+def _lazy_greedy(rule: ScoringRule, provider, bids, candidates, limit: int) -> Iterator[tuple[int, float]]:
+    """Lazy greedy (Minoux 1978): yields (seller, score) per admission, then admits.
+
+    Stops after ``limit`` admissions or at the first best fresh score that
+    is not positive.  Diminishing-return scores only shrink as the set grows
+    and ignore the round index, so a stale score bounds the fresh one.
+
+    Queue entries carry the admission count at which they were scored; an
+    entry popped with a current stamp is already fresh, which breaks the
+    re-score cycle that exact score ties would otherwise cause.
+    """
+    heap = [(-rule.score_from_marginal(provider.get(i), bids[i], 1), i, 0) for i in candidates]
+    heapq.heapify(heap)
+    for admitted in range(limit):
+        while heap:
+            neg, i, stamp = heapq.heappop(heap)
+            if stamp == admitted:
+                score = -neg
+                break
+            score = rule.score_from_marginal(provider.get(i), bids[i], 1)
+            runner_up = -heap[0][0] if heap else NOT_SAMPLED
+            if score > max(0.0, runner_up) or runner_up < 0.0:
+                break
+            heapq.heappush(heap, (-score, i, admitted))
+        else:
+            return
+        if not score > 0.0:
+            return
+        yield i, score
+        provider.admit(i)
+
+
+def run_meta(
+    rule: ScoringRule,
+    oracle: ValuationOracle,
+    bids,
+    seed: RandomSeed | int | None = None,
+) -> SelectionTrace:
+    """One full run of the meta selection algorithm (n rounds, or the rule's cardinality cap)."""
+    n = oracle.n
+    _validate_rule(rule, oracle)
+    bids = _check_bids(bids, n)
+    rounds = rule.cardinality if rule.cardinality is not None else n
+    provider = _marginal_provider(rule, oracle)
+    trace = SelectionTrace(n)
+    for k, _, i, score in _greedy_rounds(rule, provider, bids, as_random_seed(seed), range(n), rounds):
+        if i is not None and score > 0.0:
+            trace.admit(i, k, score)
+    return trace
 
 
 def run_meta_lazy(
@@ -196,8 +230,6 @@ def run_meta_lazy(
     oracle: ValuationOracle,
     bids,
     seed: RandomSeed | int | None = None,
-    *,
-    excluded: int | None = None,
 ) -> SelectionTrace:
     """Lazy-queue implementation; requires a diminishing-return rule.
 
@@ -205,56 +237,12 @@ def run_meta_lazy(
     because these rules' scores only shrink as the tentative set grows and
     ignore the round index, admissions happen in consecutive rounds and the
     loop may stop at the first round whose best fresh score is not positive.
-
-    Queue entries carry the admission count at which they were scored; an
-    entry popped with a current stamp is already fresh, which breaks the
-    re-score cycle that exact score ties would otherwise cause.
     """
     if not rule.diminishing_return:
         raise UnsupportedRuleError(f"rule {rule.kind!r} has no diminishing-return structure")
     n = oracle.n
     bids = _check_bids(bids, n)
-    provider = _PlainMarginals(oracle)
-
-    heap: list[tuple[float, int, int]] = []
-    for i in range(n):
-        if i == excluded:
-            continue
-        heap.append((-rule.score_from_marginal(provider.get(i), bids[i], 1), i, 0))
-    heapq.heapify(heap)
-
-    tentatives: list[tuple[int, ...]] = [()]
-    current: list[int] = []
-    chosen_at: dict[int, int] = {}
-    scores_at: dict[int, float] = {}
-    k = 0
-
-    while k < n and heap:
-        best_i = None
-        best_score = NOT_SAMPLED
-        while heap:
-            neg, i, stamp = heapq.heappop(heap)
-            if stamp == k:
-                best_i, best_score = i, -neg
-                break
-            fresh = rule.score_from_marginal(provider.get(i), bids[i], k + 1)
-            runner_up = -heap[0][0] if heap else NOT_SAMPLED
-            if fresh > max(0.0, runner_up) or runner_up < 0.0:
-                best_i, best_score = i, fresh
-                break
-            heapq.heappush(heap, (-fresh, i, k))
-        if best_i is None or not best_score > 0.0:
-            if best_i is not None:
-                heapq.heappush(heap, (-best_score, best_i, k))
-            break
-        provider.admit(best_i)
-        current.append(best_i)
-        k += 1
-        chosen_at[best_i] = k
-        scores_at[best_i] = best_score
-        tentatives.append(canonical_set(current))
-
-    while len(tentatives) < n + 1:
-        tentatives.append(tentatives[-1])
-
-    return SelectionTrace(tuple(tentatives), chosen_at, scores_at)
+    trace = SelectionTrace(n)
+    for k, (i, score) in enumerate(_lazy_greedy(rule, _PlainMarginals(oracle), bids, range(n), n), start=1):
+        trace.admit(i, k, score)
+    return trace

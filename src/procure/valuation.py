@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -175,8 +176,8 @@ class CoverageInstance:
             for v in cov:
                 if not 0 <= v < nv:
                     raise ValueError(f"set {i} references unknown vertex {v}")
-        if any(val < 0 for val in self.vertex_values):
-            raise ValueError("vertex values must be nonnegative")
+        if not all(0.0 <= val < math.inf for val in self.vertex_values):  # False for NaN
+            raise ValueError("vertex values must be finite and nonnegative")
 
     @property
     def n_sets(self) -> int:
@@ -259,8 +260,8 @@ class AdditiveOracle(ValuationOracle):
     """Modular function f(S) = sum of per-seller weights."""
 
     def __init__(self, weights: Sequence[float]):
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in weights):
+            raise ValueError("weights must be finite and nonnegative")
         super().__init__(len(weights))
         self.weights = tuple(float(w) for w in weights)
 
@@ -369,8 +370,3 @@ class NoisyOracle(ValuationOracle):
     def _marginal(self, i: int, s: tuple[int, ...]) -> float:
         # F is not submodular: fall back to the two-evaluation difference.
         return self._value(canonical_set(s + (i,))) - self._value(s)
-
-
-def noisy_value(oracle: NoisyOracle, members: Iterable[int]) -> float:
-    """F(S) for a noisy oracle; alias of value() kept for API symmetry."""
-    return oracle.value(members)

@@ -26,7 +26,7 @@ from .descending import (
 )
 from .instances import random_instance
 from .online import run_online_meta, run_posted_price, order_random, worst_sampled_order
-from .scoring import RandomSeed, ScoringRule, make_rule
+from .scoring import ONLINE_CAPABLE_RULES, RandomSeed, ScoringRule, make_rule
 from .sealed_bid import (
     AuctionOutcome,
     exact_opt,
@@ -50,8 +50,6 @@ DETERMINISTIC_RULES = (
     "cost-scaled",
     "noisy-distorted",
 )
-
-DIMINISHING_RULES = ("greedy-margin", "greedy-rate", "roi", "cost-scaled")
 
 BETA_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 
@@ -288,7 +286,7 @@ def lazy_equivalence_suite(trials: int = 500, seed: int = 0, n_hi: int = 30) -> 
     rng = np.random.default_rng(seed)
     for t in range(trials):
         oracle, costs = sample_instance(rng, 2, n_hi)
-        for rule_name in DIMINISHING_RULES:
+        for rule_name in ONLINE_CAPABLE_RULES:
             rule = make_rule(rule_name, oracle.n)
             naive = run_sealed_bid(rule, oracle, costs)
             lazy = run_sealed_bid_lazy(rule, oracle, costs)
@@ -334,7 +332,7 @@ def online_equivalence_suite(
     rng = np.random.default_rng(seed)
     for t in range(pairs):
         oracle, costs = sample_instance(rng, 2, n_hi)
-        rule_name = DIMINISHING_RULES[t % len(DIMINISHING_RULES)]
+        rule_name = ONLINE_CAPABLE_RULES[t % len(ONLINE_CAPABLE_RULES)]
         rule = make_rule(rule_name, oracle.n)
         order = order_random(oracle.n, int(rng.integers(0, 2**31)))
         meta_winners = run_online_meta(rule, oracle, costs, order)
@@ -372,7 +370,7 @@ def online_to_descending_suite(pairs: int = 500, seed: int = 0, n_hi: int = 12) 
     rng = np.random.default_rng(seed)
     for t in range(pairs):
         oracle, costs = sample_instance(rng, 2, n_hi)
-        rule = make_rule(DIMINISHING_RULES[t % len(DIMINISHING_RULES)], oracle.n)
+        rule = make_rule(ONLINE_CAPABLE_RULES[t % len(ONLINE_CAPABLE_RULES)], oracle.n)
         order = order_random(oracle.n, int(rng.integers(0, 2**31)))
         posted = run_posted_price(rule, oracle, costs, order)
         converted = run_descending_from_online(rule, oracle, costs, order)

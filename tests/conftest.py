@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from procure.instances import ExperimentConfig, build_instance, random_instance, synthetic_bipartite_graph
 from procure.scoring import online_price
@@ -18,6 +19,24 @@ def random_oracle(seed: int, n_lo: int = 2, n_hi: int = 10):
     n = int(rng.integers(n_lo, n_hi + 1))
     instance, costs = random_instance(n, int(rng.integers(0, 2**31)))
     return CoverageOracle(instance), costs
+
+
+@st.composite
+def edge_case_instances(draw, n_min: int = 0, n_max: int = 6):
+    """Small coverage instances built to hit the engines' edge cases.
+
+    Covers are drawn from a pool of at most four vertex sets, which may be
+    empty, so duplicate covers (exact score ties) and zero marginals are
+    common; vertex values and costs come from short grids that include 0,
+    and n may be 0 or 1 (with the default ``n_min``).
+    """
+    n = draw(st.integers(n_min, n_max))
+    n_vertices = draw(st.integers(1, 5))
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=n_vertices, max_size=n_vertices))
+    pool = draw(st.lists(st.frozensets(st.integers(0, n_vertices - 1)), min_size=1, max_size=4))
+    covers = tuple(tuple(sorted(draw(st.sampled_from(pool)))) for _ in range(n))
+    costs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=n, max_size=n))
+    return CoverageInstance(covers, tuple(values)), costs
 
 
 def brute_force_opt(oracle, costs, prefer_small=False, candidates=None):

@@ -13,7 +13,6 @@ from procure.descending import (
     LexicographicSchedule,
     RoundRobinSchedule,
     ScriptedSchedule,
-    cost_scaled_demand,
     random_scripted_schedules,
     run_descending,
     run_descending_from_online,
@@ -101,17 +100,17 @@ class TestCostScaledDemand:
     def test_first_call_is_empty(self):
         oracle = AdditiveOracle([10.0])
         state = CostScaledDemand(oracle)
-        assert cost_scaled_demand(state, None, {0}, [4.0]) == frozenset()
+        assert state(frozenset({0}), [4.0], None) == frozenset()
 
     def test_adds_when_marginal_exceeds_twice_price(self):
         oracle = AdditiveOracle([10.0])
         state = CostScaledDemand(oracle)
-        assert cost_scaled_demand(state, 0, {0}, [4.0]) == frozenset({0})
+        assert state(frozenset({0}), [4.0], 0) == frozenset({0})
 
     def test_keeps_when_marginal_below_twice_price(self):
         oracle = AdditiveOracle([10.0])
         state = CostScaledDemand(oracle)
-        assert cost_scaled_demand(state, 0, {0}, [6.0]) == frozenset()
+        assert state(frozenset({0}), [6.0], 0) == frozenset()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))

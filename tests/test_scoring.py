@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from procure.scoring import (
     NOT_SAMPLED,
+    ONLINE_CAPABLE_RULES,
     RandomSeed,
     ScoreContext,
     UnsupportedRuleError,
@@ -216,10 +217,10 @@ class TestDiminishingFlag:
     def test_flags(self):
         for name in ("greedy-margin", "greedy-rate", "roi", "cost-scaled"):
             rule = make_rule(name, 4)
-            assert rule.diminishing_return and rule.online_capable
+            assert rule.diminishing_return and name in ONLINE_CAPABLE_RULES
         for name in ("distorted", "stochastic-distorted", "noisy-distorted"):
             rule = make_rule(name, 4)
-            assert not rule.diminishing_return and not rule.online_capable
+            assert not rule.diminishing_return and name not in ONLINE_CAPABLE_RULES
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from procure.scoring import RandomSeed, UnsupportedRuleError, make_rule
 from procure.selection import run_meta, run_meta_lazy
 from procure.valuation import AdditiveOracle, CoverageOracle, NoisyOracle
-from conftest import random_oracle
+from conftest import edge_case_instances, random_oracle
 
 DIMINISHING = ("greedy-margin", "greedy-rate", "roi", "cost-scaled")
 
@@ -59,11 +59,6 @@ class TestRunMeta:
         naive = run_meta(rule, coverage_pair, [math.inf, 1.0])
         assert naive.winners == (1,)
         assert run_meta_lazy(rule, coverage_pair, [math.inf, 1.0]).winners == naive.winners
-
-    def test_excluded_seller_never_wins(self, coverage_pair):
-        trace = run_meta(make_rule("greedy-margin", 2), coverage_pair, [0.0, 0.0], excluded=1)
-        assert 1 not in trace.winners
-        assert trace.winners == (0,)
 
     def test_horizon_mismatch_rejected(self, coverage_pair):
         with pytest.raises(ValueError):
@@ -186,3 +181,30 @@ def test_cardinality_variant_caps_admissions():
     trace = run_meta(rule, oracle, [0.1] * 4)
     assert len(trace.winners) <= 2
     assert trace.rounds == 4  # padded to n
+
+
+def test_distorted_admissions_skip_rounds():
+    # multiplier 1/2 in round 1 keeps both scores negative; round 2 admits
+    trace = run_meta(make_rule("distorted", 2), AdditiveOracle([1.0, 1.0]), [0.6, 0.6])
+    assert trace.chosen_at == {0: 2}
+    assert trace.tentative_sets == ((), (), (0,))
+    assert trace.tentative(1) == () and trace.tentative(2) == (0,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_case_instances(n_min=1, n_max=8), st.booleans())
+def test_tentative_sets_derived_from_admission_order(instance, capped):
+    """S_0 .. S_n from the admission order, also when admissions skip
+    rounds (distorted) or stop at a cardinality cap."""
+    instance, costs = instance
+    n = instance.n_sets
+    rule = make_rule("distorted", n, cardinality=max(1, n // 2) if capped else None)
+    trace = run_meta(rule, CoverageOracle(instance), costs)
+    sets = trace.tentative_sets
+    assert len(sets) == n + 1 and trace.rounds == n
+    assert sets[0] == () and sets[-1] == trace.winners
+    assert all(sets[k] == trace.tentative(k) for k in range(n + 1))
+    for i, k in trace.chosen_at.items():
+        assert i in sets[k] and i not in sets[k - 1]
+    assert trace.order == sorted(trace.chosen_at, key=trace.chosen_at.get)
+    assert trace.to_json()["tentative_sets"] == [list(s) for s in sets]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ class TestCoverage:
     def test_bad_vertex_reference_rejected(self):
         with pytest.raises(ValueError):
             CoverageInstance(covers=((0, 7),), vertex_values=(1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CoverageInstance(covers=((0, 1), (1, 2)), vertex_values=(bad, 2.0, 3.0))
+
+    def test_non_finite_vertex_value_rejected_from_json(self, coverage_pair):
+        doc = coverage_pair.instance.to_json()
+        doc["vertex_values"][0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            CoverageInstance.loads(json.dumps(doc))
 
     def test_query_counter(self, coverage_pair):
         coverage_pair.reset_query_count()
@@ -188,6 +200,12 @@ class TestNoisyOracle:
     def test_epsilon_range_validated(self, coverage_pair):
         with pytest.raises(ValueError):
             NoisyOracle(coverage_pair, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_additive_oracle_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        AdditiveOracle([1.0, bad])
 
 
 def test_additive_oracle_marginals():
