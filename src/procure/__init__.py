@@ -20,14 +20,9 @@ from .scoring import (
     NOT_SAMPLED,
     RULE_NAMES,
     RandomSeed,
-    ScoreContext,
     ScoringRule,
     UnsupportedRuleError,
-    argmax_threshold,
     make_rule,
-    online_price,
-    positive_threshold,
-    score,
     validate_assumptions,
 )
 from .selection import SelectionTrace, run_meta, run_meta_lazy

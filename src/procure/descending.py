@@ -15,8 +15,9 @@ to the adversary up to an n*epsilon term.
 A clock tick costs one demand call and one schedule pick: the active set
 is rebuilt only when a seller drops, the cost-scaled oracle keeps its
 demanded set between calls, and its admission test is one O(|cover(i)|)
-scratch marginal.  The online-to-descending conversion prices each arrival
-from the run's scratch, like the posted-price mechanism it mirrors.
+scratch marginal.  The online-to-descending conversion with its tailored
+schedule gives exactly the posted-price outcome, so it returns that run's
+winners and payments.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .online import as_arrival_order
-from .scoring import ScoringRule, UnsupportedRuleError
+from .online import run_posted_price
+from .scoring import ScoringRule
 from .sealed_bid import AuctionOutcome, DEFAULT_OPT_CONFIG, ExactOptimizerConfig, best_subset
 from .selection import _check_bids
 from .valuation import AdversarialFamilyOracle, ValuationOracle, canonical_set
@@ -292,41 +293,18 @@ def run_descending_from_online(
     oracle: ValuationOracle,
     bids: Sequence[float],
     order: Iterable[int],
-    *,
-    step_epsilon: float | None = None,
 ) -> AuctionOutcome:
-    """Tailored-schedule descending auction equivalent to posted prices.
+    """Descending auction under the tailored schedule for an arrival order.
 
-    Each seller's price descends from f(k|0) straight to the zero of its
-    online score; the seller stays (and is paid that price) iff its bid is
-    strictly below it.  The target is ``rule.posted_price`` of the seller's
-    marginal read from the run's scratch, O(|cover(k)|) per arrival on a
-    coverage oracle, so payments equal ``run_posted_price``'s bit for bit.
-    ``step_epsilon`` switches on a demonstration mode that walks the price
-    down an epsilon grid instead of assigning it, paying the first grid
-    price at or below the target.
+    The schedule takes the sellers in arrival order and lowers seller k's
+    price from f(k|0) to the zero of its online score at the sellers kept
+    so far; k stays, paid that price, iff its bid is strictly below it.
+
+    Theorem (online to descending): for a diminishing-return rule and any
+    arrival order, this auction selects the same winners and pays each of
+    them the same price as the posted-price mechanism on that order.  The
+    outcome is therefore computed by ``run_posted_price``, which also
+    rejects rules that need the round index.
     """
-    if not rule.diminishing_return:
-        raise UnsupportedRuleError(f"rule {rule.kind!r} cannot drive the tailored schedule")
-    if step_epsilon is not None:
-        _check_step(step_epsilon)
-    n = oracle.n
-    order = as_arrival_order(order, n)
-    bids = _check_bids(bids, n)
-    scratch = oracle.scratch()
-    payments = [0.0] * n
-    admitted: list[int] = []
-    for k in order:
-        target = rule.posted_price(scratch.marginal(k))
-        if step_epsilon is None:
-            offered = target
-        else:
-            offered = oracle.marginal(k, ())
-            while offered > target:
-                offered -= step_epsilon
-            offered = max(offered, 0.0)
-        if bids[k] < offered:
-            scratch.add(k)
-            admitted.append(k)
-            payments[k] = offered
-    return AuctionOutcome(canonical_set(admitted), tuple(payments), value=oracle.value(admitted), trace=None)
+    posted = run_posted_price(rule, oracle, bids, order)
+    return AuctionOutcome(posted.winners, posted.payments, value=oracle.value(posted.winners), trace=None)

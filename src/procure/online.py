@@ -1,17 +1,19 @@
 """Online selection and the posted-price mechanism for adversarial arrivals.
 
 Sellers arrive one at a time in an arbitrary order and each decision is
-irrevocable.  The online meta algorithm admits an arrival iff its score at
-the current tentative set is strictly positive; the posted-price mechanism
-instead offers the arrival the bid at which that score crosses zero, which
-the seller accepts exactly when its cost is strictly below the offer.  Both
-produce the same winner set, and the telescoping marginals bound the total
-payment by the value of the winners.
+irrevocable.  The posted-price mechanism offers each arrival the bid at
+which its score at the current tentative set crosses zero, and the seller
+accepts exactly when its cost is strictly below the offer.  The online meta
+algorithm admits an arrival iff that score is strictly positive, which is
+the same test, so ``run_online_meta`` is the posted-price run's winner set;
+the telescoping marginals bound the total payment by the value of the
+winners.
 
-Both loops read each arrival's marginal from the run's incremental oracle
-scratch, so an arrival costs one O(|cover(k)|) query on a coverage oracle
-(O(1) on the family oracle) rather than a from-scratch marginal over the
-admitted set.
+``run_posted_price`` is the one arrival loop, also behind the descending
+auction's tailored schedule.  It reads each arrival's marginal from the
+run's incremental oracle scratch, so an arrival costs one O(|cover(k)|)
+query on a coverage oracle (O(1) on the family oracle) rather than a
+from-scratch marginal over the admitted set.
 """
 
 from __future__ import annotations
@@ -107,23 +109,13 @@ def run_online_meta(
     oracle: ValuationOracle,
     costs: Sequence[float],
     order: Iterable[int],
-    seed=None,
 ) -> tuple[int, ...]:
     """Admit each arrival iff its score is strictly positive; irrevocably.
 
-    One scratch marginal per arrival and one scratch add per admission.
+    A positive score is a cost strictly below the score's zero crossing,
+    so this is the winner set of ``run_posted_price``.
     """
-    _check_online(rule)
-    costs = _check_bids(costs, oracle.n)
-    order = as_arrival_order(order, oracle.n)
-    scratch = oracle.scratch()
-    admitted: list[int] = []
-    for pos, k in enumerate(order, start=1):
-        sc = rule.score_from_marginal(scratch.marginal(k), costs[k], pos)
-        if sc > 0.0:
-            scratch.add(k)
-            admitted.append(k)
-    return canonical_set(admitted)
+    return run_posted_price(rule, oracle, costs, order).winners
 
 
 def run_posted_price(
@@ -131,15 +123,13 @@ def run_posted_price(
     oracle: ValuationOracle,
     costs: Sequence[float],
     order: Iterable[int],
-    seed=None,
 ) -> PostedPriceOutcome:
     """Offer each arrival the bid at which its score would hit zero.
 
     The price is ``rule.posted_price`` of the arrival's marginal, read from
     the run's scratch against the sellers admitted so far: O(|cover(k)|)
-    per arrival on a coverage oracle, and exactly the value
-    ``online_price(rule, k, admitted, oracle)`` would give.  The run makes
-    n + |winners| oracle queries.
+    per arrival on a coverage oracle.  The run makes n + |winners| oracle
+    queries.
     """
     _check_online(rule)
     n = oracle.n

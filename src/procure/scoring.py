@@ -6,6 +6,12 @@ score is strictly positive; payments and posted prices come from inverting
 the score in the bid coordinate, which is exact because every shipped rule
 is affine or a ratio in the bid.
 
+``ScoringRule`` is the one pricing path: ``score_from_marginal``,
+``threshold_from_marginal`` and ``posted_price`` take a marginal the
+caller has already read, in the engines from the run's oracle scratch.
+The caller owns the rest of the context: the stochastic batch gate and,
+for the noisy rule, the trajectory minimum of the marginals.
+
 Canonical rule names (used by the CLI and ``make_rule``):
 
     greedy-margin         f(i|S) - b_i
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,32 +87,6 @@ def as_random_seed(seed) -> RandomSeed:
 
 
 @dataclass(frozen=True)
-class ScoreContext:
-    """State a score may depend on besides the candidate's own bid.
-
-    ``trajectory`` is the chain of tentative sets seen so far, ending at
-    ``tentative``; only the noisy rule reads it, everything else looks at
-    the current set alone.
-    """
-
-    tentative: tuple[int, ...]
-    round: int = 1
-    trajectory: tuple[tuple[int, ...], ...] | None = None
-
-    @classmethod
-    def at(cls, tentative: Iterable[int], round: int = 1, trajectory=None) -> "ScoreContext":
-        tent = canonical_set(tentative)
-        if trajectory is not None:
-            trajectory = tuple(canonical_set(s) for s in trajectory)
-            if trajectory[-1] != tent:
-                raise ValueError("trajectory must end at the tentative set")
-        return cls(tentative=tent, round=round, trajectory=trajectory)
-
-    def chain(self) -> tuple[tuple[int, ...], ...]:
-        return self.trajectory if self.trajectory is not None else (self.tentative,)
-
-
-@dataclass(frozen=True)
 class ScoringRule:
     """A named scoring rule together with the parameters it needs.
 
@@ -123,7 +103,6 @@ class ScoringRule:
     stochastic_epsilon: float = 0.1
     stochastic_batch_size: int | None = None
     noise_epsilon: float = 0.0
-    cost_multiplier_x: float | None = None
 
     def __post_init__(self):
         if self.kind not in RULE_NAMES:
@@ -154,9 +133,7 @@ class ScoringRule:
 
     @property
     def x(self) -> float:
-        """Cost multiplier of the noisy rule; defaults to 1 + 2*eps*n + eps."""
-        if self.cost_multiplier_x is not None:
-            return self.cost_multiplier_x
+        """Cost multiplier of the noisy rule: 1 + 2*eps*n + eps."""
         return 1.0 + 2.0 * self.noise_epsilon * self.horizon + self.noise_epsilon
 
     def multiplier(self, k: int) -> float:
@@ -263,94 +240,6 @@ def make_rule(name: str, n: int, **kwargs) -> ScoringRule:
 
 
 # ---------------------------------------------------------------------------
-# Effective marginals (the one place the trajectory matters)
-# ---------------------------------------------------------------------------
-
-
-def effective_marginal(rule: ScoringRule, i: int, ctx: ScoreContext, oracle: ValuationOracle) -> float:
-    if i in ctx.tentative:
-        raise ValueError(f"seller {i} already in the tentative set")
-    if rule.kind == "noisy-distorted":
-        return min(oracle.marginal(i, s) for s in ctx.chain())
-    return oracle.marginal(i, ctx.tentative)
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-
-def score(
-    rule: ScoringRule,
-    i: int,
-    ctx: ScoreContext,
-    bid_i: float,
-    oracle: ValuationOracle,
-    seed: RandomSeed | int | None = None,
-) -> float:
-    """G(i, S, b, k, r); NOT_SAMPLED when the stochastic rule skipped i."""
-    if bid_i < 0:
-        raise ValueError(f"bids must be nonnegative, got {bid_i}")
-    if rule.randomized:
-        batch = as_random_seed(seed).round_batch(ctx.round, oracle.n, rule.batch_size())
-        if i not in batch:
-            return NOT_SAMPLED
-    m = effective_marginal(rule, i, ctx, oracle)
-    return rule.score_from_marginal(m, bid_i, ctx.round)
-
-
-def positive_threshold(
-    rule: ScoringRule,
-    i: int,
-    ctx: ScoreContext,
-    oracle: ValuationOracle,
-    seed: RandomSeed | int | None = None,
-) -> float:
-    """Supremum bid at which the score of i stays strictly positive."""
-    if rule.randomized:
-        batch = as_random_seed(seed).round_batch(ctx.round, oracle.n, rule.batch_size())
-        if i not in batch:
-            return 0.0
-    m = effective_marginal(rule, i, ctx, oracle)
-    return rule.threshold_from_marginal(m, 0.0, ctx.round)
-
-
-def argmax_threshold(
-    rule: ScoringRule,
-    i: int,
-    ctx: ScoreContext,
-    competitor_best_score: float | None,
-    competitor_id: int | None,
-    oracle: ValuationOracle,
-    seed: RandomSeed | int | None = None,
-) -> float:
-    """Supremum bid at which i is still the (lexicographic) argmax.
-
-    ``competitor_best_score`` is the best score among other candidates,
-    which by assumption does not depend on i's bid; ``competitor_id`` is the
-    smallest index attaining it, so i wins a tie iff i < competitor_id.
-    Returns +inf when no competitor exists.
-    """
-    if competitor_id is None:
-        return math.inf
-    if rule.randomized:
-        batch = as_random_seed(seed).round_batch(ctx.round, oracle.n, rule.batch_size())
-        if i not in batch:
-            return 0.0
-    m = effective_marginal(rule, i, ctx, oracle)
-    return rule.threshold_from_marginal(m, competitor_best_score, ctx.round, wins_tie=i < competitor_id)
-
-
-def online_price(rule: ScoringRule, k: int, members: Iterable[int], oracle: ValuationOracle) -> float:
-    """Root of G(k, S, (.., z)) = 0 in z for an online-capable rule.
-
-    One from-scratch marginal query; the online loops read the same
-    marginal from their incremental scratch and share ``posted_price``.
-    """
-    return rule.posted_price(oracle.marginal(k, members))
-
-
-# ---------------------------------------------------------------------------
 # Assumption validation
 # ---------------------------------------------------------------------------
 
@@ -377,13 +266,19 @@ Scorer = Callable[[int, tuple[int, ...], Sequence[float], int], float]
 
 
 def _as_scorer(rule, oracle: ValuationOracle, seed) -> Scorer:
-    """Adapt a ScoringRule (or any callable fixture) to a bid-vector scorer."""
+    """Adapt a ScoringRule (or any callable fixture) to a bid-vector scorer.
+
+    A rule's scorer applies the stochastic batch gate of round k, then
+    scores i's marginal against the tentative set.
+    """
     if callable(rule) and not isinstance(rule, ScoringRule):
         return rule
+    seed = as_random_seed(seed)
 
     def scorer(i: int, tentative: tuple[int, ...], bids: Sequence[float], k: int) -> float:
-        ctx = ScoreContext.at(tentative, round=k)
-        return score(rule, i, ctx, bids[i], oracle, seed)
+        if rule.randomized and i not in seed.round_batch(k, oracle.n, rule.batch_size()):
+            return NOT_SAMPLED
+        return rule.score_from_marginal(oracle.marginal(i, tentative), bids[i], k)
 
     return scorer
 

@@ -23,7 +23,6 @@ from .selection import (
     _greedy_rounds,
     _lazy_greedy,
     _marginal_provider,
-    _PlainMarginals,
     run_meta,
     run_meta_lazy,
 )
@@ -112,7 +111,7 @@ def _critical_payment(
     for k, batch, comp_id, comp_score in _greedy_rounds(rule, provider, bids, seed, others, n):
         if batch is not None and i not in batch:
             continue
-        m_i = provider.get(i)
+        m_i = provider.marginal(i)
         z = rule.threshold_from_marginal(m_i, 0.0, k)
         if comp_id is not None:
             z = min(z, rule.threshold_from_marginal(m_i, comp_score, k, wins_tie=i < comp_id))
@@ -172,19 +171,17 @@ def _critical_payment_lazy(
     """
     n = oracle.n
     k = trace.chosen_at[i]
-    provider = _PlainMarginals(oracle)
-    before = trace.tentative(k - 1)
-    for j in before:
-        provider.admit(j)
-    admitted = set(before)
-    pool = [ell for ell in range(n) if ell != i and ell not in admitted]
+    scratch = oracle.scratch()
+    for j in trace.tentative(k - 1):
+        scratch.add(j)
+    pool = [ell for ell in range(n) if ell != i and ell not in scratch]
 
     payment = bids[i]
-    for ell, score in _lazy_greedy(rule, provider, bids, pool, n - k):
-        z = rule.threshold_from_marginal(provider.get(i), score, k, wins_tie=i < ell)
+    for ell, score in _lazy_greedy(rule, scratch, bids, pool, n - k):
+        z = rule.threshold_from_marginal(scratch.marginal(i), score, k, wins_tie=i < ell)
         if z > payment:
             payment = z
-    closing = rule.threshold_from_marginal(provider.get(i), 0.0, k)
+    closing = rule.threshold_from_marginal(scratch.marginal(i), 0.0, k)
     return max(payment, closing)
 
 
@@ -286,6 +283,7 @@ def exact_opt(
     exclude: Iterable[int] = (),
 ) -> tuple[tuple[int, ...], float]:
     """Exact welfare maximizer and its welfare, over sellers not excluded."""
+    costs = _check_bids(costs, oracle.n)
     excluded = set(exclude)
     candidates = [i for i in range(oracle.n) if i not in excluded]
     if len(candidates) > cfg.max_exhaustive_n:
@@ -395,12 +393,5 @@ def sealed_bid_runner(rule: ScoringRule) -> MechanismRunner:
 
     def runner(oracle, bids, seed=None, focus=None):
         return run_sealed_bid(rule, oracle, bids, seed, focus=focus)
-
-    return runner
-
-
-def vcg_runner(cfg: ExactOptimizerConfig = DEFAULT_OPT_CONFIG) -> MechanismRunner:
-    def runner(oracle, bids, seed=None, focus=None):
-        return run_vcg(oracle, bids, cfg)
 
     return runner

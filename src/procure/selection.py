@@ -95,19 +95,6 @@ def _check_bids(bids, n: int) -> list[float]:
     return bids
 
 
-class _PlainMarginals:
-    """Marginals against the current tentative set, via the oracle scratch."""
-
-    def __init__(self, oracle: ValuationOracle):
-        self.scratch = oracle.scratch()
-
-    def get(self, i: int) -> float:
-        return self.scratch.marginal(i)
-
-    def admit(self, i: int) -> None:
-        self.scratch.add(i)
-
-
 class _TrajectoryMinMarginals:
     """Running minimum of noisy marginals over the trajectory of tentatives.
 
@@ -123,7 +110,7 @@ class _TrajectoryMinMarginals:
         self._value = oracle.value(())
         self._min: dict[int, float] = {}
 
-    def get(self, i: int) -> float:
+    def marginal(self, i: int) -> float:
         cur = self.oracle.value(canonical_set(self.members + [i])) - self._value
         best = self._min.get(i, math.inf)
         if cur < best:
@@ -131,15 +118,16 @@ class _TrajectoryMinMarginals:
             self._min[i] = cur
         return best
 
-    def admit(self, i: int) -> None:
+    def add(self, i: int) -> None:
         self.members.append(i)
         self._value = self.oracle.value(self.members)
 
 
 def _marginal_provider(rule: ScoringRule, oracle: ValuationOracle):
+    """The oracle scratch, or the trajectory minimum for the noisy rule."""
     if rule.kind == "noisy-distorted":
         return _TrajectoryMinMarginals(oracle)
-    return _PlainMarginals(oracle)
+    return oracle.scratch()
 
 
 def _validate_rule(rule: ScoringRule, oracle: ValuationOracle) -> None:
@@ -165,12 +153,12 @@ def _greedy_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidat
         for i in remaining:
             if batch is not None and i not in batch:
                 continue
-            sc = rule.score_from_marginal(provider.get(i), bids[i], k)
+            sc = rule.score_from_marginal(provider.marginal(i), bids[i], k)
             if best_i is None or sc > best_score:
                 best_i, best_score = i, sc
         yield k, batch, best_i, best_score
         if best_i is not None and best_score > 0.0:
-            provider.admit(best_i)
+            provider.add(best_i)
             remaining.remove(best_i)
 
 
@@ -185,7 +173,7 @@ def _lazy_greedy(rule: ScoringRule, provider, bids, candidates, limit: int) -> I
     entry popped with a current stamp is already fresh, which breaks the
     re-score cycle that exact score ties would otherwise cause.
     """
-    heap = [(-rule.score_from_marginal(provider.get(i), bids[i], 1), i, 0) for i in candidates]
+    heap = [(-rule.score_from_marginal(provider.marginal(i), bids[i], 1), i, 0) for i in candidates]
     heapq.heapify(heap)
     for admitted in range(limit):
         while heap:
@@ -193,7 +181,7 @@ def _lazy_greedy(rule: ScoringRule, provider, bids, candidates, limit: int) -> I
             if stamp == admitted:
                 score = -neg
                 break
-            score = rule.score_from_marginal(provider.get(i), bids[i], 1)
+            score = rule.score_from_marginal(provider.marginal(i), bids[i], 1)
             runner_up = -heap[0][0] if heap else NOT_SAMPLED
             if score > max(0.0, runner_up) or runner_up < 0.0:
                 break
@@ -203,7 +191,7 @@ def _lazy_greedy(rule: ScoringRule, provider, bids, candidates, limit: int) -> I
         if not score > 0.0:
             return
         yield i, score
-        provider.admit(i)
+        provider.add(i)
 
 
 def run_meta(
@@ -243,6 +231,6 @@ def run_meta_lazy(
     n = oracle.n
     bids = _check_bids(bids, n)
     trace = SelectionTrace(n)
-    for k, (i, score) in enumerate(_lazy_greedy(rule, _PlainMarginals(oracle), bids, range(n), n), start=1):
+    for k, (i, score) in enumerate(_lazy_greedy(rule, oracle.scratch(), bids, range(n), n), start=1):
         trace.admit(i, k, score)
     return trace

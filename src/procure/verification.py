@@ -22,7 +22,6 @@ from .descending import (
     RoundRobinSchedule,
     random_scripted_schedules,
     run_descending,
-    run_descending_from_online,
 )
 from .instances import random_instance
 from .online import run_online_meta, run_posted_price, order_random, worst_sampled_order
@@ -361,22 +360,6 @@ def online_equivalence_suite(
             if margin < -tol:
                 report.fail(f"online cost-scaled below (1/2, 1) bound by {-margin:.3g}")
     report.extra["worst_online_margin"] = worst_margin
-    return report
-
-
-def online_to_descending_suite(pairs: int = 500, seed: int = 0, n_hi: int = 12) -> SuiteReport:
-    """The tailored-schedule descending auction replays posted prices."""
-    report = SuiteReport(name="online-to-descending")
-    rng = np.random.default_rng(seed)
-    for t in range(pairs):
-        oracle, costs = sample_instance(rng, 2, n_hi)
-        rule = make_rule(ONLINE_CAPABLE_RULES[t % len(ONLINE_CAPABLE_RULES)], oracle.n)
-        order = order_random(oracle.n, int(rng.integers(0, 2**31)))
-        posted = run_posted_price(rule, oracle, costs, order)
-        converted = run_descending_from_online(rule, oracle, costs, order)
-        report.checks += 1
-        if posted.winners != converted.winners or posted.payments != converted.payments:
-            report.fail(f"trial {t}: conversion diverged from posted prices")
     return report
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import strategies as st
 
 from procure.instances import ExperimentConfig, build_instance, random_instance, synthetic_bipartite_graph
-from procure.scoring import online_price
 from procure.valuation import CoverageInstance, CoverageOracle
 
 
@@ -53,7 +52,7 @@ def brute_force_opt(oracle, costs, prefer_small=False, candidates=None):
 
 
 def posted_price_reference(rule, instance, costs, order):
-    """Posted-price run built from one from-scratch ``online_price`` per arrival.
+    """Posted-price run priced from one from-scratch marginal per arrival.
 
     Returns (winners, posted prices, payments) on a fresh oracle; the
     mechanisms must reproduce it bit for bit.
@@ -63,7 +62,7 @@ def posted_price_reference(rule, instance, costs, order):
     payments = [0.0] * oracle.n
     admitted: list[int] = []
     for k in order:
-        price = online_price(rule, k, admitted, oracle)
+        price = rule.posted_price(oracle.marginal(k, admitted))
         posted[k] = price
         if costs[k] < price:
             admitted.append(k)

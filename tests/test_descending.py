@@ -145,8 +145,9 @@ class TestRunDescending:
 
     def test_invalid_epsilon(self):
         oracle = AdditiveOracle([1.0])
-        with pytest.raises(ValueError):
-            run_descending(oracle, [0.5], ExactDemand(oracle), LexicographicSchedule(), 0.0)
+        for step in BAD_STEPS:
+            with pytest.raises(ValueError, match="step size"):
+                run_descending(oracle, [0.5], ExactDemand(oracle), LexicographicSchedule(), step)
 
     def test_nan_epsilon_rejected(self):
         oracle = AdditiveOracle([1.0])
@@ -275,15 +276,3 @@ class TestOnlineConversion:
         oracle = AdditiveOracle([1.0, 2.0])
         with pytest.raises(ValueError):
             run_descending_from_online(make_rule("cost-scaled", 2), oracle, BAD_BIDS[case], (0, 1))
-
-    @pytest.mark.parametrize("step", BAD_STEPS)
-    def test_bad_step_rejected(self, step):
-        oracle = AdditiveOracle([10.0])
-        with pytest.raises(ValueError, match="step size"):
-            run_descending_from_online(make_rule("cost-scaled", 1), oracle, [3.0], (0,), step_epsilon=step)
-
-    def test_epsilon_stepping_demo_mode(self):
-        oracle = AdditiveOracle([10.0])
-        out = run_descending_from_online(make_rule("cost-scaled", 1), oracle, [3.0], (0,), step_epsilon=0.75)
-        assert out.winners == (0,)
-        assert 5.0 - 0.75 < out.payments[0] <= 5.0 + 1e-12

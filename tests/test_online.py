@@ -12,6 +12,7 @@ from procure.online import (
     run_posted_price,
     worst_sampled_order,
 )
+from procure.descending import run_descending_from_online
 from procure.scoring import UnsupportedRuleError, make_rule
 from procure.sealed_bid import exact_opt
 from procure.instances import random_instance
@@ -51,6 +52,16 @@ class TestOnlineMeta:
         oracle = AdditiveOracle([1.0])
         with pytest.raises(UnsupportedRuleError):
             run_online_meta(make_rule("distorted", 1), oracle, [0.5], (0,))
+
+    def test_subnormal_marginal_agrees_across_entry_points(self):
+        # The cost-scaled price m/2 underflows to 0.0, so a zero cost does
+        # not beat it, although the score m - 2*0 is positive.
+        oracle = AdditiveOracle([5e-324])
+        rule = make_rule("cost-scaled", 1)
+        posted = run_posted_price(rule, oracle, [0.0], (0,))
+        assert posted.posted_prices == (0.0,) and posted.winners == ()
+        assert run_online_meta(rule, oracle, [0.0], (0,)) == ()
+        assert run_descending_from_online(rule, oracle, [0.0], (0,)).winners == ()
 
     def test_order_validated(self):
         oracle = AdditiveOracle([1.0, 2.0])
@@ -114,7 +125,7 @@ class TestPostedPrice:
 
 
 class TestPostedPriceMatchesFromScratchPricing:
-    """The scratch-priced loop against one ``online_price`` per arrival."""
+    """The scratch-priced loop against one from-scratch marginal per arrival."""
 
     @staticmethod
     def _assert_matches_reference(rule_name, instance, costs, order):

@@ -8,50 +8,48 @@ from procure.scoring import (
     NOT_SAMPLED,
     ONLINE_CAPABLE_RULES,
     RandomSeed,
-    ScoreContext,
     UnsupportedRuleError,
-    argmax_threshold,
+    _as_scorer,
     make_rule,
-    online_price,
-    positive_threshold,
-    score,
     validate_assumptions,
 )
+from procure.selection import run_meta
 from procure.valuation import AdditiveOracle, NoisyOracle
 from conftest import random_oracle
 
 ALL_RULES = ("greedy-margin", "greedy-rate", "distorted", "stochastic-distorted", "roi", "cost-scaled")
 
 
-def make_ctx(tentative=(), round=1):
-    return ScoreContext.at(tentative, round=round)
+def sampled(rule, i, k, n, seed):
+    """False iff the stochastic rule's round-k batch skips seller i."""
+    return not rule.randomized or i in seed.round_batch(k, n, rule.batch_size())
 
 
 class TestScoreValues:
     def test_cost_scaled(self):
         oracle = AdditiveOracle([3.0])
         rule = make_rule("cost-scaled", 1)
-        assert score(rule, 0, make_ctx(), 1.0, oracle) == 1.0
+        assert rule.score_from_marginal(oracle.marginal(0, ()), 1.0, 1) == 1.0
 
     def test_distorted_round_one_of_two(self):
         oracle = AdditiveOracle([5.0, 0.0])
         rule = make_rule("distorted", 2)
-        assert score(rule, 0, make_ctx(round=1), 1.0, oracle) == pytest.approx(1.5)
+        assert rule.score_from_marginal(oracle.marginal(0, ()), 1.0, 1) == pytest.approx(1.5)
 
     def test_greedy_margin_zero_at_boundary(self):
         oracle = AdditiveOracle([4.0])
         rule = make_rule("greedy-margin", 1)
-        assert score(rule, 0, make_ctx(), 4.0, oracle) == 0.0
+        assert rule.score_from_marginal(oracle.marginal(0, ()), 4.0, 1) == 0.0
 
     def test_greedy_rate_zero_marginal_never_selected(self):
         oracle = AdditiveOracle([0.0])
         rule = make_rule("greedy-rate", 1)
-        assert score(rule, 0, make_ctx(), 0.5, oracle) == NOT_SAMPLED
+        assert rule.score_from_marginal(oracle.marginal(0, ()), 0.5, 1) == NOT_SAMPLED
 
     def test_roi_free_positive_seller(self):
         oracle = AdditiveOracle([2.0])
         rule = make_rule("roi", 1)
-        assert score(rule, 0, make_ctx(), 0.0, oracle) == math.inf
+        assert rule.score_from_marginal(oracle.marginal(0, ()), 0.0, 1) == math.inf
 
     def test_stochastic_unsampled_sentinel(self):
         oracle = AdditiveOracle([5.0] * 6)
@@ -60,53 +58,56 @@ class TestScoreValues:
         batch = seed.round_batch(1, 6, rule.batch_size())
         outside = next(i for i in range(6) if i not in batch)
         inside = next(iter(batch))
-        assert score(rule, outside, make_ctx(), 1.0, oracle, seed) == NOT_SAMPLED
+        scorer = _as_scorer(rule, oracle, seed)
+        assert scorer(outside, (), [1.0] * 6, 1) == NOT_SAMPLED
         expected = rule.multiplier(1) * 5.0 - 1.0
-        assert score(rule, inside, make_ctx(), 1.0, oracle, seed) == pytest.approx(expected)
+        assert scorer(inside, (), [1.0] * 6, 1) == pytest.approx(expected)
 
-    def test_noisy_uses_trajectory_minimum(self, coverage_pair):
-        noisy = NoisyOracle(coverage_pair, 0.3, seed=2)
-        rule = make_rule("noisy-distorted", 2, noise_epsilon=0.3)
-        ctx = ScoreContext.at((1,), round=2, trajectory=((), (1,)))
-        m = min(noisy.marginal(0, ()), noisy.marginal(0, (1,)))
-        expected = rule.multiplier(2) * m - rule.x * 0.5
-        assert score(rule, 0, ctx, 0.5, noisy) == pytest.approx(expected)
-
-    def test_negative_bid_rejected(self):
-        oracle = AdditiveOracle([1.0])
-        with pytest.raises(ValueError):
-            score(make_rule("greedy-margin", 1), 0, make_ctx(), -0.1, oracle)
+    def test_noisy_uses_trajectory_minimum(self):
+        """Each admission score folds the noisy marginals of S_0 .. S_{k-1}."""
+        base, costs = random_oracle(9, 6, 6)
+        bids = [0.25 * c for c in costs]
+        noisy = NoisyOracle(base, 0.3, seed=2)
+        rule = make_rule("noisy-distorted", noisy.n, noise_epsilon=0.3)
+        trace = run_meta(rule, noisy, bids)
+        sets = trace.tentative_sets
+        below_current = 0
+        for i, k in trace.chosen_at.items():
+            m = min(noisy.marginal(i, sets[t]) for t in range(k))
+            assert trace.scores_at_admission[i] == rule.multiplier(k) * m - rule.x * bids[i]
+            below_current += m < noisy.marginal(i, sets[k - 1])
+        assert len(trace.order) == 3 and below_current > 0
 
 
 class TestThresholds:
     def test_cost_scaled_positive_threshold(self):
         oracle = AdditiveOracle([10.0])
-        assert positive_threshold(make_rule("cost-scaled", 1), 0, make_ctx(), oracle) == 5.0
+        assert make_rule("cost-scaled", 1).threshold_from_marginal(oracle.marginal(0, ()), 0.0, 1) == 5.0
 
     def test_zero_marginal_gives_zero(self):
         oracle = AdditiveOracle([0.0])
         for name in ("greedy-margin", "greedy-rate", "roi"):
-            assert positive_threshold(make_rule(name, 1), 0, make_ctx(), oracle) == 0.0
+            assert make_rule(name, 1).threshold_from_marginal(oracle.marginal(0, ()), 0.0, 1) == 0.0
 
     def test_distorted_last_round_multiplier_one(self):
         oracle = AdditiveOracle([1.0, 0.0])
         rule = make_rule("distorted", 2)
-        assert positive_threshold(rule, 0, make_ctx(round=2), oracle) == pytest.approx(1.0)
+        assert rule.threshold_from_marginal(oracle.marginal(0, ()), 0.0, 2) == pytest.approx(1.0)
 
     def test_argmax_greedy_margin(self):
         oracle = AdditiveOracle([5.0, 0.0])
         rule = make_rule("greedy-margin", 2)
-        assert argmax_threshold(rule, 0, make_ctx(), 2.0, 1, oracle) == 3.0
+        assert rule.threshold_from_marginal(oracle.marginal(0, ()), 2.0, 1, wins_tie=True) == 3.0
 
     def test_argmax_cost_scaled(self):
         oracle = AdditiveOracle([10.0, 0.0])
         rule = make_rule("cost-scaled", 2)
-        assert argmax_threshold(rule, 0, make_ctx(), 4.0, 1, oracle) == 3.0
+        assert rule.threshold_from_marginal(oracle.marginal(0, ()), 4.0, 1, wins_tie=True) == 3.0
 
     def test_argmax_no_competitor_is_infinite(self):
         oracle = AdditiveOracle([10.0])
         rule = make_rule("greedy-margin", 1)
-        assert argmax_threshold(rule, 0, make_ctx(), None, None, oracle) == math.inf
+        assert rule.threshold_from_marginal(oracle.marginal(0, ()), NOT_SAMPLED, 1) == math.inf
 
 
 @settings(max_examples=50, deadline=None)
@@ -123,12 +124,14 @@ def test_positive_threshold_consistency(seed, rule_name):
         outside = [i for i in range(oracle.n) if i not in tentative]
         i = int(rng.choice(outside))
         k = int(rng.integers(1, oracle.n + 1))
-        ctx = make_ctx(tentative, round=k)
-        thr = positive_threshold(rule, i, ctx, oracle, run_seed)
+        if not sampled(rule, i, k, oracle.n, run_seed):
+            continue
+        m = oracle.marginal(i, tentative)
+        thr = rule.threshold_from_marginal(m, 0.0, k)
         if thr <= 1e-6 or not math.isfinite(thr):
             continue
-        assert score(rule, i, ctx, thr - 1e-6, oracle, run_seed) > 0
-        assert not score(rule, i, ctx, thr + 1e-6, oracle, run_seed) > 0
+        assert rule.score_from_marginal(m, thr - 1e-6, k) > 0
+        assert not rule.score_from_marginal(m, thr + 1e-6, k) > 0
 
 
 @settings(max_examples=50, deadline=None)
@@ -142,15 +145,17 @@ def test_argmax_threshold_consistency(seed, rule_name):
     for _ in range(5):
         i, j = (int(x) for x in rng.choice(oracle.n, size=2, replace=False))
         k = int(rng.integers(1, oracle.n + 1))
-        ctx = make_ctx((), round=k)
-        comp = score(rule, j, ctx, float(costs[j]), oracle, run_seed)
+        if not (sampled(rule, i, k, oracle.n, run_seed) and sampled(rule, j, k, oracle.n, run_seed)):
+            continue
+        comp = rule.score_from_marginal(oracle.marginal(j, ()), float(costs[j]), k)
         if not math.isfinite(comp):
             continue
-        thr = argmax_threshold(rule, i, ctx, comp, j, oracle, run_seed)
+        m = oracle.marginal(i, ())
+        thr = rule.threshold_from_marginal(m, comp, k, wins_tie=i < j)
         if thr <= 1e-6 or not math.isfinite(thr):
             continue
-        below = score(rule, i, ctx, thr - 1e-6, oracle, run_seed)
-        above = score(rule, i, ctx, thr + 1e-6, oracle, run_seed)
+        below = rule.score_from_marginal(m, thr - 1e-6, k)
+        above = rule.score_from_marginal(m, thr + 1e-6, k)
         assert below > comp
         assert above < comp or (above == comp and i > j)
 
@@ -158,20 +163,20 @@ def test_argmax_threshold_consistency(seed, rule_name):
 class TestOnlinePrice:
     def test_cost_scaled_half(self):
         oracle = AdditiveOracle([10.0])
-        assert online_price(make_rule("cost-scaled", 1), 0, (), oracle) == 5.0
+        assert make_rule("cost-scaled", 1).posted_price(oracle.marginal(0, ())) == 5.0
 
     def test_margin_full(self):
         oracle = AdditiveOracle([7.0])
-        assert online_price(make_rule("greedy-margin", 1), 0, (), oracle) == 7.0
+        assert make_rule("greedy-margin", 1).posted_price(oracle.marginal(0, ())) == 7.0
 
     def test_zero_marginal_prices_zero(self):
         oracle = AdditiveOracle([0.0])
-        assert online_price(make_rule("greedy-margin", 1), 0, (), oracle) == 0.0
+        assert make_rule("greedy-margin", 1).posted_price(oracle.marginal(0, ())) == 0.0
 
     def test_round_indexed_rules_rejected(self):
         oracle = AdditiveOracle([1.0])
         with pytest.raises(UnsupportedRuleError):
-            online_price(make_rule("distorted", 1), 0, (), oracle)
+            make_rule("distorted", 1).posted_price(oracle.marginal(0, ()))
 
 
 class TestValidateAssumptions:
@@ -210,7 +215,7 @@ class TestValidateAssumptions:
     def test_negativity_above_marginal_direct(self):
         oracle = AdditiveOracle([3.0])
         rule = make_rule("greedy-margin", 1)
-        assert score(rule, 0, make_ctx(), 3.1, oracle) == pytest.approx(-0.1)
+        assert rule.score_from_marginal(oracle.marginal(0, ()), 3.1, 1) == pytest.approx(-0.1)
 
 
 class TestDiminishingFlag:
@@ -233,16 +238,16 @@ class TestDiminishingFlag:
         big = tuple(sorted(set(small) | set(others)))
         for name in ("greedy-margin", "greedy-rate", "roi", "cost-scaled"):
             rule = make_rule(name, oracle.n)
-            early = score(rule, i, make_ctx(small, round=1), float(costs[i]), oracle)
-            late = score(rule, i, make_ctx(big, round=oracle.n), float(costs[i]), oracle)
+            early = rule.score_from_marginal(oracle.marginal(i, small), float(costs[i]), 1)
+            late = rule.score_from_marginal(oracle.marginal(i, big), float(costs[i]), oracle.n)
             assert late <= early + 1e-12
 
     def test_distorted_violation_exists(self):
         # Multiplier growth across rounds can raise a score even on a fixed set.
         oracle = AdditiveOracle([4.0, 1.0, 1.0, 1.0])
         rule = make_rule("distorted", 4)
-        early = score(rule, 0, make_ctx((), round=1), 2.0, oracle)
-        late = score(rule, 0, make_ctx((), round=4), 2.0, oracle)
+        early = rule.score_from_marginal(oracle.marginal(0, ()), 2.0, 1)
+        late = rule.score_from_marginal(oracle.marginal(0, ()), 2.0, 4)
         assert late > early
 
 

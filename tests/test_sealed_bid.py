@@ -189,6 +189,12 @@ class TestExactOpt:
         assert winners == (0, 1, 2)
         assert welfare == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("costs", [[math.nan, 1.0], [-5.0, 1.0], [1.0, 1.0, 1.0], [1.0]],
+                             ids=["nan", "negative", "long", "short"])
+    def test_bad_costs_rejected(self, coverage_pair, costs):
+        with pytest.raises(ValueError):
+            exact_opt(coverage_pair, costs)
+
     def test_capacity_error(self):
         oracle, costs = random_oracle(71, 5, 8)
         with pytest.raises(CapacityError):
