@@ -29,7 +29,7 @@ from .sealed_bid import (
     run_sealed_bid_lazy,
     run_vcg,
 )
-from .valuation import CoverageInstance, CoverageOracle, stable_hash64
+from .valuation import CoverageInstance, CoverageOracle, stable_hash64, sum_in_order
 
 CSV_SCHEMA = 1
 
@@ -226,7 +226,7 @@ def _instance_records(
             )
             continue
         check_oracle = CoverageOracle(instance)
-        welfare = check_oracle.value(outcome.winners) - sum(costs[i] for i in outcome.winners)
+        welfare = check_oracle.value(outcome.winners) - sum_in_order(costs[i] for i in outcome.winners)
         claimed = outcome.welfare(costs)
         if abs(welfare - claimed) > 1e-9:
             raise AssertionError(

@@ -10,6 +10,7 @@ the fraction of active sellers.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -86,6 +87,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("sample size must be at least 1")
+        if not math.isfinite(float(self.s) * float(self.s)):  # kappa is drawn from [s, s^2]
+            raise ValueError(f"cost-scale base must be finite with a finite square, got {self.s}")
         if self.s < 1:
             raise ValueError("cost-scale base must be at least 1")
         if self.instances < 1:

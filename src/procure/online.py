@@ -25,7 +25,7 @@ import numpy as np
 
 from .scoring import ScoringRule, UnsupportedRuleError
 from .selection import _check_bids
-from .valuation import ValuationOracle, canonical_set
+from .valuation import ValuationOracle, canonical_set, sum_in_order
 
 
 def as_arrival_order(order: Iterable[int], n: int) -> tuple[int, ...]:
@@ -88,7 +88,7 @@ class PostedPriceOutcome:
 
     @property
     def total_payment(self) -> float:
-        return float(sum(self.payments))
+        return sum_in_order(self.payments)
 
     def to_json(self) -> dict:
         return {

@@ -8,9 +8,10 @@ is affine or a ratio in the bid.
 
 ``ScoringRule`` is the one pricing path: ``score_from_marginal``,
 ``threshold_from_marginal`` and ``posted_price`` take a marginal the
-caller has already read, in the engines from the run's oracle scratch.
-The caller owns the rest of the context: the stochastic batch gate and,
-for the noisy rule, the trajectory minimum of the marginals.
+caller has already read, in the engines from the run's oracle scratch;
+``scores`` is ``score_from_marginal`` over a whole round's arrays, float
+for float.  The caller owns the rest of the context: the stochastic batch
+gate and, for the noisy rule, the trajectory minimum of the marginals.
 
 Canonical rule names (used by the CLI and ``make_rule``):
 
@@ -155,7 +156,7 @@ class ScoringRule:
         n, k = self.horizon, self.rounds
         return max(1, math.ceil((n / k) * math.log(1.0 / self.stochastic_epsilon)))
 
-    # -- scalar score core ------------------------------------------------
+    # -- score core ------------------------------------------------------
 
     def score_from_marginal(self, m: float, bid: float, k: int) -> float:
         """G(i, S, b, k) given the effective marginal m = f(i|S).
@@ -183,6 +184,24 @@ class ScoringRule:
             return self.multiplier(k) * m - bid
         # noisy-distorted
         return self.multiplier(k) * m - self.x * bid
+
+    def scores(self, m: np.ndarray, bids: np.ndarray, k: int) -> np.ndarray:
+        """``score_from_marginal`` element-wise over arrays, the same float for each."""
+        kind = self.kind
+        if kind == "greedy-margin":
+            return m - bids
+        if kind == "cost-scaled":
+            return m - 2.0 * bids
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if kind == "greedy-rate":
+                return np.where(m <= 0.0, NOT_SAMPLED, (m - bids) / m)
+            if kind == "roi":
+                at_zero = np.where(m > 0.0, math.inf, -1.0)
+                return np.where(bids == 0.0, at_zero, np.where(bids == math.inf, -1.0, (m - bids) / bids))
+        if kind in ("distorted", "stochastic-distorted"):
+            return self.multiplier(k) * m - bids
+        # noisy-distorted
+        return self.multiplier(k) * m - self.x * bids
 
     def threshold_from_marginal(self, m: float, target: float, k: int, wins_tie: bool = False) -> float:
         """sup{ z >= 0 : score(z) > target }, 0 when the set is empty.

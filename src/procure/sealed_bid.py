@@ -26,7 +26,7 @@ from .selection import (
     run_meta,
     run_meta_lazy,
 )
-from .valuation import ValuationOracle
+from .valuation import ValuationOracle, sum_in_order
 
 
 class CapacityError(ValueError):
@@ -57,7 +57,7 @@ class AuctionOutcome:
 
     @property
     def total_payment(self) -> float:
-        return float(sum(self.payments))
+        return sum_in_order(self.payments)
 
     @property
     def auctioneer_surplus(self) -> float:
@@ -65,7 +65,7 @@ class AuctionOutcome:
 
     def welfare(self, costs: Sequence[float]) -> float:
         """f(winners) minus the winners' true costs."""
-        return self.value - sum(costs[i] for i in self.winners)
+        return self.value - sum_in_order(costs[i] for i in self.winners)
 
     def to_json(self, include_trace: bool = False) -> dict:
         doc = {

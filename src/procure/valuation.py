@@ -9,6 +9,20 @@ scratch object obtained from :meth:`ValuationOracle.scratch`.
 Oracles count how many value/marginal queries they served so benchmark
 harnesses can compare algorithms by oracle usage.  The counter is the one
 piece of mutable observability state on an otherwise frozen object.
+
+A scratch also answers a whole round at once: ``marginals(idx)`` returns
+the marginals of many sellers as an array and charges one query per index.
+The coverage scratch keeps a marginal vector for all n sellers, recomputed
+on the first ``marginals`` call after the set changed, from a padded
+(width x n) matrix of cover vertex indices that its oracle builds on first
+array use (a sentinel column entry points at a 0.0 value).
+
+Summation order: every float reduction here adds left to right
+(``sum_in_order``), and the array kernel adds the masked vertex values
+column by column in cover order, which is the same order; adding 0.0 for a
+covered vertex is exact, so scalar and array marginals agree bit for bit.
+Python >= 3.12 ``sum()`` compensates rounding and numpy's ``sum`` is
+pairwise, so neither is used for values that reach an output.
 """
 
 from __future__ import annotations
@@ -19,6 +33,16 @@ import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """Left-to-right float sum, the same order on every interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def canonical_set(members: Iterable[int]) -> tuple[int, ...]:
@@ -128,6 +152,14 @@ class OracleScratch:
         self.oracle._queries += 1
         return self._marginal(i)
 
+    def marginals(self, idx: np.ndarray) -> np.ndarray:
+        """Marginals of the sellers in ``idx`` (none of them in the set).
+
+        Charges one query per index, as ``len(idx)`` ``marginal`` calls would.
+        """
+        self.oracle._queries += len(idx)
+        return np.array([self._marginal(i) for i in idx.tolist()], dtype=float)
+
     def add(self, i: int) -> None:
         if i in self._members:
             raise ValueError(f"seller {i} already in the set")
@@ -213,40 +245,77 @@ class CoverageOracle(ValuationOracle):
         self.instance = instance
         self.covers = tuple(tuple(sorted(set(c))) for c in instance.covers)
         self.vertex_values = instance.vertex_values
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     def _value(self, s: tuple[int, ...]) -> float:
         covered: set[int] = set()
         for i in s:
             covered.update(self.covers[i])
-        return float(sum(self.vertex_values[v] for v in covered))
+        return sum_in_order(self.vertex_values[v] for v in covered)
 
     def _marginal(self, i: int, s: tuple[int, ...]) -> float:
         covered: set[int] = set()
         for j in s:
             covered.update(self.covers[j])
-        return float(sum(self.vertex_values[v] for v in self.covers[i] if v not in covered))
+        return sum_in_order(self.vertex_values[v] for v in self.covers[i] if v not in covered)
 
     def scratch(self) -> "CoverageScratch":
         return CoverageScratch(self)
 
+    def _cover_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(width x n) cover vertex indices and the vertex values, built once.
+
+        Row j holds every seller's j-th cover vertex in cover order; shorter
+        covers are padded with the index of a sentinel 0.0 appended to the
+        values.
+        """
+        if self._arrays is None:
+            nv = len(self.vertex_values)
+            width = max(map(len, self.covers), default=0)
+            matrix = np.full((self.n, width), nv, dtype=np.intp)
+            for i, cov in enumerate(self.covers):
+                matrix[i, : len(cov)] = cov
+            values = np.array(self.vertex_values + (0.0,), dtype=float)
+            self._arrays = (np.ascontiguousarray(matrix.T), values)
+        return self._arrays
+
 
 class CoverageScratch(OracleScratch):
-    """Coverage counts per vertex; marginal queries cost O(|cover(i)|)."""
+    """Coverage counts per vertex; marginal queries cost O(|cover(i)|).
+
+    ``marginals`` reads a cached vector of every seller's marginal, rebuilt
+    after the set changed in a handful of numpy operations per cover column.
+    """
 
     def __init__(self, oracle: CoverageOracle):
         super().__init__(oracle)
         self._counts = [0] * len(oracle.vertex_values)
+        self._vector: np.ndarray | None = None
 
     def _marginal(self, i: int) -> float:
         counts = self._counts
         values = self.oracle.vertex_values
-        return float(sum(values[v] for v in self.oracle.covers[i] if counts[v] == 0))
+        return sum_in_order(values[v] for v in self.oracle.covers[i] if counts[v] == 0)
+
+    def marginals(self, idx: np.ndarray) -> np.ndarray:
+        self.oracle._queries += len(idx)
+        if self._vector is None:
+            matrix, values = self.oracle._cover_arrays()
+            live = values.copy()
+            live[:-1][np.array(self._counts) > 0] = 0.0
+            vector = np.zeros(self.oracle.n)
+            for row in matrix:  # one cover position at a time: left to right
+                vector += live[row]
+            self._vector = vector
+        return self._vector[idx]
 
     def _apply_add(self, i: int) -> None:
+        self._vector = None
         for v in self.oracle.covers[i]:
             self._counts[v] += 1
 
     def _apply_remove(self, i: int) -> None:
+        self._vector = None
         for v in self.oracle.covers[i]:
             self._counts[v] -= 1
 
@@ -266,7 +335,7 @@ class AdditiveOracle(ValuationOracle):
         self.weights = tuple(float(w) for w in weights)
 
     def _value(self, s: tuple[int, ...]) -> float:
-        return float(sum(self.weights[i] for i in s))
+        return sum_in_order(self.weights[i] for i in s)
 
     def _marginal(self, i: int, s: tuple[int, ...]) -> float:
         return self.weights[i]

@@ -82,7 +82,7 @@ def test_criterion_05_stochastic_distorted_expectation():
 
 
 def test_criterion_06_online_equivalence_and_guarantee():
-    """Posted-price winners equal online-meta winners; online (1/2, 1) holds."""
+    """Posted-price winners equal a from-scratch posted-price walk; online (1/2, 1) holds."""
     t0 = time.perf_counter()
     report = V.online_equivalence_suite(pairs=500, seed=7, welfare_instances=20, orders_per_instance=50)
     assert report.passed, report.failures[:5]

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ class TestParseEdgeList:
     def test_tabs_and_blank_lines_ok(self):
         graph = parse_edge_list(io.StringIO("5\t7\n\n6\t7\n"))
         assert graph.target_in_degree[7] == 2
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, 1e200])
+def test_experiment_config_rejects_non_finite_cost_scale(s):
+    """s = 1e200 is finite, but kappa's upper end s*s overflows."""
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentConfig(n=5, s=s)
 
 
 class TestBuildInstance:

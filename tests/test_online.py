@@ -94,13 +94,13 @@ class TestPostedPrice:
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(ONLINE_RULES))
-    def test_same_solution_as_online_meta(self, seed, rule_name):
+    def test_same_solution_as_from_scratch_walk(self, seed, rule_name):
         oracle, costs = random_oracle(seed, 2, 12)
         rule = make_rule(rule_name, oracle.n)
         order = order_random(oracle.n, seed)
-        meta = run_online_meta(rule, oracle, costs, order)
-        posted = run_posted_price(rule, oracle, costs, order)
-        assert meta == posted.winners
+        winners, _, _ = posted_price_reference(rule, oracle.instance, costs, order)
+        assert run_posted_price(rule, oracle, costs, order).winners == winners
+        assert run_online_meta(rule, oracle, costs, order) == winners
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(ONLINE_RULES))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from procure.scoring import (
     NOT_SAMPLED,
     ONLINE_CAPABLE_RULES,
+    RULE_NAMES,
     RandomSeed,
     UnsupportedRuleError,
     _as_scorer,
@@ -261,3 +262,20 @@ def test_random_seed_batches_are_stable():
 def test_batch_size_default():
     rule = make_rule("stochastic-distorted", 10)
     assert rule.batch_size() == math.ceil(math.log(1 / 0.1))
+
+
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
+def test_array_scores_equal_scalar_scores_elementwise(rule_name):
+    """``scores`` is ``score_from_marginal`` element by element, edges included:
+    greedy-rate at m <= 0, roi at bid 0 and bid +inf, the noisy x*b."""
+    n = 7
+    rule = make_rule(rule_name, n, noise_epsilon=0.1) if rule_name == "noisy-distorted" else make_rule(rule_name, n)
+    grid_m = [-1.5, -0.0, 0.0, 5e-324, 0.3, 1.0, 2.5, 1e300]
+    grid_b = [0.0, 5e-324, 0.3, 1.0, 2.5, 1e300, math.inf]
+    m = np.array([x for x in grid_m for _ in grid_b])
+    bids = np.array([b for _ in grid_m for b in grid_b])
+    for k in (1, 4, n):
+        got = rule.scores(m, bids, k)
+        want = [rule.score_from_marginal(float(x), float(b), k) for x, b in zip(m, bids)]
+        assert got.dtype == np.float64
+        assert got.tolist() == want

@@ -1,10 +1,14 @@
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from procure.scoring import RandomSeed, UnsupportedRuleError, make_rule
-from procure.selection import run_meta, run_meta_lazy
+from procure import selection
+from procure.instances import random_instance
+from procure.scoring import RULE_NAMES, RandomSeed, UnsupportedRuleError, make_rule
+from procure.sealed_bid import run_sealed_bid, run_sealed_bid_lazy
+from procure.selection import ARRAY_ROUND_MIN, _greedy_rounds, _marginal_provider, _scalar_rounds, run_meta, run_meta_lazy
 from procure.valuation import AdditiveOracle, CoverageOracle, NoisyOracle
 from conftest import edge_case_instances, random_oracle
 
@@ -208,3 +212,74 @@ def test_tentative_sets_derived_from_admission_order(instance, capped):
         assert i in sets[k] and i not in sets[k - 1]
     assert trace.order == sorted(trace.chosen_at, key=trace.chosen_at.get)
     assert trace.to_json()["tentative_sets"] == [list(s) for s in sets]
+
+
+# ---------------------------------------------------------------------------
+# The array round against the scalar loop
+# ---------------------------------------------------------------------------
+
+
+def _rule_and_oracle(rule_name, instance, capped=False):
+    """The rule over ``instance`` and a fresh oracle for it (noisy for the noisy rule)."""
+    n = instance.n_sets
+    if rule_name == "noisy-distorted":
+        return make_rule(rule_name, n, noise_epsilon=0.1), NoisyOracle(CoverageOracle(instance), 0.1, seed=n)
+    if capped:
+        return make_rule("distorted", n, cardinality=max(1, n // 3)), CoverageOracle(instance)
+    return make_rule(rule_name, n), CoverageOracle(instance)
+
+
+def _assert_rounds_match(rule_name, instance, costs, capped=False, seed=3):
+    """Array and scalar rounds yield the same tuples and charge the same queries."""
+    runs = []
+    for engine in (_greedy_rounds, _scalar_rounds):
+        rule, oracle = _rule_and_oracle(rule_name, instance, capped)
+        provider = _marginal_provider(rule, oracle)
+        rounds = list(engine(rule, provider, list(costs), RandomSeed(seed), range(oracle.n), rule.rounds))
+        runs.append((rounds, oracle.query_count))
+    assert runs[0] == runs[1]
+    for _, _, i, score in runs[0][0]:
+        assert i is None or type(i) is int
+        assert type(score) is float
+
+
+def _assert_mechanisms_match(rule_name, instance, costs, capped=False, seed=3):
+    """Traces, payments and query counts of the sealed-bid mechanisms, naive
+    and lazy, with and without the array round."""
+    outcomes = []
+    for cutoff in (ARRAY_ROUND_MIN, math.inf):
+        with patch.object(selection, "ARRAY_ROUND_MIN", cutoff):
+            rule, oracle = _rule_and_oracle(rule_name, instance, capped)
+            trace = run_meta(rule, oracle, costs, RandomSeed(seed))
+            got = [trace.order, trace.chosen_at, trace.scores_at_admission, oracle.query_count]
+            if not capped:
+                rule, oracle = _rule_and_oracle(rule_name, instance)
+                got += [run_sealed_bid(rule, oracle, costs, RandomSeed(seed)).payments, oracle.query_count]
+            if rule.diminishing_return:  # the lazy heap's seed is an array round too
+                rule, oracle = _rule_and_oracle(rule_name, instance)
+                lazy = run_sealed_bid_lazy(rule, oracle, costs)
+                got += [lazy.trace.order, lazy.trace.scores_at_admission, lazy.payments, oracle.query_count]
+        outcomes.append(got)
+    assert outcomes[0] == outcomes[1]
+
+
+ARRAY_CASES = [(name, False) for name in RULE_NAMES] + [("distorted", True)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_case_instances(n_min=ARRAY_ROUND_MIN, n_max=ARRAY_ROUND_MIN + 24), st.sampled_from(ARRAY_CASES))
+def test_array_rounds_match_scalar_on_edge_cases(instance, case):
+    """Duplicate covers give exact score ties and zero marginals above the cutoff."""
+    instance, costs = instance
+    rule_name, capped = case
+    _assert_rounds_match(rule_name, instance, costs, capped)
+    _assert_mechanisms_match(rule_name, instance, costs, capped)
+
+
+@pytest.mark.parametrize("rule_name, capped", ARRAY_CASES)
+@pytest.mark.parametrize("n", [40, 120, 200])
+def test_array_rounds_match_scalar_on_float_instances(n, rule_name, capped):
+    instance, costs = random_instance(n, n + 1)
+    _assert_rounds_match(rule_name, instance, costs, capped)
+    if n < 200:  # scalar payments at n = 200 take seconds per distorted rule
+        _assert_mechanisms_match(rule_name, instance, costs, capped)

@@ -10,6 +10,7 @@ from procure.valuation import (
     AdditiveOracle,
     AdversarialFamilyOracle,
     CoverageInstance,
+    CoverageOracle,
     NoisyOracle,
 )
 from conftest import random_oracle
@@ -117,6 +118,37 @@ def test_scratch_marginal_equals_oracle_marginal_exactly(seed):
                     assert scratch.marginal(j) == oracle.marginal(j, scratch.members)
             if rng.random() < 0.5:
                 scratch.add(int(i))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_array_marginals_equal_scalar_marginals_exactly(seed):
+    """``marginals`` agrees bit for bit with ``marginal`` and charges one query
+    per index, after adds and removes (which invalidate the coverage vector)."""
+    coverage, _ = random_oracle(seed, 2, 40)
+    rng = np.random.default_rng(seed)
+    for oracle in (coverage, AdditiveOracle(rng.uniform(0.0, 1.0, size=coverage.n)), NoisyOracle(coverage, 0.1, seed)):
+        scratch = oracle.scratch()
+        for i in rng.permutation(oracle.n).tolist():
+            if i in scratch:
+                continue
+            outside = np.array([j for j in range(oracle.n) if j not in scratch], dtype=np.intp)
+            before = oracle.query_count
+            got = scratch.marginals(outside)
+            assert oracle.query_count - before == len(outside)
+            assert got.tolist() == [scratch.marginal(j) for j in outside.tolist()]
+            scratch.add(i)
+            if rng.random() < 0.3:
+                scratch.remove(i)
+
+
+def test_coverage_sums_add_left_to_right():
+    """1e16 + 1.0 + 1.0 is 1e16 left to right; a compensated sum gives 1e16 + 2."""
+    oracle = CoverageOracle(CoverageInstance(covers=((0, 1, 2),), vertex_values=(1e16, 1.0, 1.0)))
+    assert oracle.value((0,)) == 1e16
+    assert oracle.marginal(0, ()) == 1e16
+    assert oracle.scratch().marginal(0) == 1e16
+    assert oracle.scratch().marginals(np.array([0])).tolist() == [1e16]
 
 
 def test_additive_scratch_uses_the_oracle_marginal():
