@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: experiment, verify, bench, lowerbound, gen-instance,
-fetch-dataset.  Exit codes: 0 success, 1 property failure, 2 usage error.
+Subcommands: experiment, verify, lowerbound, gen-instance, fetch-dataset.
+Exit codes: 0 success, 1 property failure, 2 usage error.  Timing and
+query counts are measured by the benchmark, ``python3 perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -82,20 +83,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args) -> int:
-    graph = synthetic_bipartite_graph(n_sources=max(args.n) + 500, seed=args.seed)
-    rows = harness.bench_records(graph, args.n, rules=args.rules, seed=args.seed)
-    out = Path(args.output)
-    with open(out, "w", newline="") as fh:
-        fh.write(f"# schema={harness.CSV_SCHEMA}\n")
-        cols = ["n", "mechanism", "rule", "variant", "wall_time_ms", "oracle_queries", "winners", "skip_reason"]
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join("" if row[c] is None else str(row[c]) for c in cols) + "\n")
-    print(f"wrote {len(rows)} bench rows to {out}")
-    return 0
-
-
 def _cmd_lowerbound(args) -> int:
     if args.epsilon is None:
         args.epsilon = 1.0 / (2 * args.L)
@@ -162,13 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("bench", help="runtime and oracle-query comparison")
-    p.add_argument("--n", type=int, nargs="+", default=[100, 500, 2000])
-    p.add_argument("--rules", nargs="+", default=["greedy-margin", "cost-scaled", "distorted"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default="bench.csv")
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("lowerbound", help="adversarial family under both demand oracles")
     p.add_argument("L", type=int)

@@ -31,7 +31,7 @@ from .online import run_posted_price
 from .scoring import ScoringRule
 from .sealed_bid import AuctionOutcome, DEFAULT_OPT_CONFIG, ExactOptimizerConfig, best_subset
 from .selection import _check_bids
-from .valuation import AdversarialFamilyOracle, ValuationOracle, canonical_set
+from .valuation import AdversarialFamilyOracle, ValuationOracle, canonical_set, sum_in_order
 
 
 class ScheduleError(RuntimeError):
@@ -96,7 +96,7 @@ class FamilyExactDemand:
     def __call__(self, active: frozenset[int], prices: Sequence[float], prev_selected: int | None) -> frozenset[int]:
         L = self.oracle.L
         units = tuple(sorted(i for i in active if i < L and prices[i] < 1.0))
-        unit_welfare = sum(1.0 - prices[i] for i in units)
+        unit_welfare = sum_in_order(1.0 - prices[i] for i in units)
         candidates: list[tuple[float, int, tuple[int, ...]]] = [
             (0.0, 0, ()),
             (unit_welfare, len(units), units),

@@ -360,61 +360,3 @@ def bucket_summary(records: Sequence[RunRecord], width: float = 0.1) -> list[dic
             }
         )
     return rows
-
-
-def bench_records(
-    graph: BipartiteGraph,
-    n_values: Sequence[int],
-    rules: Sequence[str],
-    seed: int,
-    *,
-    vcg_cap: int = 12,
-) -> list[dict]:
-    """Wall time and query counts per rule and n, lazy and naive side by side."""
-    rows: list[dict] = []
-    for n in n_values:
-        cfg = ExperimentConfig(n=n, s=2.0, instances=1, seed=seed)
-        instance, costs = build_instance(graph, cfg, 0)
-        for rule_name in rules:
-            rule = make_rule(rule_name, n)
-            variants = [("naive", run_meta)]
-            if rule.diminishing_return:
-                variants.append(("lazy", run_meta_lazy))
-            for variant, fn in variants:
-                oracle = CoverageOracle(instance)
-                t0 = time.perf_counter()
-                trace = fn(rule, oracle, costs, seed=RandomSeed(seed))
-                elapsed = (time.perf_counter() - t0) * 1e3
-                rows.append(
-                    {
-                        "n": n,
-                        "mechanism": "allocation",
-                        "rule": rule_name,
-                        "variant": variant,
-                        "wall_time_ms": round(elapsed, 3),
-                        "oracle_queries": oracle.query_count,
-                        "winners": len(trace.winners),
-                        "skip_reason": "",
-                    }
-                )
-        if n <= vcg_cap:
-            oracle = CoverageOracle(instance)
-            t0 = time.perf_counter()
-            run_vcg(oracle, costs, ExactOptimizerConfig(max_exhaustive_n=vcg_cap))
-            elapsed = (time.perf_counter() - t0) * 1e3
-            rows.append(
-                {
-                    "n": n, "mechanism": "vcg", "rule": "", "variant": "exact",
-                    "wall_time_ms": round(elapsed, 3), "oracle_queries": oracle.query_count,
-                    "winners": None, "skip_reason": "",
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "n": n, "mechanism": "vcg", "rule": "", "variant": "exact",
-                    "wall_time_ms": None, "oracle_queries": None, "winners": None,
-                    "skip_reason": f"exhaustive-optimizer-cap:{vcg_cap}",
-                }
-            )
-    return rows

@@ -170,7 +170,7 @@ def worst_sampled_order(
     for s in range(samples):
         order = order_random(oracle.n, seed + s)
         winners = run_online_meta(rule, oracle, costs, order)
-        welfare = oracle.value(winners) - sum(costs[i] for i in winners)
+        welfare = oracle.value(winners) - sum_in_order(costs[i] for i in winners)
         if worst_welfare is None or welfare < worst_welfare:
             worst_welfare, worst_order = welfare, order
     return worst_order

@@ -1,12 +1,24 @@
 """Sealed-bid mechanisms: critical-bid payments, an exact optimizer, VCG.
 
 The mechanism construction runs the meta selection loop on the reported
-bids, then prices each winner at its critical bid with one more greedy pass
-over the other sellers (the winner's bid raised to infinity): per round,
-the supremum bid at which the winner would simultaneously be the argmax and
-score positive.  The payment is the maximum of those round suprema, which
-makes truthful reporting optimal (Myerson) while the positive-score gate
-keeps the auctioneer's surplus nonnegative.
+bids and prices each winner at its critical bid: per round, the supremum
+bid at which the winner would simultaneously be the argmax and score
+positive, with the winner's own bid raised to infinity.  The payment is
+the maximum of those round suprema, which makes truthful reporting optimal
+(Myerson) while the positive-score gate keeps the auctioneer's surplus
+nonnegative.
+
+Payments resume from the admission checkpoint.  Without winner i, rounds
+1 .. k-1 before its admission at round k run exactly as in the allocation
+(i was not their argmax), and i lost each of them at its own bid, so none
+of their suprema exceeds b_i.  So when the allocation yields i at round k,
+the mechanism copies the provider (and, lazily, the heap), continues the
+greedy from round k over the remaining sellers other than i, and drops the
+copies once i is paid: extra memory is O(n + vertices), never one state
+per winner.  The lazy continuation also stops early: i's marginal only
+shrinks along it, and i's positive threshold is nondecreasing in that
+marginal, so once the threshold is no greater than the running payment no
+later round can raise the payment.
 """
 
 from __future__ import annotations
@@ -22,9 +34,10 @@ from .selection import (
     _check_bids,
     _greedy_rounds,
     _lazy_greedy,
+    _lazy_heap,
     _marginal_provider,
-    run_meta,
-    run_meta_lazy,
+    _stale_copy,
+    _validate_rule,
 )
 from .valuation import ValuationOracle, sum_in_order
 
@@ -81,40 +94,42 @@ class AuctionOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Critical-bid payments (naive: one meta pass per winner)
+# Critical-bid payments (naive: the meta loop resumed at each admission)
 # ---------------------------------------------------------------------------
 
 
 def _critical_payment(
     rule: ScoringRule,
-    oracle: ValuationOracle,
+    provider,
     bids: Sequence[float],
     seed: RandomSeed,
     i: int,
+    k: int,
+    others: Sequence[int],
 ) -> float:
-    """max over rounds k of sup{ z : i argmax at round k and score(z) > 0 }.
+    """max over rounds k' >= k of sup{ z : i argmax at round k' and score(z) > 0 }.
 
-    The supremum set is down-closed in z because scores are non-increasing
-    in the bid, so it equals min(positive threshold, argmax threshold).
-    One meta pass over every seller but i gives each round's tentative set
-    and competitor argmax; i's marginal is read against that set before the
-    argmax is admitted.
+    ``provider`` is a copy of the allocation's at S_{k-1}, the set before
+    i's admission at round k, and ``others`` the remaining sellers but i,
+    ascending.  Rounds before k cannot exceed b_i (i lost them at its own
+    bid; see the module docstring), so the meta loop resumes at round k,
+    and i's marginal is read against each round's set before the argmax is
+    admitted.  The supremum set is down-closed in z because scores are
+    non-increasing in the bid, so it equals min(positive threshold, argmax
+    threshold).
 
     For a winner the critical bid is at least its own report (it won at
     that report), so the running maximum starts there; this absorbs the
     downward ulp the analytic inversion can introduce at exact score ties.
     """
-    n = oracle.n
-    provider = _marginal_provider(rule, oracle)
-    others = [ell for ell in range(n) if ell != i]
     best = bids[i]
-    for k, batch, comp_id, comp_score in _greedy_rounds(rule, provider, bids, seed, others, n):
+    for j, batch, comp_id, comp_score in _greedy_rounds(rule, provider, bids, seed, others, len(bids), start=k):
         if batch is not None and i not in batch:
             continue
         m_i = provider.marginal(i)
-        z = rule.threshold_from_marginal(m_i, 0.0, k)
+        z = rule.threshold_from_marginal(m_i, 0.0, j)
         if comp_id is not None:
-            z = min(z, rule.threshold_from_marginal(m_i, comp_score, k, wins_tie=i < comp_id))
+            z = min(z, rule.threshold_from_marginal(m_i, comp_score, j, wins_tie=i < comp_id))
         if z > best:
             best = z
     return best
@@ -130,22 +145,29 @@ def run_sealed_bid(
 ) -> AuctionOutcome:
     """Allocate via the meta loop and pay every winner its critical bid.
 
-    The same seed drives the allocation run and every per-winner pass.
-    ``focus`` restricts the payment computation to one seller, for callers
-    that only need that seller's outcome (incentive checks).
+    Each winner is paid when the allocation admits it, from a copy of the
+    allocation's provider; the same seed drives the allocation and every
+    resumed pass.  ``focus`` restricts the payment computation to one
+    seller, for callers that only need that seller's outcome (incentive
+    checks).
     """
     if rule.cardinality is not None:
         raise UnsupportedRuleError("the mechanism runs n rounds; cardinality-capped rules are not supported")
     n = oracle.n
+    _validate_rule(rule, oracle)
     bids = _check_bids(bids, n)
     seed = as_random_seed(seed)
-    trace = run_meta(rule, oracle, bids, seed)
-    winners = trace.winners
+    provider = _marginal_provider(rule, oracle)
+    trace = SelectionTrace(n)
     payments = [0.0] * n
-    targets = winners if focus is None else ((focus,) if focus in winners else ())
-    for i in targets:
-        payments[i] = _critical_payment(rule, oracle, bids, seed, i)
-    return AuctionOutcome(winners, tuple(payments), value=oracle.value(winners), trace=trace)
+    for k, _, i, score in _greedy_rounds(rule, provider, bids, seed, range(n), n):
+        if i is None or not score > 0.0:
+            continue
+        trace.admit(i, k, score)
+        if focus is None or i == focus:
+            others = [ell for ell in range(n) if ell not in trace.chosen_at]
+            payments[i] = _critical_payment(rule, provider.copy(), bids, seed, i, k, others)
+    return AuctionOutcome(trace.winners, tuple(payments), value=oracle.value(trace.winners), trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -155,32 +177,40 @@ def run_sealed_bid(
 
 def _critical_payment_lazy(
     rule: ScoringRule,
-    oracle: ValuationOracle,
+    scratch,
     bids: Sequence[float],
     i: int,
-    trace: SelectionTrace,
+    k: int,
+    heap: list,
 ) -> float:
-    """Continue the greedy without i from its admission point, lazily.
+    """Continue the lazy greedy without i from its admission checkpoint.
 
-    Rounds before the admission cannot exceed the winner's own bid (it lost
-    those argmax races at its own bid), so the running payment starts at
-    bids[i].  Once the continuation runs out of positive competitors the
-    remaining rounds all contribute i's positive threshold at the final
-    tentative set, which is added as the closing term.  These rules ignore
-    the round index, so every threshold is taken at i's admission round.
+    ``scratch`` is a copy of the allocation's at S_{k-1} and ``heap`` its
+    queue at that point with every entry stamped stale (still upper bounds
+    of the fresh scores, so the continuation admits what a fresh queue
+    would).  Rounds before the admission cannot exceed the winner's own bid,
+    so the running payment starts at bids[i].  Once the continuation runs
+    out of positive competitors the remaining rounds all contribute i's
+    positive threshold at the final tentative set, which is added as the
+    closing term.  These rules ignore the round index, so every threshold
+    is taken at i's admission round.
+
+    Exact early exit: i's marginal never grows along the continuation
+    (submodularity; a left-to-right sum of nonnegative floats over fewer
+    terms is never larger), and i's positive threshold is nondecreasing in
+    the marginal for the four diminishing rules and bounds every later
+    argmax threshold (a competitor's positive score only lowers it).  So
+    once that threshold is no greater than the payment, neither a later
+    round nor the closing term can raise it, and the payment is final.
     """
-    n = oracle.n
-    k = trace.chosen_at[i]
-    scratch = oracle.scratch()
-    for j in trace.tentative(k - 1):
-        scratch.add(j)
-    pool = [ell for ell in range(n) if ell != i and ell not in scratch]
-
     payment = bids[i]
-    for ell, score in _lazy_greedy(rule, scratch, bids, pool, n - k):
-        z = rule.threshold_from_marginal(scratch.marginal(i), score, k, wins_tie=i < ell)
+    for ell, score in _lazy_greedy(rule, scratch, bids, heap, len(heap)):
+        m_i = scratch.marginal(i)
+        z = rule.threshold_from_marginal(m_i, score, k, wins_tie=i < ell)
         if z > payment:
             payment = z
+        if rule.threshold_from_marginal(m_i, 0.0, k) <= payment:
+            return payment
     closing = rule.threshold_from_marginal(scratch.marginal(i), 0.0, k)
     return max(payment, closing)
 
@@ -193,17 +223,24 @@ def run_sealed_bid_lazy(
     *,
     focus: int | None = None,
 ) -> AuctionOutcome:
-    """Same outcome as ``run_sealed_bid`` for diminishing-return rules."""
+    """Same outcome as ``run_sealed_bid`` for diminishing-return rules.
+
+    The lazy allocation pays each winner when it admits it, from copies of
+    its scratch and queue; see ``_critical_payment_lazy``.  ``seed`` is
+    accepted for a uniform signature; these rules draw nothing.
+    """
     if not rule.diminishing_return:
         raise UnsupportedRuleError(f"rule {rule.kind!r} has no diminishing-return structure")
     n = oracle.n
     bids = _check_bids(bids, n)
-    trace = run_meta_lazy(rule, oracle, bids, seed)
+    scratch = oracle.scratch()
+    heap = _lazy_heap(rule, scratch, bids, range(n))
+    trace = SelectionTrace(n)
     payments = [0.0] * n
-    for i in trace.order:
-        if focus is not None and i != focus:
-            continue
-        payments[i] = _critical_payment_lazy(rule, oracle, bids, i, trace)
+    for k, (i, score) in enumerate(_lazy_greedy(rule, scratch, bids, heap, n), start=1):
+        trace.admit(i, k, score)
+        if focus is None or i == focus:
+            payments[i] = _critical_payment_lazy(rule, scratch.copy(), bids, i, k, _stale_copy(heap))
     return AuctionOutcome(trace.winners, tuple(payments), value=oracle.value(trace.winners), trace=trace)
 
 
@@ -272,7 +309,7 @@ def best_subset(
 
     rec(0, 0.0)
     winners = best["set"]
-    return winners, oracle.value(winners) - sum(costs[i] for i in winners)
+    return winners, oracle.value(winners) - sum_in_order(costs[i] for i in winners)
 
 
 def exact_opt(
@@ -309,7 +346,7 @@ def run_vcg(
     value = oracle.value(winners)
     payments = [0.0] * oracle.n
     for i in winners:
-        others_cost = sum(bids[j] for j in winners if j != i)
+        others_cost = sum_in_order(bids[j] for j in winners if j != i)
         _, welfare_without = exact_opt(oracle, bids, cfg, exclude=(i,))
         payments[i] = (value - others_cost) - welfare_without
     return AuctionOutcome(winners, tuple(payments), value=value, trace=None)

@@ -4,9 +4,14 @@
 the lexicographically-first argmax while its score is strictly positive;
 ``_lazy_greedy`` keeps a max-heap of stale scores for diminishing-return
 rules and re-scores only the top until its fresh score provably dominates.
-Both yield before they admit, so the allocation (``run_meta``,
-``run_meta_lazy``) and the critical-bid payments of ``sealed_bid`` (one
-pass per winner over the other sellers) consume the same loops.
+Both yield before they admit, so the caller sees the provider (and the
+lazy heap) at the set the round was scored on.  The allocation
+(``run_meta``, ``run_meta_lazy``) consumes them, and so do the critical-bid
+payments of ``sealed_bid``: at each winner's admission the sealed-bid
+mechanism copies the provider (``copy()``) and, on the lazy path, the heap
+with every entry stamped stale, then resumes the loop from that checkpoint
+over the other remaining sellers (``_greedy_rounds(start=k)``, or
+``_lazy_greedy`` on the copied heap).
 
 The meta loop's round is an array round: one ``provider.marginals`` call
 (on coverage, a gather from the scratch's cached marginal vector), one
@@ -24,6 +29,7 @@ its re-scores stay scalar reads, a few per admission.
 from __future__ import annotations
 
 import bisect
+import copy
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -43,6 +49,9 @@ from .valuation import ValuationOracle, canonical_set
 #: Fewest scored candidates for which a meta-loop round uses the array
 #: kernel; below it numpy's per-call overhead exceeds the scalar loop.
 ARRAY_ROUND_MIN = 32
+
+#: Stamp of a lazy-heap entry that must be re-scored before it is trusted.
+STALE = -1
 
 
 @dataclass
@@ -71,10 +80,6 @@ class SelectionTrace:
     @property
     def rounds(self) -> int:
         return self.n
-
-    def tentative(self, k: int) -> tuple[int, ...]:
-        """S_k: the sellers admitted in rounds 1 .. k, sorted."""
-        return tuple(sorted(i for i in self.order if self.chosen_at[i] <= k))
 
     @property
     def tentative_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -139,6 +144,13 @@ class _TrajectoryMinMarginals:
     def marginals(self, idx: np.ndarray) -> np.ndarray:
         return np.array([self.marginal(i) for i in idx.tolist()], dtype=float)
 
+    def copy(self) -> "_TrajectoryMinMarginals":
+        """An independent provider with the same set and running minima."""
+        twin = copy.copy(self)
+        twin.members = self.members.copy()
+        twin._min = self._min.copy()
+        return twin
+
     def add(self, i: int) -> None:
         self.members.append(i)
         self._value = self.oracle.value(self.members)
@@ -169,11 +181,13 @@ def _best_of(rule: ScoringRule, provider, bids, scored, k: int) -> tuple:
     return best_i, best_score
 
 
-def _scalar_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, rounds: int) -> Iterator[tuple]:
+def _scalar_rounds(
+    rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, rounds: int, start: int = 1
+) -> Iterator[tuple]:
     """The meta loop scored one candidate at a time: the small-n path and the reference."""
     n = len(bids)
     remaining = list(candidates)
-    for k in range(1, rounds + 1):
+    for k in range(start, rounds + 1):
         batch = seed.round_batch(k, n, rule.batch_size()) if rule.randomized else None
         scored = remaining if batch is None else [i for i in remaining if i in batch]
         best_i, best_score = _best_of(rule, provider, bids, scored, k)
@@ -183,14 +197,17 @@ def _scalar_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidat
             remaining.remove(best_i)
 
 
-def _greedy_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, rounds: int) -> Iterator[tuple]:
-    """The meta loop: yields (k, batch, argmax, score) for rounds 1 .. ``rounds``.
+def _greedy_rounds(
+    rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, rounds: int, start: int = 1
+) -> Iterator[tuple]:
+    """The meta loop: yields (k, batch, argmax, score) for rounds ``start`` .. ``rounds``.
 
     The argmax (None when no candidate was scored) is admitted when the
     caller resumes, iff its score is strictly positive; until then the
     provider still answers against the set the round was scored on.
     ``candidates`` must be ascending, so the first maximum is the
-    lexicographically-first argmax.
+    lexicographically-first argmax.  A pass with ``start`` > 1 resumes a
+    run whose provider holds the set of its first ``start - 1`` rounds.
 
     A round with at least ``ARRAY_ROUND_MIN`` scored candidates reads their
     marginals with one ``provider.marginals`` call and scores them with
@@ -198,12 +215,12 @@ def _greedy_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidat
     scalar loop.  Both yield the same tuples, as Python ints and floats.
     """
     if len(candidates) < ARRAY_ROUND_MIN:
-        yield from _scalar_rounds(rule, provider, bids, seed, candidates, rounds)
+        yield from _scalar_rounds(rule, provider, bids, seed, candidates, rounds, start)
         return
     n = len(bids)
     bid_array = np.array(bids, dtype=float)
     remaining = np.array(candidates, dtype=np.intp)
-    for k in range(1, rounds + 1):
+    for k in range(start, rounds + 1):
         batch = None
         scored = remaining
         if rule.randomized:
@@ -223,17 +240,8 @@ def _greedy_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidat
             remaining = remaining[remaining != best_i]
 
 
-def _lazy_greedy(rule: ScoringRule, provider, bids, candidates, limit: int) -> Iterator[tuple[int, float]]:
-    """Lazy greedy (Minoux 1978): yields (seller, score) per admission, then admits.
-
-    Stops after ``limit`` admissions or at the first best fresh score that
-    is not positive.  Diminishing-return scores only shrink as the set grows
-    and ignore the round index, so a stale score bounds the fresh one.
-
-    Queue entries carry the admission count at which they were scored; an
-    entry popped with a current stamp is already fresh, which breaks the
-    re-score cycle that exact score ties would otherwise cause.
-    """
+def _lazy_heap(rule: ScoringRule, provider, bids, candidates) -> list[tuple[float, int, int]]:
+    """The lazy greedy's queue: every candidate scored at the provider's set, stamp 0."""
     if len(candidates) < ARRAY_ROUND_MIN:
         seeds = [rule.score_from_marginal(provider.marginal(i), bids[i], 1) for i in candidates]
     else:  # the seed scores every candidate, like a meta-loop round
@@ -241,6 +249,30 @@ def _lazy_greedy(rule: ScoringRule, provider, bids, candidates, limit: int) -> I
         seeds = rule.scores(provider.marginals(idx), np.array(bids, dtype=float)[idx], 1).tolist()
     heap = [(-score, i, 0) for score, i in zip(seeds, candidates)]
     heapq.heapify(heap)
+    return heap
+
+
+def _stale_copy(heap: list[tuple[float, int, int]]) -> list[tuple[float, int, int]]:
+    """The queue with every entry stamped stale; (score, seller) keys keep it a heap."""
+    return [(neg, i, STALE) for neg, i, _ in heap]
+
+
+def _lazy_greedy(rule: ScoringRule, provider, bids, heap: list, limit: int) -> Iterator[tuple[int, float]]:
+    """Lazy greedy (Minoux 1978): yields (seller, score) per admission, then admits.
+
+    Stops after ``limit`` admissions or at the first best fresh score that
+    is not positive.  Diminishing-return scores only shrink as the set grows
+    and ignore the round index, so a stale score bounds the fresh one.
+
+    ``heap`` (from ``_lazy_heap``, or a ``_stale_copy`` of a checkpoint) is
+    consumed in place, so at each yield the caller holds the queue as it
+    stands at the provider's set.  Its entries carry the admission count at
+    which they were scored; an entry popped with a current stamp is already
+    fresh, which breaks the re-score cycle that exact score ties would
+    otherwise cause.  Which seller is admitted, and its score, depend only
+    on the fresh scores, so any queue of valid upper bounds gives the same
+    admissions.
+    """
     for admitted in range(limit):
         while heap:
             neg, i, stamp = heapq.heappop(heap)
@@ -296,7 +328,9 @@ def run_meta_lazy(
         raise UnsupportedRuleError(f"rule {rule.kind!r} has no diminishing-return structure")
     n = oracle.n
     bids = _check_bids(bids, n)
+    scratch = oracle.scratch()
+    heap = _lazy_heap(rule, scratch, bids, range(n))
     trace = SelectionTrace(n)
-    for k, (i, score) in enumerate(_lazy_greedy(rule, oracle.scratch(), bids, range(n), n), start=1):
+    for k, (i, score) in enumerate(_lazy_greedy(rule, scratch, bids, heap, n), start=1):
         trace.admit(i, k, score)
     return trace

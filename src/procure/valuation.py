@@ -168,6 +168,18 @@ class OracleScratch:
         self._members.add(i)
         self._apply_add(i)
 
+    def copy(self) -> "OracleScratch":
+        """An independent scratch at the same set; charges no query.
+
+        Payments resume from such a checkpoint of the allocation's scratch.
+        The twin comes from ``oracle.scratch()``, so it is the same kind of
+        scratch as a fresh one; subclasses copy their own state on top.
+        """
+        twin = self.oracle.scratch()
+        twin._members = set(self._members)
+        twin._value = self._value
+        return twin
+
     def remove(self, i: int) -> None:
         if i not in self._members:
             raise ValueError(f"seller {i} not in the set")
@@ -309,6 +321,14 @@ class CoverageScratch(OracleScratch):
             self._vector = vector
         return self._vector[idx]
 
+    def copy(self) -> "CoverageScratch":
+        """Copies the counts; the marginal vector is shared, since a change
+        of set replaces it rather than writing into it."""
+        twin = super().copy()
+        twin._counts = self._counts.copy()
+        twin._vector = self._vector
+        return twin
+
     def _apply_add(self, i: int) -> None:
         self._vector = None
         for v in self.oracle.covers[i]:
@@ -387,6 +407,11 @@ class FamilyScratch(OracleScratch):
     def __init__(self, oracle: AdversarialFamilyOracle):
         super().__init__(oracle)
         self._specials = 0
+
+    def copy(self) -> "FamilyScratch":
+        twin = super().copy()
+        twin._specials = self._specials
+        return twin
 
     def _marginal(self, i: int) -> float:
         L = self.oracle.L

@@ -38,7 +38,7 @@ from .sealed_bid import (
     verify_nas,
 )
 from .selection import run_meta, run_meta_lazy
-from .valuation import CoverageOracle, NoisyOracle, ValuationOracle, stable_hash64
+from .valuation import CoverageOracle, NoisyOracle, ValuationOracle, stable_hash64, sum_in_order
 
 #: Rules whose sealed-bid mechanism is deterministic given the bids.
 DETERMINISTIC_RULES = (
@@ -143,7 +143,7 @@ def feasibility_suite(
 
 def _opt(oracle: ValuationOracle, costs) -> tuple[float, float]:
     winners, _ = exact_opt(oracle, costs)
-    return oracle.value(winners), sum(costs[i] for i in winners)
+    return oracle.value(winners), sum_in_order(costs[i] for i in winners)
 
 
 def distorted_guarantee_suite(trials: int = 200, seed: int = 0, tol: float = 1e-9, n_hi: int = 12) -> SuiteReport:
@@ -156,7 +156,7 @@ def distorted_guarantee_suite(trials: int = 200, seed: int = 0, tol: float = 1e-
         n = oracle.n
         rule = make_rule("distorted", n)
         trace = run_meta(rule, oracle, costs)
-        achieved = oracle.value(trace.winners) - sum(costs[i] for i in trace.winners)
+        achieved = oracle.value(trace.winners) - sum_in_order(costs[i] for i in trace.winners)
         f_opt, c_opt = _opt(oracle, costs)
         for beta in BETA_GRID:
             bound = (1.0 - math.exp(-beta)) * f_opt - (beta + 1.0 / n) * c_opt
@@ -179,7 +179,7 @@ def table_guarantee_suite(trials: int = 200, seed: int = 0, tol: float = 1e-9, n
         f_opt, c_opt = _opt(oracle, costs)
 
         trace = run_meta(make_rule("cost-scaled", oracle.n), oracle, costs)
-        achieved = oracle.value(trace.winners) - sum(costs[i] for i in trace.winners)
+        achieved = oracle.value(trace.winners) - sum_in_order(costs[i] for i in trace.winners)
         report.checks += 1
         if achieved < 0.5 * f_opt - c_opt - tol:
             report.fail(f"cost-scaled: {achieved:.6g} < {0.5 * f_opt - c_opt:.6g}")
@@ -187,7 +187,7 @@ def table_guarantee_suite(trials: int = 200, seed: int = 0, tol: float = 1e-9, n
         if f_opt >= c_opt > 0:
             roi_checked += 1
             trace = run_meta(make_rule("roi", oracle.n), oracle, costs)
-            achieved = oracle.value(trace.winners) - sum(costs[i] for i in trace.winners)
+            achieved = oracle.value(trace.winners) - sum_in_order(costs[i] for i in trace.winners)
             bound = f_opt - (1.0 + math.log(f_opt / c_opt)) * c_opt
             report.checks += 1
             if achieved < bound - tol:
@@ -220,7 +220,7 @@ def noisy_guarantee_suite(
             noisy = NoisyOracle(base, eps, seed=t)
             rule = make_rule("noisy-distorted", n, noise_epsilon=eps)
             trace = run_meta(rule, noisy, costs)
-            welfare = base.value(trace.winners) - sum(costs[i] for i in trace.winners)
+            welfare = base.value(trace.winners) - sum_in_order(costs[i] for i in trace.winners)
             factor = (1.0 - eps) / (1.0 + 2.0 * eps * n + eps) * (1.0 - 1.0 / math.e)
             bound = factor * f_opt - c_opt
             margin = welfare - bound
@@ -252,7 +252,7 @@ def stochastic_guarantee_suite(
         welfares = np.empty(seeds_per_instance)
         for s in range(seeds_per_instance):
             trace = run_meta(rule, oracle, costs, seed=RandomSeed(int(rng.integers(0, 2**31))))
-            welfares[s] = oracle.value(trace.winners) - sum(costs[i] for i in trace.winners)
+            welfares[s] = oracle.value(trace.winners) - sum_in_order(costs[i] for i in trace.winners)
         mean = float(welfares.mean())
         sem = float(welfares.std(ddof=1)) / math.sqrt(seeds_per_instance)
         ok = True
@@ -360,7 +360,7 @@ def online_equivalence_suite(
         orders.append(worst_sampled_order(rule, oracle, costs, samples=25, seed=int(rng.integers(0, 2**31))))
         for order in orders:
             winners = run_online_meta(rule, oracle, costs, order)
-            welfare = oracle.value(winners) - sum(costs[i] for i in winners)
+            welfare = oracle.value(winners) - sum_in_order(costs[i] for i in winners)
             margin = welfare - (0.5 * f_opt - c_opt)
             worst_margin = min(worst_margin, margin)
             report.checks += 1
@@ -398,7 +398,7 @@ def descending_bound_suite(
         schedules += random_scripted_schedules(n, scripted, int(rng.integers(0, 2**31)))
         for schedule in schedules:
             outcome = run_descending(oracle, costs, CostScaledDemand(oracle), schedule, epsilon)
-            welfare = outcome.value - sum(costs[i] for i in outcome.winners)
+            welfare = outcome.value - sum_in_order(costs[i] for i in outcome.winners)
             margin = welfare - bound
             worst_margin = min(worst_margin, margin)
             report.checks += 1
@@ -420,11 +420,11 @@ def lowerbound_report(L: int, epsilon: float) -> dict:
     bids = oracle.bids()
 
     exact = run_descending(oracle, bids, FamilyExactDemand(oracle), AdversarialFamilySchedule(L), epsilon)
-    exact_welfare = exact.value - sum(bids[i] for i in exact.winners)
+    exact_welfare = exact.value - sum_in_order(bids[i] for i in exact.winners)
 
     oracle2 = AdversarialFamilyOracle(L)
     scaled = run_descending(oracle2, bids, CostScaledDemand(oracle2), AdversarialFamilySchedule(L), epsilon)
-    scaled_welfare = scaled.value - sum(bids[i] for i in scaled.winners)
+    scaled_welfare = scaled.value - sum_in_order(bids[i] for i in scaled.winners)
 
     return {
         "L": L,
@@ -528,7 +528,7 @@ def vcg_suite(trials: int = 500, seed: int = 0, n_hi: int = 12) -> SuiteReport:
         oracle, costs = sample_instance(rng, 2, n_hi)
         outcome = run_vcg(oracle, costs)
         _, opt_welfare = exact_opt(oracle, costs)
-        welfare = outcome.value - sum(costs[i] for i in outcome.winners)
+        welfare = outcome.value - sum_in_order(costs[i] for i in outcome.winners)
         report.checks += 1
         if welfare != opt_welfare:
             report.fail(f"trial {t}: VCG welfare {welfare!r} != OPT {opt_welfare!r}")

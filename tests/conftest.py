@@ -3,7 +3,15 @@ import pytest
 from hypothesis import strategies as st
 
 from procure.instances import ExperimentConfig, build_instance, random_instance, synthetic_bipartite_graph
-from procure.valuation import CoverageInstance, CoverageOracle
+from procure.scoring import make_rule
+from procure.valuation import CoverageInstance, CoverageOracle, NoisyOracle
+
+#: Dyadic grids: sums and differences of their values are mostly exact.
+DYADIC_VALUES = (0.0, 0.5, 1.0, 2.0, 3.0)
+DYADIC_COSTS = (0.0, 0.5, 1.0, 1.5, 2.0)
+#: Non-dyadic grids: the score inversions round, so ties sit next to an ulp.
+NON_DYADIC_VALUES = (0.1, 0.3, 0.7, 1 / 3)
+NON_DYADIC_COSTS = (0.0, 0.1, 0.3, 0.7, 1 / 3)
 
 
 @pytest.fixture
@@ -21,21 +29,33 @@ def random_oracle(seed: int, n_lo: int = 2, n_hi: int = 10):
 
 
 @st.composite
-def edge_case_instances(draw, n_min: int = 0, n_max: int = 6):
+def edge_case_instances(
+    draw, n_min: int = 0, n_max: int = 6, value_grid=DYADIC_VALUES, cost_grid=DYADIC_COSTS
+):
     """Small coverage instances built to hit the engines' edge cases.
 
     Covers are drawn from a pool of at most four vertex sets, which may be
     empty, so duplicate covers (exact score ties) and zero marginals are
-    common; vertex values and costs come from short grids that include 0,
-    and n may be 0 or 1 (with the default ``n_min``).
+    common; vertex values and costs come from short grids (by default ones
+    that include 0), and n may be 0 or 1 (with the default ``n_min``).
     """
     n = draw(st.integers(n_min, n_max))
     n_vertices = draw(st.integers(1, 5))
-    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=n_vertices, max_size=n_vertices))
+    values = draw(st.lists(st.sampled_from(value_grid), min_size=n_vertices, max_size=n_vertices))
     pool = draw(st.lists(st.frozensets(st.integers(0, n_vertices - 1)), min_size=1, max_size=4))
     covers = tuple(tuple(sorted(draw(st.sampled_from(pool)))) for _ in range(n))
-    costs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=n, max_size=n))
+    costs = draw(st.lists(st.sampled_from(cost_grid), min_size=n, max_size=n))
     return CoverageInstance(covers, tuple(values)), costs
+
+
+def rule_and_oracle(rule_name, instance, capped=False):
+    """The rule over ``instance`` and a fresh oracle for it (noisy for the noisy rule)."""
+    n = instance.n_sets
+    if rule_name == "noisy-distorted":
+        return make_rule(rule_name, n, noise_epsilon=0.1), NoisyOracle(CoverageOracle(instance), 0.1, seed=n)
+    if capped:
+        return make_rule("distorted", n, cardinality=max(1, n // 3)), CoverageOracle(instance)
+    return make_rule(rule_name, n), CoverageOracle(instance)
 
 
 def brute_force_opt(oracle, costs, prefer_small=False, candidates=None):

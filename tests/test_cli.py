@@ -109,20 +109,6 @@ class TestGenInstance:
         assert doc["instance"]["n_sets"] == 2
 
 
-class TestBench:
-    def test_bench_rows(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        assert run_cli(["bench", "--n", "15", "40", "--rules", "greedy-margin", "distorted",
-                        "--output", str(out)]) == 0
-        lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
-        header, rows = lines[0], lines[1:]
-        assert "variant" in header
-        naive = [r for r in rows if ",greedy-margin,naive," in r]
-        lazy = [r for r in rows if ",greedy-margin,lazy," in r]
-        assert len(naive) == len(lazy) == 2
-        assert any(",distorted,naive," in r for r in rows)
-
-
 class TestOrderAndScheduleSelectors:
     def test_named_orders(self, tmp_path):
         from procure.online import named_order

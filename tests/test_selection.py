@@ -10,7 +10,7 @@ from procure.scoring import RULE_NAMES, RandomSeed, UnsupportedRuleError, make_r
 from procure.sealed_bid import run_sealed_bid, run_sealed_bid_lazy
 from procure.selection import ARRAY_ROUND_MIN, _greedy_rounds, _marginal_provider, _scalar_rounds, run_meta, run_meta_lazy
 from procure.valuation import AdditiveOracle, CoverageOracle, NoisyOracle
-from conftest import edge_case_instances, random_oracle
+from conftest import edge_case_instances, random_oracle, rule_and_oracle
 
 DIMINISHING = ("greedy-margin", "greedy-rate", "roi", "cost-scaled")
 
@@ -192,7 +192,7 @@ def test_distorted_admissions_skip_rounds():
     trace = run_meta(make_rule("distorted", 2), AdditiveOracle([1.0, 1.0]), [0.6, 0.6])
     assert trace.chosen_at == {0: 2}
     assert trace.tentative_sets == ((), (), (0,))
-    assert trace.tentative(1) == () and trace.tentative(2) == (0,)
+    assert trace.tentative_sets[1] == () and trace.tentative_sets[2] == (0,)
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,7 +207,7 @@ def test_tentative_sets_derived_from_admission_order(instance, capped):
     sets = trace.tentative_sets
     assert len(sets) == n + 1 and trace.rounds == n
     assert sets[0] == () and sets[-1] == trace.winners
-    assert all(sets[k] == trace.tentative(k) for k in range(n + 1))
+    assert all(sets[k] == tuple(sorted(i for i, j in trace.chosen_at.items() if j <= k)) for k in range(n + 1))
     for i, k in trace.chosen_at.items():
         assert i in sets[k] and i not in sets[k - 1]
     assert trace.order == sorted(trace.chosen_at, key=trace.chosen_at.get)
@@ -219,21 +219,11 @@ def test_tentative_sets_derived_from_admission_order(instance, capped):
 # ---------------------------------------------------------------------------
 
 
-def _rule_and_oracle(rule_name, instance, capped=False):
-    """The rule over ``instance`` and a fresh oracle for it (noisy for the noisy rule)."""
-    n = instance.n_sets
-    if rule_name == "noisy-distorted":
-        return make_rule(rule_name, n, noise_epsilon=0.1), NoisyOracle(CoverageOracle(instance), 0.1, seed=n)
-    if capped:
-        return make_rule("distorted", n, cardinality=max(1, n // 3)), CoverageOracle(instance)
-    return make_rule(rule_name, n), CoverageOracle(instance)
-
-
 def _assert_rounds_match(rule_name, instance, costs, capped=False, seed=3):
     """Array and scalar rounds yield the same tuples and charge the same queries."""
     runs = []
     for engine in (_greedy_rounds, _scalar_rounds):
-        rule, oracle = _rule_and_oracle(rule_name, instance, capped)
+        rule, oracle = rule_and_oracle(rule_name, instance, capped)
         provider = _marginal_provider(rule, oracle)
         rounds = list(engine(rule, provider, list(costs), RandomSeed(seed), range(oracle.n), rule.rounds))
         runs.append((rounds, oracle.query_count))
@@ -249,14 +239,14 @@ def _assert_mechanisms_match(rule_name, instance, costs, capped=False, seed=3):
     outcomes = []
     for cutoff in (ARRAY_ROUND_MIN, math.inf):
         with patch.object(selection, "ARRAY_ROUND_MIN", cutoff):
-            rule, oracle = _rule_and_oracle(rule_name, instance, capped)
+            rule, oracle = rule_and_oracle(rule_name, instance, capped)
             trace = run_meta(rule, oracle, costs, RandomSeed(seed))
             got = [trace.order, trace.chosen_at, trace.scores_at_admission, oracle.query_count]
             if not capped:
-                rule, oracle = _rule_and_oracle(rule_name, instance)
+                rule, oracle = rule_and_oracle(rule_name, instance)
                 got += [run_sealed_bid(rule, oracle, costs, RandomSeed(seed)).payments, oracle.query_count]
             if rule.diminishing_return:  # the lazy heap's seed is an array round too
-                rule, oracle = _rule_and_oracle(rule_name, instance)
+                rule, oracle = rule_and_oracle(rule_name, instance)
                 lazy = run_sealed_bid_lazy(rule, oracle, costs)
                 got += [lazy.trace.order, lazy.trace.scores_at_admission, lazy.payments, oracle.query_count]
         outcomes.append(got)
@@ -283,3 +273,17 @@ def test_array_rounds_match_scalar_on_float_instances(n, rule_name, capped):
     _assert_rounds_match(rule_name, instance, costs, capped)
     if n < 200:  # scalar payments at n = 200 take seconds per distorted rule
         _assert_mechanisms_match(rule_name, instance, costs, capped)
+
+
+def test_noisy_provider_copy_keeps_the_running_minima():
+    """The noisy rule's provider copies its set and trajectory minima; the
+    copy and the original then evolve independently."""
+    base, _ = random_oracle(19, 6, 9)
+    provider = _marginal_provider(make_rule("noisy-distorted", base.n, noise_epsilon=0.2), NoisyOracle(base, 0.2, seed=4))
+    first = [provider.marginal(i) for i in range(1, base.n)]
+    provider.add(0)
+    twin = provider.copy()
+    assert [twin.marginal(i) for i in range(1, base.n)] == [provider.marginal(i) for i in range(1, base.n)]
+    assert all(m <= f for m, f in zip((twin.marginal(i) for i in range(1, base.n)), first))
+    twin.add(1)
+    assert provider.members == [0] and twin.members == [0, 1]

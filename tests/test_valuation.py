@@ -167,6 +167,32 @@ def test_scratch_remove_restores_marginals(coverage_pair):
     assert scratch.value() == 0.0
 
 
+@pytest.mark.parametrize("make_oracle", [
+    lambda: random_oracle(17, 6, 9)[0],
+    lambda: AdversarialFamilyOracle(4),
+    lambda: NoisyOracle(random_oracle(18, 6, 9)[0], 0.1, seed=2),
+], ids=["coverage", "family", "noisy"])
+def test_scratch_copy_is_an_independent_checkpoint(make_oracle):
+    """A copy answers like the original, costs no query, and neither sees
+    the other's later admissions."""
+    oracle = make_oracle()
+    scratch = oracle.scratch()
+    scratch.add(0)
+    scratch.marginals(np.arange(1, oracle.n))  # the coverage vector is cached before the copy
+    queries = oracle.query_count
+    twin = scratch.copy()
+    assert type(twin) is type(scratch) and oracle.query_count == queries
+    assert twin.members == scratch.members and twin.value() == scratch.value()
+    rest = np.arange(1, oracle.n)
+    assert twin.marginals(rest).tolist() == scratch.marginals(rest).tolist()
+    twin.add(1)
+    scratch.add(2)
+    assert twin.members == (0, 1) and scratch.members == (0, 2)
+    assert [twin.marginal(i) for i in range(3, oracle.n)] == [oracle.marginal(i, (0, 1)) for i in range(3, oracle.n)]
+    assert [scratch.marginal(i) for i in range(3, oracle.n)] == [oracle.marginal(i, (0, 2)) for i in range(3, oracle.n)]
+    assert scratch.marginals(np.arange(3, oracle.n)).tolist() == [oracle.marginal(i, (0, 2)) for i in range(3, oracle.n)]
+
+
 class TestAdversarialFamily:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_exhaustive_case_definition(self, L):
