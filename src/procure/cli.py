@@ -84,6 +84,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
+    if args.L < 2:
+        print("L must be at least 2", file=sys.stderr)
+        return 2
     if args.epsilon is None:
         args.epsilon = 1.0 / (2 * args.L)
     if args.epsilon >= 1.0 / args.L:

@@ -6,22 +6,30 @@ score is strictly positive; payments and posted prices come from inverting
 the score in the bid coordinate, which is exact because every shipped rule
 is affine or a ratio in the bid.
 
+Five rules are one affine score, alpha_k f(i|S) - beta b_i, with the
+coefficients fixed when the rule is built:
+
+    greedy-margin         alpha_k = 1                   beta = 1
+    cost-scaled           alpha_k = 1                   beta = 2
+    distorted             alpha_k = (1 - 1/n)^(n-k)     beta = 1
+    stochastic-distorted  as distorted, restricted to a per-round random batch
+    noisy-distorted       as distorted, on min_t F(i|S_t), beta = x = 1 + 2 eps n + eps
+
+(the capped distorted rule uses (1 - 1/cap)^(cap-k)).  Its score, critical
+bid and posted price are alpha m - beta b, max(0, (alpha m - target) / beta)
+and m / beta.  The other two are ratios in the bid:
+
+    greedy-rate           (f(i|S) - b_i) / f(i|S)
+    roi                   (f(i|S) - b_i) / b_i
+
 ``ScoringRule`` is the one pricing path: ``score_from_marginal``,
 ``threshold_from_marginal`` and ``posted_price`` take a marginal the
 caller has already read, in the engines from the run's oracle scratch;
 ``scores`` is ``score_from_marginal`` over a whole round's arrays, float
 for float.  The caller owns the rest of the context: the stochastic batch
 gate and, for the noisy rule, the trajectory minimum of the marginals.
-
-Canonical rule names (used by the CLI and ``make_rule``):
-
-    greedy-margin         f(i|S) - b_i
-    greedy-rate           (f(i|S) - b_i) / f(i|S)
-    distorted             (1 - 1/n)^(n-k) f(i|S) - b_i
-    stochastic-distorted  distorted, restricted to a per-round random batch
-    roi                   (f(i|S) - b_i) / b_i
-    cost-scaled           f(i|S) - 2 b_i
-    noisy-distorted       (1 - 1/n)^(n-k) min_t F(i|S_t) - x b_i
+``RULE_NAMES`` holds the canonical rule names used by the CLI and
+``make_rule``.
 """
 
 from __future__ import annotations
@@ -112,10 +120,24 @@ class ScoringRule:
             raise ValueError(f"rule {self.kind!r} needs a positive horizon")
         if self.cardinality is not None and self.kind != "distorted":
             raise ValueError("the cardinality variant exists only for the distorted rule")
+        if self.cardinality is not None and self.cardinality < 1:
+            raise ValueError(f"cardinality must be at least 1, got {self.cardinality}")
         if not 0.0 < self.stochastic_epsilon < 1.0:
             raise ValueError("stochastic epsilon must be in (0, 1)")
         if self.stochastic_batch_size is not None and self.stochastic_batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        if not 0.0 <= self.noise_epsilon < 1.0:
+            raise ValueError(f"noise epsilon must be in [0, 1), got {self.noise_epsilon}")
+        # The affine coefficients; round k indexes the alpha tuple directly.
+        # A run scores rounds 1 .. ``rounds`` and no later one, so the tuple
+        # stops there; past a cap the capped multiplier exceeds 1 (at cap = 1
+        # it divides by zero).  Round-free rules carry no tuple: their alpha
+        # is 1 in every round.
+        alpha = () if self.diminishing_return else tuple(self.multiplier(k) for k in range(self.rounds + 1))
+        beta = {"cost-scaled": 2.0, "noisy-distorted": self.x}.get(self.kind, 1.0)
+        object.__setattr__(self, "_affine", self.kind not in ("greedy-rate", "roi"))
+        object.__setattr__(self, "_alpha", alpha)
+        object.__setattr__(self, "_beta", beta)
 
     @property
     def diminishing_return(self) -> bool:
@@ -165,43 +187,36 @@ class ScoringRule:
         noisy marginals.  Batch membership of the stochastic rule is the
         caller's job; this computes the sampled-candidate value.
         """
-        kind = self.kind
-        if kind == "greedy-margin":
-            return m - bid
-        if kind == "cost-scaled":
-            return m - 2.0 * bid
-        if kind == "greedy-rate":
+        if self._affine:
+            return (self._alpha[k] if self._alpha else 1.0) * m - self._beta * bid
+        if self.kind == "greedy-rate":
             if m <= 0.0:
                 return NOT_SAMPLED
             return (m - bid) / m
-        if kind == "roi":
-            if bid == 0.0:
-                return math.inf if m > 0.0 else -1.0
-            if bid == math.inf:
-                return -1.0  # the limit; inf / inf would be NaN and block every argmax
-            return (m - bid) / bid
-        if kind in ("distorted", "stochastic-distorted"):
-            return self.multiplier(k) * m - bid
-        # noisy-distorted
-        return self.multiplier(k) * m - self.x * bid
+        # roi
+        if bid == 0.0:
+            return math.inf if m > 0.0 else -1.0
+        if bid == math.inf:
+            return -1.0  # the limit; inf / inf would be NaN and block every argmax
+        return (m - bid) / bid
 
     def scores(self, m: np.ndarray, bids: np.ndarray, k: int) -> np.ndarray:
-        """``score_from_marginal`` element-wise over arrays, the same float for each."""
-        kind = self.kind
-        if kind == "greedy-margin":
-            return m - bids
-        if kind == "cost-scaled":
-            return m - 2.0 * bids
+        """``score_from_marginal`` element-wise over arrays, the same float for each.
+
+        A unit coefficient is skipped rather than multiplied: the product
+        would be the same array, at the cost of one more array pass.
+        """
+        if self._affine:
+            alpha = self._alpha[k] if self._alpha else 1.0
+            if alpha != 1.0:
+                m = alpha * m
+            return m - (bids if self._beta == 1.0 else self._beta * bids)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if kind == "greedy-rate":
+            if self.kind == "greedy-rate":
                 return np.where(m <= 0.0, NOT_SAMPLED, (m - bids) / m)
-            if kind == "roi":
-                at_zero = np.where(m > 0.0, math.inf, -1.0)
-                return np.where(bids == 0.0, at_zero, np.where(bids == math.inf, -1.0, (m - bids) / bids))
-        if kind in ("distorted", "stochastic-distorted"):
-            return self.multiplier(k) * m - bids
-        # noisy-distorted
-        return self.multiplier(k) * m - self.x * bids
+            # roi
+            at_zero = np.where(m > 0.0, math.inf, -1.0)
+            return np.where(bids == 0.0, at_zero, np.where(bids == math.inf, -1.0, (m - bids) / bids))
 
     def threshold_from_marginal(self, m: float, target: float, k: int, wins_tie: bool = False) -> float:
         """sup{ z >= 0 : score(z) > target }, 0 when the set is empty.
@@ -232,25 +247,17 @@ class ScoringRule:
             return max(0.0, m / (1.0 + target))
         if target == NOT_SAMPLED:
             return math.inf
-        if kind == "greedy-margin":
-            return max(0.0, m - target)
-        if kind == "cost-scaled":
-            return max(0.0, (m - target) / 2.0)
-        if kind in ("distorted", "stochastic-distorted"):
-            return max(0.0, self.multiplier(k) * m - target)
-        # noisy-distorted
-        return max(0.0, (self.multiplier(k) * m - target) / self.x)
+        return max(0.0, ((self._alpha[k] if self._alpha else 1.0) * m - target) / self._beta)
 
     def posted_price(self, m: float) -> float:
         """Bid at which the online score of a seller with marginal m crosses zero.
 
-        The seller is admitted iff its bid is strictly below this price.
+        The seller is admitted iff its bid is strictly below this price: m / beta
+        for the affine rules, and m for both ratio rules, whose beta is 1.
         """
         if not self.diminishing_return:
             raise UnsupportedRuleError(f"rule {self.kind!r} cannot run online")
-        if self.kind == "cost-scaled":
-            return m / 2.0
-        return m
+        return m / self._beta
 
 
 def make_rule(name: str, n: int, **kwargs) -> ScoringRule:
@@ -317,10 +324,14 @@ def validate_assumptions(
     (3) the score does not move when any other seller's bid changes.
 
     Accepts a ScoringRule or any callable scorer(i, S, bids, k) fixture.
+    Each trial scores a random round k in [1, n], or in [1, cap] for a
+    capped rule, which never runs a round past its cap.
     """
     rng = np.random.default_rng(seed)
     n = oracle.n
     scorer = _as_scorer(rule, oracle, seed)
+    capped = isinstance(rule, ScoringRule) and rule.cardinality is not None
+    last_round = rule.cardinality if capped else n
     name = rule.kind if isinstance(rule, ScoringRule) else getattr(rule, "__name__", "custom")
     monotone = AssumptionCheck("non-increasing-in-own-bid", True)
     negative = AssumptionCheck("negative-above-marginal", True)
@@ -333,7 +344,7 @@ def validate_assumptions(
         if not outside:
             continue
         i = int(rng.choice(outside))
-        k = int(rng.integers(1, n + 1))
+        k = int(rng.integers(1, last_round + 1))
         m = oracle.marginal(i, tentative)
         scale = max(1.0, abs(m))
         bids = np.abs(rng.normal(scale=scale, size=n))

@@ -25,7 +25,7 @@ from .descending import (
 )
 from .instances import random_instance
 from .online import run_online_meta, run_posted_price, order_random, worst_sampled_order
-from .scoring import ONLINE_CAPABLE_RULES, RandomSeed, ScoringRule, make_rule
+from .scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, ScoringRule, make_rule
 from .sealed_bid import (
     AuctionOutcome,
     exact_opt,
@@ -40,15 +40,9 @@ from .sealed_bid import (
 from .selection import run_meta, run_meta_lazy
 from .valuation import CoverageOracle, NoisyOracle, ValuationOracle, stable_hash64, sum_in_order
 
-#: Rules whose sealed-bid mechanism is deterministic given the bids.
-DETERMINISTIC_RULES = (
-    "greedy-margin",
-    "greedy-rate",
-    "distorted",
-    "roi",
-    "cost-scaled",
-    "noisy-distorted",
-)
+#: Rules whose sealed-bid mechanism is deterministic given the bids, in
+#: ``RULE_NAMES`` order: the suites pick trial t's rule by its index here.
+DETERMINISTIC_RULES = tuple(name for name in RULE_NAMES if not make_rule(name, 1).randomized)
 
 BETA_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 
@@ -414,6 +408,8 @@ def lowerbound_report(L: int, epsilon: float) -> dict:
     """Both demand oracles on the adversarial family under its schedule."""
     from .valuation import AdversarialFamilyOracle
 
+    if L < 2:
+        raise ValueError(f"L must be at least 2, got {L}")
     if epsilon >= 1.0 / L:
         raise ValueError(f"step size must be below 1/L = {1.0 / L:.4g}, got {epsilon}")
     oracle = AdversarialFamilyOracle(L)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from procure import verification
 from procure.cli import main
 from procure.harness import MechanismSpec, csv_body
 
@@ -87,6 +88,17 @@ class TestLowerbound:
 
     def test_epsilon_precondition_usage_error(self, capsys):
         assert run_cli(["lowerbound", "10", "--epsilon", "0.5"]) == 2
+
+    @pytest.mark.parametrize("L", ["1", "0", "-3"])
+    def test_family_size_below_two_usage_error(self, capsys, L):
+        assert run_cli(["lowerbound", L]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "L must be at least 2" and captured.out == ""
+
+    @pytest.mark.parametrize("L", [1, 0, -3])
+    def test_report_rejects_family_size_below_two(self, L):
+        with pytest.raises(ValueError, match="L must be at least 2"):
+            verification.lowerbound_report(L, 0.01)
 
 
 class TestGenInstance:

@@ -195,6 +195,13 @@ class TestValidateAssumptions:
         report = validate_assumptions(rule, noisy, trials=150, seed=5)
         assert report.passed, [c.counterexample for c in report.checks if not c.passed]
 
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_capped_rule_scores_only_rounds_up_to_its_cap(self, cap):
+        oracle, _ = random_oracle(41, 6, 6)
+        rule = make_rule("distorted", oracle.n, cardinality=cap)
+        report = validate_assumptions(rule, oracle, trials=100, seed=5)
+        assert report.passed, [c.counterexample for c in report.checks if not c.passed]
+
     def test_increasing_fixture_fails_monotonicity(self):
         oracle, _ = random_oracle(31, 3, 6)
 
@@ -264,18 +271,132 @@ def test_batch_size_default():
     assert rule.batch_size() == math.ceil(math.log(1 / 0.1))
 
 
-@pytest.mark.parametrize("rule_name", RULE_NAMES)
-def test_array_scores_equal_scalar_scores_elementwise(rule_name):
-    """``scores`` is ``score_from_marginal`` element by element, edges included:
-    greedy-rate at m <= 0, roi at bid 0 and bid +inf, the noisy x*b."""
-    n = 7
-    rule = make_rule(rule_name, n, noise_epsilon=0.1) if rule_name == "noisy-distorted" else make_rule(rule_name, n)
-    grid_m = [-1.5, -0.0, 0.0, 5e-324, 0.3, 1.0, 2.5, 1e300]
-    grid_b = [0.0, 5e-324, 0.3, 1.0, 2.5, 1e300, math.inf]
-    m = np.array([x for x in grid_m for _ in grid_b])
-    bids = np.array([b for _ in grid_m for b in grid_b])
-    for k in (1, 4, n):
+# -- per-rule closed forms, as the rules were first written out ---------------
+
+
+def reference_score(rule, m, bid, k):
+    kind = rule.kind
+    if kind == "greedy-margin":
+        return m - bid
+    if kind == "cost-scaled":
+        return m - 2.0 * bid
+    if kind == "greedy-rate":
+        if m <= 0.0:
+            return NOT_SAMPLED
+        return (m - bid) / m
+    if kind == "roi":
+        if bid == 0.0:
+            return math.inf if m > 0.0 else -1.0
+        if bid == math.inf:
+            return -1.0
+        return (m - bid) / bid
+    if kind in ("distorted", "stochastic-distorted"):
+        return rule.multiplier(k) * m - bid
+    return rule.multiplier(k) * m - rule.x * bid
+
+
+def reference_threshold(rule, m, target, k, wins_tie):
+    kind = rule.kind
+    if target == math.inf:
+        return 0.0
+    if kind == "greedy-rate":
+        if m <= 0.0:
+            return math.inf if (target == NOT_SAMPLED and wins_tie) else 0.0
+        if target == NOT_SAMPLED:
+            return math.inf
+        return max(0.0, m - m * target)
+    if kind == "roi":
+        if m <= 0.0:
+            beats = -1.0 > target or (target == -1.0 and wins_tie)
+            return math.inf if beats else 0.0
+        if target <= -1.0:
+            return math.inf
+        return max(0.0, m / (1.0 + target))
+    if target == NOT_SAMPLED:
+        return math.inf
+    if kind == "greedy-margin":
+        return max(0.0, m - target)
+    if kind == "cost-scaled":
+        return max(0.0, (m - target) / 2.0)
+    if kind in ("distorted", "stochastic-distorted"):
+        return max(0.0, rule.multiplier(k) * m - target)
+    return max(0.0, (rule.multiplier(k) * m - target) / rule.x)
+
+
+def reference_posted_price(rule, m):
+    return m / 2.0 if rule.kind == "cost-scaled" else m
+
+
+def float_bits(values):
+    """Floats as hex strings, so that == also tells -0.0 from 0.0."""
+    return [float(x).hex() for x in values]
+
+
+RULE_CASES = {name: (name, {}) for name in RULE_NAMES}
+RULE_CASES["noisy-distorted"] = ("noisy-distorted", {"noise_epsilon": 0.1})
+RULE_CASES["noisy-distorted-eps0"] = ("noisy-distorted", {"noise_epsilon": 0.0})
+RULE_CASES["distorted-cap3"] = ("distorted", {"cardinality": 3})
+GRID_M = [-1.5, -0.0, 0.0, 5e-324, 0.3, 1.0, 2.5, 1e300]
+GRID_B = [0.0, 5e-324, 0.3, 1.0, 2.5, 1e300, math.inf]
+TARGETS = [NOT_SAMPLED, -1.0, 0.0, 0.7, math.inf]
+
+
+def case_rule(case):
+    name, kwargs = RULE_CASES[case]
+    return make_rule(name, 7, **kwargs)
+
+
+def rounds_to_check(rule):
+    """First, middle and last round of a run."""
+    return (1, (1 + rule.rounds) // 2, rule.rounds)
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_array_scores_equal_scalar_scores_elementwise(case):
+    """``scores`` is ``score_from_marginal`` element by element, and both are the
+    rule's closed form, edges included: greedy-rate at m <= 0, roi at bid 0 and
+    bid +inf, the noisy x*b, the capped multiplier."""
+    rule = case_rule(case)
+    m = np.array([x for x in GRID_M for _ in GRID_B])
+    bids = np.array([b for _ in GRID_M for b in GRID_B])
+    for k in rounds_to_check(rule):
         got = rule.scores(m, bids, k)
-        want = [rule.score_from_marginal(float(x), float(b), k) for x, b in zip(m, bids)]
+        scalar = [rule.score_from_marginal(float(x), float(b), k) for x, b in zip(m, bids)]
+        want = [reference_score(rule, float(x), float(b), k) for x, b in zip(m, bids)]
         assert got.dtype == np.float64
-        assert got.tolist() == want
+        assert float_bits(got) == float_bits(scalar) == float_bits(want)
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_thresholds_and_posted_prices_equal_closed_forms(case):
+    rule = case_rule(case)
+    for k in rounds_to_check(rule):
+        for wins_tie in (False, True):
+            got = [rule.threshold_from_marginal(m, t, k, wins_tie) for m in GRID_M for t in TARGETS]
+            want = [reference_threshold(rule, m, t, k, wins_tie) for m in GRID_M for t in TARGETS]
+            assert float_bits(got) == float_bits(want)
+    if rule.diminishing_return:
+        assert float_bits(map(rule.posted_price, GRID_M)) == float_bits(
+            reference_posted_price(rule, m) for m in GRID_M
+        )
+    else:
+        with pytest.raises(UnsupportedRuleError):
+            rule.posted_price(1.0)
+
+
+class TestRuleParameters:
+    @pytest.mark.parametrize("eps", [math.nan, -5.0, -1e-9, 1.0, 3.0])
+    def test_noise_epsilon_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError, match="noise epsilon"):
+            make_rule("noisy-distorted", 6, noise_epsilon=eps)
+
+    @pytest.mark.parametrize("cap", [0, -2])
+    def test_cardinality_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="cardinality"):
+            make_rule("distorted", 6, cardinality=cap)
+
+    def test_coefficients_keep_the_public_values(self):
+        rule = make_rule("noisy-distorted", 6, noise_epsilon=0.1)
+        assert rule.x == 1.0 + 2.0 * 0.1 * 6 + 0.1
+        assert rule.multiplier(2) == (1.0 - 1.0 / 6) ** 4
+        assert make_rule("distorted", 6, cardinality=2).multiplier(1) == 0.5
