@@ -43,20 +43,25 @@ def _cmd_experiment(args) -> int:
 
     graph = _load_graph(dataset, seed)
     trace_sink: list | None = [] if args.trace else None
-    records = harness.experiment_records(
-        graph,
-        n_values=[int(n) for n in n_values],
-        s_values=[float(s) for s in s_values],
-        instances=instances,
-        mechanisms=mechanisms,
-        seed=seed,
-        vcg_cap=int(config.get("vcg_cap", 12)),
-        epsilon=config.get("epsilon"),
-        arrival_order=config.get("arrival_order"),
-        da_schedule=config.get("da_schedule", "lex"),
-        trace_sink=trace_sink,
-        workers=args.workers if args.workers is not None else int(config.get("workers", 1)),
-    )
+    try:
+        epsilon = config.get("epsilon")
+        records = harness.experiment_records(
+            graph,
+            n_values=[int(n) for n in n_values],
+            s_values=[float(s) for s in s_values],
+            instances=instances,
+            mechanisms=mechanisms,
+            seed=seed,
+            vcg_cap=int(config.get("vcg_cap", 12)),
+            epsilon=None if epsilon is None else float(epsilon),
+            arrival_order=config.get("arrival_order"),
+            da_schedule=config.get("da_schedule", "lex"),
+            trace_sink=trace_sink,
+            workers=args.workers if args.workers is not None else int(config.get("workers", 1)),
+        )
+    except (ValueError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
     harness.write_csv(records, output, include_timing=not args.no_timing)
     print(f"wrote {len(records)} records to {output}")
     if trace_sink is not None:

@@ -12,17 +12,27 @@ and the stateful cost-scaled oracle, which admits the previously
 decremented seller once its marginal exceeds twice its price and is immune
 to the adversary up to an n*epsilon term.
 
-A clock tick costs one demand call and one schedule pick: the active set
-is rebuilt only when a seller drops, the cost-scaled oracle keeps its
-demanded set between calls, and its admission test is one O(|cover(i)|)
-scratch marginal.  The online-to-descending conversion with its tailored
-schedule gives exactly the posted-price outcome, so it returns that run's
-winners and payments.
+The clock runs event by event when it can.  The cost-scaled oracle can
+admit only the seller just decremented, and between admissions that
+seller's marginal f(i|T) is fixed, so the oracle computes it at most once
+per seller and admission.  The lexicographic and scripted schedules pick
+from the active and demanded sets alone, so they keep picking the same
+seller until it drops or is admitted.  Under such a pair the loop asks for
+a demand and a pick once per event and then steps the picked seller in a
+tight loop, one epsilon per tick, until its price falls below its bid or
+its marginal exceeds twice its price: O(1) work per tick.  Any other pair
+(round-robin, whose cursor moves on every pick; the family adversary, which
+reads prices; exact demand) takes one demand call and one pick per tick.  Both paths decrement prices
+one epsilon at a time, so they give the same winners, payments and tick
+counts.  The online-to-descending conversion with its tailored schedule
+gives exactly the posted-price outcome, so it returns that run's winners
+and payments.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -115,14 +125,19 @@ class CostScaledDemand:
     previous iteration joins T if its marginal exceeds twice its current
     price.  Members of T are returned demanded forever, so a compliant
     schedule never decrements them again.  One instance serves one run.
-    A call costs at most one scratch marginal; the returned frozenset is
-    kept between calls and grows only on admission.
+    The returned frozenset is kept between calls and grows only on
+    admission.
+
+    ``admission_marginal`` is also the event-loop protocol: a demand oracle
+    that has it admits only the seller just decremented, exactly when
+    ``admission_marginal(i) > 2 * price``.
     """
 
     def __init__(self, oracle: ValuationOracle):
         self.oracle = oracle
         self.scratch = oracle.scratch()
         self._demanded: frozenset[int] = frozenset()
+        self._marginals: dict[int, float] = {}
         self._started = False
 
     @property
@@ -134,10 +149,18 @@ class CostScaledDemand:
             raise DemandStateError("cost-scaled demand state cannot be reused across runs")
         self._started = True
 
+    def admission_marginal(self, i: int) -> float:
+        """f(i|T), one scratch marginal per seller until T next grows."""
+        m = self._marginals.get(i)
+        if m is None:
+            m = self._marginals[i] = self.scratch.marginal(i)
+        return m
+
     def __call__(self, active: frozenset[int], prices: Sequence[float], prev_selected: int | None) -> frozenset[int]:
         i = prev_selected
-        if i is not None and i in active and i not in self.scratch and self.scratch.marginal(i) > 2.0 * prices[i]:
+        if i is not None and i in active and i not in self.scratch and self.admission_marginal(i) > 2.0 * prices[i]:
             self.scratch.add(i)
+            self._marginals.clear()
             self._demanded = self._demanded | {i}
         return self._demanded
 
@@ -147,7 +170,13 @@ class CostScaledDemand:
 # ---------------------------------------------------------------------------
 
 
+# A schedule with ``picks_from_sets = True`` reads only the active and
+# demanded sets, so it repeats its pick until one of them changes.
+
+
 class LexicographicSchedule:
+    picks_from_sets = True
+
     def pick(self, active: set[int], demanded: frozenset[int], prices: Sequence[float]) -> int:
         return min(active - demanded)
 
@@ -168,6 +197,8 @@ class RoundRobinSchedule:
 
 class ScriptedSchedule:
     """Fixed priority order; picks its first undemanded active entry."""
+
+    picks_from_sets = True
 
     def __init__(self, priority: Sequence[int]):
         self.priority = tuple(int(i) for i in priority)
@@ -210,13 +241,7 @@ def random_scripted_schedules(n: int, count: int, seed: int) -> list[ScriptedSch
     return [ScriptedSchedule(rng.permutation(n)) for _ in range(count)]
 
 
-def named_schedule(spec: str, n: int):
-    """Schedule from a CLI-style selector.
-
-    Accepts "lex", "rr", "adversarial-family" (valid on family instances
-    with n = L + 2 sellers), or "scripted:<path>" with one seller index per
-    line giving the priority order.
-    """
+def _build_schedule(spec: str, priority: tuple[int, ...] | None, n: int):
     if spec == "lex":
         return LexicographicSchedule()
     if spec == "rr":
@@ -225,10 +250,33 @@ def named_schedule(spec: str, n: int):
         if n < 3:
             raise ValueError("the family schedule needs at least three sellers")
         return AdversarialFamilySchedule(n - 2)
+    if priority is not None:
+        if sorted(priority) != list(range(n)):
+            raise ValueError(f"schedule {spec!r} is not a permutation of the {n} sellers")
+        return ScriptedSchedule(priority)
+    raise ValueError(f"unknown schedule {spec!r}")
+
+
+def schedule_factory(spec: str):
+    """Parse a CLI-style selector once; returns a picklable ``n -> schedule``.
+
+    Accepts "lex", "rr", "adversarial-family" (valid on family instances
+    with n = L + 2 sellers), or "scripted:<path>" with one seller index per
+    line giving the priority order, which must be a permutation of
+    ``range(n)``.  A scripted file is read here, once; every schedule the
+    factory builds is fresh, and an invalid selector raises ``ValueError``
+    when a schedule is built.
+    """
+    priority = None
     if spec.startswith("scripted:"):
         with open(spec.split(":", 1)[1]) as fh:
-            return ScriptedSchedule([int(line) for line in fh if line.strip()])
-    raise ValueError(f"unknown schedule {spec!r}")
+            priority = tuple(int(line) for line in fh if line.strip())
+    return partial(_build_schedule, spec, priority)
+
+
+def named_schedule(spec: str, n: int):
+    """Schedule for n sellers from a selector (see ``schedule_factory``)."""
+    return schedule_factory(spec)(n)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +285,8 @@ def named_schedule(spec: str, n: int):
 
 
 def _check_step(epsilon: float) -> None:
-    if not epsilon > 0:
-        raise ValueError(f"step size must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {epsilon}")
 
 
 def run_descending(
@@ -248,12 +296,18 @@ def run_descending(
     schedule,
     epsilon: float,
 ) -> AuctionOutcome:
-    """Price-descent loop: decrement one undemanded seller per iteration.
+    """Price-descent loop: decrement one undemanded seller per tick.
 
     Terminates because prices strictly decrease and sellers drop once
-    priced below their bids; a generous iteration cap guards against a
+    priced below their bids; a generous tick cap guards against a
     non-compliant demand/schedule pair.  The demand oracle and the schedule
     see the same frozenset of active sellers, rebuilt only when one drops.
+
+    If the demand has ``admission_marginal`` and the schedule sets
+    ``picks_from_sets``, the picked seller keeps being stepped until its
+    next event, a drop or ``admission_marginal(i) > 2 * price``, with the
+    same per-tick decrement, count, cap check and test order as one demand
+    call and one pick per tick; other pairs take one of each per tick.
     """
     _check_step(epsilon)
     n = oracle.n
@@ -261,9 +315,12 @@ def run_descending(
     prices = [oracle.marginal(i, ()) for i in range(n)]
     active = frozenset(range(n))
     demand.begin_run()
+    admission_marginal = getattr(demand, "admission_marginal", None)
+    if not getattr(schedule, "picks_from_sets", False):
+        admission_marginal = None
 
     cap = sum(math.ceil(p / epsilon) + 1 for p in prices) + n + 1
-    iterations = 0
+    ticks = 0
     prev: int | None = None
     while True:
         demanded = demand(active, prices, prev)
@@ -274,18 +331,27 @@ def run_descending(
         i = schedule.pick(active, demanded, prices)
         if i not in active or i in demanded:
             raise ScheduleError(f"schedule picked {i}, not an undemanded active seller")
-        prices[i] -= epsilon
         prev = i
-        iterations += 1
-        if iterations > cap:
-            raise RuntimeError("descending auction exceeded its iteration cap")
-        if prices[i] < bids[i]:
-            active = active - {i}
-            prices[i] = 0.0
+        marginal = None
+        while True:
+            prices[i] -= epsilon
+            ticks += 1
+            if ticks > cap:
+                raise RuntimeError("descending auction exceeded its iteration cap")
+            if prices[i] < bids[i]:
+                active = active - {i}
+                prices[i] = 0.0
+                break
+            if admission_marginal is None:
+                break
+            if marginal is None:
+                marginal = admission_marginal(i)
+            if marginal > 2.0 * prices[i]:
+                break
 
     winners = canonical_set(active)
     payments = tuple(prices[i] if i in active else 0.0 for i in range(n))
-    return AuctionOutcome(winners, payments, value=oracle.value(winners), trace=None)
+    return AuctionOutcome(winners, payments, value=oracle.value(winners), trace=None, ticks=ticks)
 
 
 def run_descending_from_online(

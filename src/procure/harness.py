@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .descending import CostScaledDemand, ExactDemand, named_schedule, run_descending
+from .descending import CostScaledDemand, ExactDemand, _check_step, run_descending, schedule_factory
 from .instances import BipartiteGraph, ExperimentConfig, active_fraction, build_instance
 from .online import named_order, order_random, run_posted_price
 from .scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, make_rule
@@ -143,9 +143,12 @@ def run_mechanism(
     vcg_cap: int = 12,
     epsilon: float | None = None,
     arrival_order: str | None = None,
-    da_schedule: str = "lex",
+    da_schedule: str | Callable[[int], object] = "lex",
 ) -> tuple[AuctionOutcome | None, int, str]:
-    """Run one mechanism on one instance; (outcome, queries, skip_reason)."""
+    """Run one mechanism on one instance; (outcome, queries, skip_reason).
+
+    ``da_schedule`` is a schedule selector or a ``schedule_factory``.
+    """
     oracle = CoverageOracle(instance)
     n = oracle.n
     if spec.name in ("vcg", "opt", "da") and (spec.name != "da" or spec.rule == "exact") and n > vcg_cap:
@@ -180,7 +183,8 @@ def run_mechanism(
             demand = ExactDemand(oracle, ExactOptimizerConfig(max_exhaustive_n=vcg_cap))
         else:
             demand = CostScaledDemand(oracle)
-        outcome = run_descending(oracle, costs, demand, named_schedule(da_schedule, n), eps)
+        make_schedule = schedule_factory(da_schedule) if isinstance(da_schedule, str) else da_schedule
+        outcome = run_descending(oracle, costs, demand, make_schedule(n), eps)
     return outcome, oracle.query_count, ""
 
 
@@ -195,7 +199,7 @@ def _instance_records(
     vcg_cap: int,
     epsilon: float | None,
     arrival_order: str | None,
-    da_schedule: str,
+    make_schedule: Callable[[int], object] | None,
     want_traces: bool,
 ) -> tuple[list[RunRecord], list[dict]]:
     """All mechanism rows for one sampled instance."""
@@ -210,7 +214,7 @@ def _instance_records(
         t0 = time.perf_counter()
         outcome, queries, skip = run_mechanism(
             spec, instance, costs, run_seed, vcg_cap=vcg_cap, epsilon=epsilon,
-            arrival_order=arrival_order, da_schedule=da_schedule,
+            arrival_order=arrival_order, da_schedule=make_schedule,
         )
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         mech, rule = spec.label()
@@ -243,19 +247,35 @@ def _instance_records(
 _POOL_STATE: dict = {}
 
 
-def _pool_init(graph, specs, instances, seed, vcg_cap, epsilon, arrival_order, da_schedule):
+def _pool_init(graph, specs, instances, seed, vcg_cap, epsilon, arrival_order, make_schedule):
     _POOL_STATE["graph"] = graph
-    _POOL_STATE["args"] = (specs, instances, seed, vcg_cap, epsilon, arrival_order, da_schedule)
+    _POOL_STATE["args"] = (specs, instances, seed, vcg_cap, epsilon, arrival_order, make_schedule)
 
 
 def _pool_task(cell: tuple[int, float, int]) -> list[RunRecord]:
     n, s, index = cell
-    specs, instances, seed, vcg_cap, epsilon, arrival_order, da_schedule = _POOL_STATE["args"]
+    specs, instances, seed, vcg_cap, epsilon, arrival_order, make_schedule = _POOL_STATE["args"]
     records, _ = _instance_records(
         _POOL_STATE["graph"], n, s, index, specs, instances, seed,
-        vcg_cap, epsilon, arrival_order, da_schedule, want_traces=False,
+        vcg_cap, epsilon, arrival_order, make_schedule, want_traces=False,
     )
     return records
+
+
+def _checked_schedule(specs, n_values, vcg_cap, epsilon, da_schedule: str) -> Callable[[int], object] | None:
+    """The schedule factory for the descending auctions the matrix runs,
+    None if it runs none.  The selector (a scripted file is read here, once)
+    and a configured step are checked for every n that runs one and raise
+    ``ValueError`` before the first cell."""
+    da_ns = [n for n in n_values if any(s.name == "da" and (s.rule != "exact" or n <= vcg_cap) for s in specs)]
+    if not da_ns:
+        return None
+    if epsilon is not None:
+        _check_step(epsilon)
+    make_schedule = schedule_factory(da_schedule)
+    for n in da_ns:
+        make_schedule(n)
+    return make_schedule
 
 
 def experiment_records(
@@ -281,11 +301,12 @@ def experiment_records(
     """
     specs = [MechanismSpec.parse(m) for m in mechanisms]
     cells = [(n, s, index) for n in n_values for s in s_values for index in range(instances)]
+    make_schedule = _checked_schedule(specs, n_values, vcg_cap, epsilon, da_schedule)
     records: list[RunRecord] = []
     if workers > 1 and trace_sink is None and len(cells) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        initargs = (graph, specs, instances, seed, vcg_cap, epsilon, arrival_order, da_schedule)
+        initargs = (graph, specs, instances, seed, vcg_cap, epsilon, arrival_order, make_schedule)
         chunk = max(1, len(cells) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=initargs) as pool:
             for recs in pool.map(_pool_task, cells, chunksize=chunk):
@@ -294,7 +315,7 @@ def experiment_records(
         for n, s, index in cells:
             recs, traces = _instance_records(
                 graph, n, s, index, specs, instances, seed, vcg_cap, epsilon,
-                arrival_order, da_schedule, want_traces=trace_sink is not None,
+                arrival_order, make_schedule, want_traces=trace_sink is not None,
             )
             records.extend(recs)
             if trace_sink is not None:

@@ -60,13 +60,16 @@ class AuctionOutcome:
     """Winners, payments, and the trace that produced them.
 
     ``payments`` is indexed by seller and zero for losers; ``value`` is
-    f(winners) as reported by the oracle that ran the auction.
+    f(winners) as reported by the oracle that ran the auction.  ``ticks``
+    is the number of clock ticks of a descending auction and None for every
+    other mechanism; neither the CSV nor ``to_json`` reports it.
     """
 
     winners: tuple[int, ...]
     payments: tuple[float, ...]
     value: float
     trace: SelectionTrace | None = None
+    ticks: int | None = None
 
     @property
     def total_payment(self) -> float:

@@ -152,6 +152,70 @@ class TestOrderAndScheduleSelectors:
         with pytest.raises(ValueError):
             named_schedule("chaotic", 4)
 
+    @pytest.mark.parametrize("lines", ["0\n7\n", "0\n1\n", "0\n1\n1\n", "2\n1\n0\n3\n", ""])
+    def test_scripted_schedule_must_be_a_permutation(self, tmp_path, lines):
+        from procure.descending import named_schedule
+
+        script = tmp_path / "sched.txt"
+        script.write_text(lines)
+        with pytest.raises(ValueError, match="permutation"):
+            named_schedule(f"scripted:{script}", 3)
+
+    def _da_config(self, tmp_path, **overrides):
+        config = {
+            "dataset": "synthetic", "n": [6, 8], "s": [2], "instances": 2, "seed": 5,
+            "mechanisms": ["da:cost-scaled"], "output": str(tmp_path / "da.csv"),
+        }
+        config.update(overrides)
+        path = tmp_path / "da.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    @pytest.mark.parametrize("bad", [
+        {"da_schedule": "chaotic"},
+        {"da_schedule": "scripted:{script}"},
+        {"epsilon": 0.0},
+        {"epsilon": float("inf")},
+    ])
+    def test_experiment_rejects_bad_schedule_or_step_before_running(self, tmp_path, monkeypatch, capsys, bad):
+        from procure import harness
+
+        script = tmp_path / "sched.txt"
+        script.write_text("0\n7\n")
+        bad = {k: v.format(script=script) if isinstance(v, str) else v for k, v in bad.items()}
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the configuration was checked")
+
+        monkeypatch.setattr(harness, "_instance_records", no_cell)
+        assert run_cli(["experiment", "--config", str(self._da_config(tmp_path, **bad))]) == 2
+        message = capsys.readouterr().err
+        assert "schedule" in message or "step size" in message
+        assert not (tmp_path / "da.csv").exists()
+
+    def test_experiment_checks_da_settings_only_when_a_clock_runs(self, tmp_path):
+        config = self._da_config(tmp_path, mechanisms=["posted:cost-scaled"], da_schedule="chaotic", epsilon=0.0)
+        assert run_cli(["experiment", "--config", str(config)]) == 0
+
+    def test_scripted_file_is_read_once(self, tmp_path, monkeypatch):
+        from procure import descending
+
+        script = tmp_path / "sched.txt"
+        script.write_text("\n".join(str(i) for i in (5, 3, 1, 0, 2, 4)) + "\n")
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(descending, "open", counting_open, raising=False)
+        config = self._da_config(
+            tmp_path, n=[6], instances=3, da_schedule=f"scripted:{script}",
+            mechanisms=["da:cost-scaled", "da:exact"],
+        )
+        assert run_cli(["experiment", "--config", str(config), "--no-timing"]) == 0
+        assert opened == [str(script)]
+
     def test_experiment_with_posted_and_da(self, tmp_path):
         out = tmp_path / "mix.csv"
         config = {

@@ -20,8 +20,8 @@ from procure.descending import (
 from procure.online import order_random
 from procure.scoring import UnsupportedRuleError, make_rule
 from procure.sealed_bid import exact_opt
-from procure.instances import random_instance
-from procure.valuation import AdditiveOracle, AdversarialFamilyOracle, CoverageOracle
+from procure.instances import ExperimentConfig, build_instance, random_instance, synthetic_bipartite_graph
+from procure.valuation import AdditiveOracle, AdversarialFamilyOracle, CoverageInstance, CoverageOracle
 from procure.verification import lowerbound_report
 from conftest import brute_force_opt, posted_price_reference, random_oracle, synthetic_instances
 
@@ -32,7 +32,7 @@ BAD_BIDS = {
     "negative": [1.0, -0.5],
     "nan": [math.nan, 1.0],
 }
-BAD_STEPS = (0.0, -0.25, math.nan)
+BAD_STEPS = (0.0, -0.25, math.nan, math.inf)
 
 
 class _CheckedDemand:
@@ -50,6 +50,38 @@ class _CheckedDemand:
         assert demanded == frozenset(self.inner.tentative)
         self.calls += 1
         return demanded
+
+
+class _PlainDemand:
+    """Forwards to a demand oracle and hides its event-loop protocol."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def begin_run(self):
+        self.inner.begin_run()
+
+    def __call__(self, active, prices, prev):
+        return self.inner(active, prices, prev)
+
+
+class _PlainSchedule:
+    """Forwards to a schedule and hides its event-loop protocol."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def pick(self, active, demanded, prices):
+        return self.inner.pick(active, demanded, prices)
+
+
+class _CountingLex(LexicographicSchedule):
+    def __init__(self):
+        self.picks = 0
+
+    def pick(self, active, demanded, prices):
+        self.picks += 1
+        return super().pick(active, demanded, prices)
 
 
 class TestExactDemand:
@@ -180,6 +212,120 @@ class TestRunDescending:
             assert all(out.payments[i] >= costs[i] for i in out.winners)
 
 
+def _schedule_makers(n, seed):
+    scripted = [s.priority for s in random_scripted_schedules(n, 3, seed)]
+    return {
+        "lex": LexicographicSchedule,
+        "rr": lambda: RoundRobinSchedule(n),
+        **{f"scripted{j}": (lambda p=p: ScriptedSchedule(p)) for j, p in enumerate(scripted)},
+    }
+
+
+def _clock_result(make_oracle, bids, make_schedule, epsilon, plain):
+    oracle = make_oracle()
+    demand, schedule = CostScaledDemand(oracle), make_schedule()
+    if plain:
+        demand, schedule = _PlainDemand(demand), _PlainSchedule(schedule)
+    out = run_descending(oracle, bids, demand, schedule, epsilon)
+    return out.winners, out.payments, out.ticks, oracle.query_count
+
+
+def _reference_clock(oracle, bids, schedule, epsilon):
+    """Per-tick cost-scaled clock with a from-scratch marginal on every tick."""
+    n = oracle.n
+    prices = [oracle.marginal(i, ()) for i in range(n)]
+    active, tentative, ticks, prev = set(range(n)), [], 0, None
+    while True:
+        if prev in active and oracle.marginal(prev, tentative) > 2.0 * prices[prev]:
+            tentative.append(prev)
+        if set(tentative) == active:
+            break
+        prev = schedule.pick(frozenset(active), frozenset(tentative), prices)
+        prices[prev] -= epsilon
+        ticks += 1
+        if prices[prev] < bids[prev]:
+            active.discard(prev)
+            prices[prev] = 0.0
+    return tuple(sorted(active)), tuple(prices[i] if i in active else 0.0 for i in range(n)), ticks
+
+
+def _assert_event_loop_matches_ticks(make_oracle, bids, epsilon, seed=0):
+    """The event loop against the per-tick loop on the same demand and
+    schedule (queries included), and both against a from-scratch clock."""
+    n = make_oracle().n
+    for name, make_schedule in _schedule_makers(n, seed).items():
+        event = _clock_result(make_oracle, bids, make_schedule, epsilon, plain=False)
+        ticked = _clock_result(make_oracle, bids, make_schedule, epsilon, plain=True)
+        assert event == ticked, name
+        assert event[:3] == _reference_clock(make_oracle(), bids, make_schedule(), epsilon), name
+
+
+class TestEventLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_matches_per_tick_loop_on_random_oracles(self, seed):
+        oracle, costs = random_oracle(seed, 2, 9)
+        instance = oracle.instance
+        eps = max(max(oracle.marginal(i, ()) for i in range(oracle.n)), 1.0) / 30.0
+        _assert_event_loop_matches_ticks(lambda: CoverageOracle(instance), costs, eps, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from((0.1, 0.3, 1 / 3, 0.25)))
+    def test_matches_per_tick_loop_on_random_instances(self, seed, eps):
+        instance, costs = random_instance(2 + seed % 14, seed)
+        _assert_event_loop_matches_ticks(lambda: CoverageOracle(instance), costs, eps, seed)
+
+    @pytest.mark.parametrize("eps", [0.25, 0.1, 1 / 3])
+    def test_edge_case_bids_and_marginals(self, eps):
+        reachable = 2.0
+        for _ in range(3):
+            reachable -= eps
+        # Bid 0 on positive and zero weights, bid +inf, a bid equal to the
+        # weight, and a bid the price reaches exactly in three ticks.
+        weights = [3.0, 0.0, 2.0, 1.7, 0.0, 2.0]
+        bids = [0.0, 0.0, math.inf, 1.7, 0.5, reachable]
+        _assert_event_loop_matches_ticks(lambda: AdditiveOracle(weights), bids, eps)
+        oracle = AdditiveOracle(weights)
+        out = run_descending(oracle, bids, CostScaledDemand(oracle), LexicographicSchedule(), eps)
+        assert not {1, 2, 3, 4} & set(out.winners)
+        # Duplicate covers: once seller 0 is admitted, seller 1's marginal is
+        # zero from a positive price, so it is stepped down to its bid.
+        instance = CoverageInstance(covers=((0, 1), (0, 1), (1,)), vertex_values=(1.0, 2.0))
+        _assert_event_loop_matches_ticks(lambda: CoverageOracle(instance), [0.0, 0.0, 0.5], eps)
+
+    def test_bid_equal_to_reachable_price_is_kept_one_more_tick(self):
+        # Price 2.0 falls to exactly the bid 1.5 in two ticks and survives
+        # it; f = 2 > 2 * 1.5 fails, so the third tick drops the seller.
+        oracle = AdditiveOracle([2.0])
+        out = run_descending(oracle, [1.5], CostScaledDemand(oracle), LexicographicSchedule(), 0.25)
+        assert (out.winners, out.payments, out.ticks) == ((), (0.0,), 3)
+
+    def test_matches_per_tick_loop_on_a_synthetic_graph_instance(self):
+        graph = synthetic_bipartite_graph(1500, 600, seed=0)
+        instance, costs = build_instance(graph, ExperimentConfig(n=300, s=2.0, instances=1, seed=5), 0)
+        oracle = CoverageOracle(instance)
+        eps = max(max(oracle.marginal(i, ()) for i in range(oracle.n)), 1.0) / 50.0
+        _assert_event_loop_matches_ticks(lambda: CoverageOracle(instance), costs, eps, seed=5)
+
+    def test_picks_once_per_event_and_computes_each_marginal_once(self):
+        instance, costs = random_instance(12, 4)
+        oracle = CoverageOracle(instance)
+        schedule = _CountingLex()
+        out = run_descending(oracle, costs, CostScaledDemand(oracle), schedule, 0.05)
+        assert schedule.picks <= oracle.n < out.ticks
+        # n initial prices, one marginal per picked seller that survives
+        # its first tick, one add per winner and the final value.
+        assert oracle.query_count <= oracle.n + schedule.picks + len(out.winners) + 1
+
+    def test_ticks_reported_only_by_the_clock(self):
+        oracle = AdditiveOracle([10.0])
+        out = run_descending(oracle, [3.0], ExactDemand(oracle), LexicographicSchedule(), 0.5)
+        assert out.ticks == 1
+        posted = run_descending_from_online(make_rule("cost-scaled", 1), oracle, [3.0], (0,))
+        assert posted.ticks is None
+        assert "ticks" not in out.to_json()
+
+
 class TestCostScaledDescendingBound:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
@@ -210,6 +356,18 @@ class TestFamilyReproduction:
         assert res["exact_oracle_welfare"] <= 2.0 + 1e-9
         assert res["cost_scaled_welfare"] >= L / 2.0 - 1.0 - 1e-9
         assert res["opt_welfare"] == L - 1
+
+    @pytest.mark.parametrize("L", [10, 50])
+    def test_report_is_pinned(self, L):
+        assert lowerbound_report(L, epsilon=1.0 / (2 * L)) == {
+            "L": L,
+            "epsilon": 1.0 / (2 * L),
+            "opt_welfare": float(L - 1),
+            "exact_oracle_welfare": 2.0,
+            "exact_oracle_winners": [L],
+            "cost_scaled_welfare": float(L - 1),
+            "cost_scaled_winners": list(range(L)),
+        }
 
     def test_opt_welfare_matches_brute_force_at_small_l(self):
         oracle = AdversarialFamilyOracle(10)
