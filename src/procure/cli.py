@@ -43,8 +43,8 @@ def _cmd_experiment(args) -> int:
 
     graph = _load_graph(dataset, seed)
     trace_sink: list | None = [] if args.trace else None
+    epsilon = config.get("epsilon")
     try:
-        epsilon = config.get("epsilon")
         records = harness.experiment_records(
             graph,
             n_values=[int(n) for n in n_values],
@@ -59,7 +59,7 @@ def _cmd_experiment(args) -> int:
             trace_sink=trace_sink,
             workers=args.workers if args.workers is not None else int(config.get("workers", 1)),
         )
-    except (ValueError, OSError) as exc:
+    except harness.ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
     harness.write_csv(records, output, include_timing=not args.no_timing)

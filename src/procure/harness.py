@@ -134,6 +134,16 @@ DEFAULT_MECHANISMS = (
 )
 
 
+_LEX_SCHEDULE = schedule_factory("lex")
+
+
+def _over_cap(spec: MechanismSpec, n: int, vcg_cap: int) -> bool:
+    """Whether the spec needs the exhaustive optimizer and n is past its cap
+    (the run is then skipped)."""
+    exhaustive = spec.name in ("vcg", "opt") or (spec.name == "da" and spec.rule == "exact")
+    return exhaustive and n > vcg_cap
+
+
 def run_mechanism(
     spec: MechanismSpec,
     instance: CoverageInstance,
@@ -143,15 +153,16 @@ def run_mechanism(
     vcg_cap: int = 12,
     epsilon: float | None = None,
     arrival_order: str | None = None,
-    da_schedule: str | Callable[[int], object] = "lex",
+    make_schedule: Callable[[int], object] = _LEX_SCHEDULE,
 ) -> tuple[AuctionOutcome | None, int, str]:
     """Run one mechanism on one instance; (outcome, queries, skip_reason).
 
-    ``da_schedule`` is a schedule selector or a ``schedule_factory``.
+    ``make_schedule`` builds a ``da:`` auction's schedule for n sellers
+    (see ``schedule_factory``).
     """
     oracle = CoverageOracle(instance)
     n = oracle.n
-    if spec.name in ("vcg", "opt", "da") and (spec.name != "da" or spec.rule == "exact") and n > vcg_cap:
+    if _over_cap(spec, n, vcg_cap):
         return None, 0, f"exhaustive-optimizer-cap:{vcg_cap}"
 
     if spec.name == "alloc":
@@ -183,7 +194,6 @@ def run_mechanism(
             demand = ExactDemand(oracle, ExactOptimizerConfig(max_exhaustive_n=vcg_cap))
         else:
             demand = CostScaledDemand(oracle)
-        make_schedule = schedule_factory(da_schedule) if isinstance(da_schedule, str) else da_schedule
         outcome = run_descending(oracle, costs, demand, make_schedule(n), eps)
     return outcome, oracle.query_count, ""
 
@@ -214,7 +224,7 @@ def _instance_records(
         t0 = time.perf_counter()
         outcome, queries, skip = run_mechanism(
             spec, instance, costs, run_seed, vcg_cap=vcg_cap, epsilon=epsilon,
-            arrival_order=arrival_order, da_schedule=make_schedule,
+            arrival_order=arrival_order, make_schedule=make_schedule,
         )
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         mech, rule = spec.label()
@@ -262,19 +272,26 @@ def _pool_task(cell: tuple[int, float, int]) -> list[RunRecord]:
     return records
 
 
+class ConfigError(ValueError):
+    """An experiment setting that fails its check before the first cell."""
+
+
 def _checked_schedule(specs, n_values, vcg_cap, epsilon, da_schedule: str) -> Callable[[int], object] | None:
     """The schedule factory for the descending auctions the matrix runs,
     None if it runs none.  The selector (a scripted file is read here, once)
-    and a configured step are checked for every n that runs one and raise
-    ``ValueError`` before the first cell."""
-    da_ns = [n for n in n_values if any(s.name == "da" and (s.rule != "exact" or n <= vcg_cap) for s in specs)]
+    and a configured step are checked for every n that runs one; a bad one
+    raises ``ConfigError`` before the first cell."""
+    da_ns = [n for n in n_values if any(s.name == "da" and not _over_cap(s, n, vcg_cap) for s in specs)]
     if not da_ns:
         return None
-    if epsilon is not None:
-        _check_step(epsilon)
-    make_schedule = schedule_factory(da_schedule)
-    for n in da_ns:
-        make_schedule(n)
+    try:
+        if epsilon is not None:
+            _check_step(epsilon)
+        make_schedule = schedule_factory(da_schedule)
+        for n in da_ns:
+            make_schedule(n)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
     return make_schedule
 
 
@@ -297,7 +314,8 @@ def experiment_records(
 
     Per-instance seeds derive from (config seed, n, s, index), and records
     are reduced in key order, so the output is identical across reruns and
-    worker counts.  Trace collection forces the serial path.
+    worker counts.  Trace collection forces the serial path.  A bad
+    ``da_schedule`` or ``epsilon`` raises ``ConfigError`` before the first cell.
     """
     specs = [MechanismSpec.parse(m) for m in mechanisms]
     cells = [(n, s, index) for n in n_values for s in s_values for index in range(instances)]

@@ -193,6 +193,18 @@ class TestOrderAndScheduleSelectors:
         assert "schedule" in message or "step size" in message
         assert not (tmp_path / "da.csv").exists()
 
+    @pytest.mark.parametrize("error", [ValueError("cell failed"), OSError("cell failed")])
+    def test_error_inside_a_cell_still_raises(self, tmp_path, monkeypatch, error):
+        from procure import harness
+
+        def failing_run(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(harness, "run_mechanism", failing_run)
+        with pytest.raises(type(error), match="cell failed"):
+            run_cli(["experiment", "--config", str(self._da_config(tmp_path))])
+        assert not (tmp_path / "da.csv").exists()
+
     def test_experiment_checks_da_settings_only_when_a_clock_runs(self, tmp_path):
         config = self._da_config(tmp_path, mechanisms=["posted:cost-scaled"], da_schedule="chaotic", epsilon=0.0)
         assert run_cli(["experiment", "--config", str(config)]) == 0
