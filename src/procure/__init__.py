@@ -29,7 +29,6 @@ from .selection import SelectionTrace, run_meta, run_meta_lazy
 from .sealed_bid import (
     AuctionOutcome,
     CapacityError,
-    ExactOptimizerConfig,
     exact_opt,
     run_sealed_bid,
     run_sealed_bid_lazy,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .online import run_posted_price
 from .scoring import ScoringRule
-from .sealed_bid import AuctionOutcome, DEFAULT_OPT_CONFIG, ExactOptimizerConfig, best_subset
+from .sealed_bid import AuctionOutcome, best_subset
 from .selection import _check_bids
 from .valuation import AdversarialFamilyOracle, ValuationOracle, canonical_set, sum_in_order
 
@@ -62,28 +62,19 @@ class ExactDemand:
 
     Ties prefer smaller sets (then lexicographic), so a seller priced at
     exactly its marginal is not demanded, matching the strict positive-score
-    gates used everywhere else.
+    gates used everywhere else.  More than ``cap`` active sellers raise
+    ``CapacityError``.
     """
 
-    def __init__(self, oracle: ValuationOracle, cfg: ExactOptimizerConfig = DEFAULT_OPT_CONFIG):
+    def __init__(self, oracle: ValuationOracle, *, cap: int = 24):
         self.oracle = oracle
-        self.cfg = cfg
+        self.cap = cap
 
     def begin_run(self) -> None:
         pass
 
     def __call__(self, active: frozenset[int], prices: Sequence[float], prev_selected: int | None) -> frozenset[int]:
-        if len(active) > self.cfg.max_exhaustive_n:
-            from .sealed_bid import CapacityError
-
-            raise CapacityError(f"{len(active)} active sellers exceed the exhaustive cap")
-        demanded, _ = best_subset(
-            self.oracle,
-            prices,
-            active,
-            prefer_small=True,
-            use_bound_pruning=self.cfg.use_bound_pruning,
-        )
+        demanded, _ = best_subset(self.oracle, prices, active, cap=self.cap, prefer_small=True)
         return frozenset(demanded)
 
 
@@ -139,10 +130,6 @@ class CostScaledDemand:
         self._demanded: frozenset[int] = frozenset()
         self._marginals: dict[int, float] = {}
         self._started = False
-
-    @property
-    def tentative(self) -> tuple[int, ...]:
-        return self.scratch.members
 
     def begin_run(self) -> None:
         if self._started:
@@ -272,11 +259,6 @@ def schedule_factory(spec: str):
         with open(spec.split(":", 1)[1]) as fh:
             priority = tuple(int(line) for line in fh if line.strip())
     return partial(_build_schedule, spec, priority)
-
-
-def named_schedule(spec: str, n: int):
-    """Schedule for n sellers from a selector (see ``schedule_factory``)."""
-    return schedule_factory(spec)(n)
 
 
 # ---------------------------------------------------------------------------

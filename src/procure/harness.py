@@ -23,7 +23,6 @@ from .scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, make_rule
 from .selection import run_meta, run_meta_lazy
 from .sealed_bid import (
     AuctionOutcome,
-    ExactOptimizerConfig,
     exact_opt,
     run_sealed_bid,
     run_sealed_bid_lazy,
@@ -157,8 +156,10 @@ def run_mechanism(
 ) -> tuple[AuctionOutcome | None, int, str]:
     """Run one mechanism on one instance; (outcome, queries, skip_reason).
 
-    ``make_schedule`` builds a ``da:`` auction's schedule for n sellers
-    (see ``schedule_factory``).
+    ``queries`` counts the mechanism's own oracle queries; a ``da:`` run's
+    default step reads the initial marginals uncounted.  ``make_schedule``
+    builds a ``da:`` auction's schedule for n sellers (see
+    ``schedule_factory``).
     """
     oracle = CoverageOracle(instance)
     n = oracle.n
@@ -171,9 +172,9 @@ def run_mechanism(
         trace = runner(rule, oracle, costs, seed=RandomSeed(seed))
         outcome = AuctionOutcome(trace.winners, (0.0,) * n, value=oracle.value(trace.winners), trace=trace)
     elif spec.name == "vcg":
-        outcome = run_vcg(oracle, costs, ExactOptimizerConfig(max_exhaustive_n=vcg_cap))
+        outcome = run_vcg(oracle, costs, cap=vcg_cap)
     elif spec.name == "opt":
-        winners, _ = exact_opt(oracle, costs, ExactOptimizerConfig(max_exhaustive_n=vcg_cap))
+        winners, _ = exact_opt(oracle, costs, cap=vcg_cap)
         outcome = AuctionOutcome(winners, (0.0,) * n, value=oracle.value(winners))
     elif spec.name == "sealed":
         rule = make_rule(spec.rule, n)
@@ -188,13 +189,15 @@ def run_mechanism(
         posted = run_posted_price(rule, oracle, costs, order)
         outcome = AuctionOutcome(posted.winners, posted.payments, value=oracle.value(posted.winners))
     else:  # da
-        initial = [oracle.marginal(i, ()) for i in range(n)]
-        eps = epsilon if epsilon is not None else max(max(initial, default=1.0), 1.0) / 50.0
+        if epsilon is None:
+            top = max((oracle.marginal(i, ()) for i in range(n)), default=1.0)
+            epsilon = max(top, 1.0) / 50.0
+            oracle.reset_query_count()  # the default step's reads are not the auction's
         if spec.rule == "exact":
-            demand = ExactDemand(oracle, ExactOptimizerConfig(max_exhaustive_n=vcg_cap))
+            demand = ExactDemand(oracle, cap=vcg_cap)
         else:
             demand = CostScaledDemand(oracle)
-        outcome = run_descending(oracle, costs, demand, make_schedule(n), eps)
+        outcome = run_descending(oracle, costs, demand, make_schedule(n), epsilon)
     return outcome, oracle.query_count, ""
 
 
@@ -358,23 +361,6 @@ def write_csv(records: Sequence[RunRecord], path_or_buf, include_timing: bool = 
     finally:
         if close:
             buf.close()
-
-
-def csv_body(path: str, drop_timing: bool = True) -> str:
-    """Canonical CSV body used for determinism comparisons (no wall time)."""
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    out = []
-    timing_col = CSV_COLUMNS.index("wall_time_ms")
-    for line in lines:
-        if line.startswith("#"):
-            out.append(line)
-            continue
-        cells = next(csv.reader([line]))
-        if drop_timing and len(cells) == len(CSV_COLUMNS):
-            cells = cells[:timing_col] + cells[timing_col + 1 :]
-        out.append(",".join(cells))
-    return "\n".join(out)
 
 
 def bucket_summary(records: Sequence[RunRecord], width: float = 0.1) -> list[dict]:

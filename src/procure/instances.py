@@ -40,10 +40,6 @@ class BipartiteGraph:
     def n_targets(self) -> int:
         return len(self.target_in_degree)
 
-    @property
-    def n_edges(self) -> int:
-        return sum(len(c) for c in self.source_covers.values())
-
     def source_out_degree(self, source: int) -> int:
         return len(self.source_covers[source])
 

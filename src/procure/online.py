@@ -90,14 +90,6 @@ class PostedPriceOutcome:
     def total_payment(self) -> float:
         return sum_in_order(self.payments)
 
-    def to_json(self) -> dict:
-        return {
-            "winners": list(self.winners),
-            "posted_prices": list(self.posted_prices),
-            "payments": list(self.payments),
-            "accepted": list(self.accepted),
-        }
-
 
 def _check_online(rule: ScoringRule) -> None:
     if not rule.diminishing_return:

@@ -23,6 +23,7 @@ later round can raise the payment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -46,15 +47,6 @@ class CapacityError(ValueError):
     """Instance too large for exhaustive optimization; caller must subsample."""
 
 
-@dataclass(frozen=True)
-class ExactOptimizerConfig:
-    max_exhaustive_n: int = 24
-    use_bound_pruning: bool = True
-
-
-DEFAULT_OPT_CONFIG = ExactOptimizerConfig()
-
-
 @dataclass
 class AuctionOutcome:
     """Winners, payments, and the trace that produced them.
@@ -62,7 +54,7 @@ class AuctionOutcome:
     ``payments`` is indexed by seller and zero for losers; ``value`` is
     f(winners) as reported by the oracle that ran the auction.  ``ticks``
     is the number of clock ticks of a descending auction and None for every
-    other mechanism; neither the CSV nor ``to_json`` reports it.
+    other mechanism; the CSV does not report it.
     """
 
     winners: tuple[int, ...]
@@ -82,18 +74,6 @@ class AuctionOutcome:
     def welfare(self, costs: Sequence[float]) -> float:
         """f(winners) minus the winners' true costs."""
         return self.value - sum_in_order(costs[i] for i in self.winners)
-
-    def to_json(self, include_trace: bool = False) -> dict:
-        doc = {
-            "winners": list(self.winners),
-            "payments": list(self.payments),
-            "value": self.value,
-            "total_payment": self.total_payment,
-            "surplus": self.auctioneer_surplus,
-        }
-        if include_trace and self.trace is not None:
-            doc["trace"] = self.trace.to_json()
-        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +237,8 @@ def best_subset(
     costs: Sequence[float],
     candidates: Iterable[int],
     *,
+    cap: int,
     prefer_small: bool = False,
-    use_bound_pruning: bool = True,
 ) -> tuple[tuple[int, ...], float]:
     """argmax over subsets of ``candidates`` of f(S) - sum of costs.
 
@@ -267,9 +247,12 @@ def best_subset(
     max(0, f(j|S) - c_j), valid by submodularity.  Pruning is strict, so
     welfare ties are still explored and resolved deterministically: the
     lexicographically-least maximizer wins, preceded by minimal cardinality
-    when ``prefer_small`` is set (demand-oracle semantics).
+    when ``prefer_small`` is set (demand-oracle semantics).  More than
+    ``cap`` candidates raise ``CapacityError`` before any query.
     """
     cand = sorted(set(candidates))
+    if len(cand) > cap:
+        raise CapacityError(f"{len(cand)} candidates exceed the exhaustive cap {cap}")
     margin0 = {i: oracle.marginal(i, ()) for i in cand}
     order = sorted(cand, key=lambda i: (costs[i] - margin0[i], i))
     gains0 = [max(0.0, margin0[i] - costs[i]) for i in order]
@@ -293,14 +276,13 @@ def best_subset(
         consider(w)
         if idx == len(order):
             return
-        if use_bound_pruning:
-            if w + suffix[idx] < best["w"]:
-                return
-            tight = w
-            for j in range(idx, len(order)):
-                tight += max(0.0, scratch.marginal(order[j]) - costs[order[j]])
-            if tight < best["w"]:
-                return
+        if w + suffix[idx] < best["w"]:
+            return
+        tight = w
+        for j in range(idx, len(order)):
+            tight += max(0.0, scratch.marginal(order[j]) - costs[order[j]])
+        if tight < best["w"]:
+            return
         i = order[idx]
         gain = scratch.marginal(i) - costs[i]
         scratch.add(i)
@@ -318,25 +300,21 @@ def best_subset(
 def exact_opt(
     oracle: ValuationOracle,
     costs: Sequence[float],
-    cfg: ExactOptimizerConfig = DEFAULT_OPT_CONFIG,
     *,
+    cap: int = 24,
     exclude: Iterable[int] = (),
 ) -> tuple[tuple[int, ...], float]:
     """Exact welfare maximizer and its welfare, over sellers not excluded."""
     costs = _check_bids(costs, oracle.n)
     excluded = set(exclude)
-    candidates = [i for i in range(oracle.n) if i not in excluded]
-    if len(candidates) > cfg.max_exhaustive_n:
-        raise CapacityError(
-            f"{len(candidates)} candidates exceed the exhaustive cap {cfg.max_exhaustive_n}"
-        )
-    return best_subset(oracle, costs, candidates, use_bound_pruning=cfg.use_bound_pruning)
+    return best_subset(oracle, costs, [i for i in range(oracle.n) if i not in excluded], cap=cap)
 
 
 def run_vcg(
     oracle: ValuationOracle,
     bids,
-    cfg: ExactOptimizerConfig = DEFAULT_OPT_CONFIG,
+    *,
+    cap: int = 24,
 ) -> AuctionOutcome:
     """Welfare-optimal allocation with externality payments.
 
@@ -345,12 +323,12 @@ def run_vcg(
     f(W), so the auctioneer's surplus is never negative.
     """
     bids = _check_bids(bids, oracle.n)
-    winners, _ = exact_opt(oracle, bids, cfg)
+    winners, _ = exact_opt(oracle, bids, cap=cap)
     value = oracle.value(winners)
     payments = [0.0] * oracle.n
     for i in winners:
         others_cost = sum_in_order(bids[j] for j in winners if j != i)
-        _, welfare_without = exact_opt(oracle, bids, cfg, exclude=(i,))
+        _, welfare_without = exact_opt(oracle, bids, cap=cap, exclude=(i,))
         payments[i] = (value - others_cost) - welfare_without
     return AuctionOutcome(winners, tuple(payments), value=value, trace=None)
 
@@ -385,6 +363,12 @@ def _utility(outcome: AuctionOutcome, i: int, cost: float) -> float:
     return outcome.payments[i] - (cost if i in outcome.winners else 0.0)
 
 
+def _check_tol(tol: float) -> None:
+    """A NaN, negative or infinite tolerance would pass or fail every check."""
+    if not 0.0 <= tol < math.inf:  # False for NaN
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
 def verify_ic(
     runner: MechanismRunner,
     oracle: ValuationOracle,
@@ -398,7 +382,12 @@ def verify_ic(
     For each seller, every deviation bid on a grid spanning [0, 2 f(i|0)]
     is run against the truthful profile of the others (same seed), and the
     seller's utility at its true cost must not improve beyond ``tol``.
+    A grid of fewer than two points, which would check no deviation or
+    only the zero bid, raises ``ValueError``, as does a bad ``tol``.
     """
+    _check_tol(tol)
+    if grid < 2:
+        raise ValueError(f"the deviation grid needs at least two points, got {grid}")
     n = oracle.n
     costs = [float(c) for c in costs]
     truthful = runner(oracle, costs, seed=seed)
@@ -420,11 +409,13 @@ def verify_ic(
 
 def verify_nas(outcome: AuctionOutcome, oracle: ValuationOracle, tol: float = 1e-9) -> bool:
     """True iff the acquired value covers the total payment."""
+    _check_tol(tol)
     return oracle.value(outcome.winners) >= outcome.total_payment - tol
 
 
 def verify_ir(outcome: AuctionOutcome, bids: Sequence[float], tol: float = 1e-9) -> bool:
     """True iff every winner is paid at least its reported bid."""
+    _check_tol(tol)
     return all(outcome.payments[i] >= bids[i] - tol for i in outcome.winners)
 
 

@@ -44,7 +44,7 @@ from .scoring import (
     UnsupportedRuleError,
     as_random_seed,
 )
-from .valuation import ValuationOracle, canonical_set
+from .valuation import ValuationOracle
 
 #: Fewest scored candidates for which a meta-loop round uses the array
 #: kernel; below it numpy's per-call overhead exceeds the scalar loop.
@@ -76,10 +76,6 @@ class SelectionTrace:
     @property
     def winners(self) -> tuple[int, ...]:
         return tuple(sorted(self.order))
-
-    @property
-    def rounds(self) -> int:
-        return self.n
 
     @property
     def tentative_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -134,7 +130,7 @@ class _TrajectoryMinMarginals:
         self._min: dict[int, float] = {}
 
     def marginal(self, i: int) -> float:
-        cur = self.oracle.value(canonical_set(self.members + [i])) - self._value
+        cur = self.oracle.value(self.members + [i]) - self._value
         best = self._min.get(i, math.inf)
         if cur < best:
             best = cur

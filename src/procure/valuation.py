@@ -28,7 +28,6 @@ pairwise, so neither is used for values that reach an output.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -125,15 +124,14 @@ class OracleScratch:
 
     The generic version asks the oracle's own ``_marginal`` about the
     current set, so it returns exactly what ``oracle.marginal(i, members)``
-    would; coverage and family oracles provide O(|cover|) / O(1)
-    incremental subclasses that sum the same terms in the same order.  Each
-    marginal/value read and each add counts one oracle query.
+    would; the coverage oracle provides an O(|cover|) incremental subclass
+    that sums the same terms in the same order.  Each marginal read and
+    each add counts one oracle query; ``remove`` and ``copy`` count none.
     """
 
     def __init__(self, oracle: ValuationOracle):
         self.oracle = oracle
         self._members: set[int] = set()
-        self._value = 0.0
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -141,10 +139,6 @@ class OracleScratch:
 
     def __contains__(self, i: int) -> bool:
         return i in self._members
-
-    def value(self) -> float:
-        self.oracle._queries += 1
-        return self._value
 
     def marginal(self, i: int) -> float:
         if i in self._members:
@@ -161,10 +155,11 @@ class OracleScratch:
         return np.array([self._marginal(i) for i in idx.tolist()], dtype=float)
 
     def add(self, i: int) -> None:
+        """Admit seller i.  Reads no marginal but charges one query, which
+        every reported ``oracle_queries`` count includes."""
         if i in self._members:
             raise ValueError(f"seller {i} already in the set")
         self.oracle._queries += 1
-        self._value += self._marginal(i)
         self._members.add(i)
         self._apply_add(i)
 
@@ -177,7 +172,6 @@ class OracleScratch:
         """
         twin = self.oracle.scratch()
         twin._members = set(self._members)
-        twin._value = self._value
         return twin
 
     def remove(self, i: int) -> None:
@@ -185,7 +179,6 @@ class OracleScratch:
             raise ValueError(f"seller {i} not in the set")
         self._members.remove(i)
         self._apply_remove(i)
-        self._value -= self._marginal(i)
 
     # -- hooks -----------------------------------------------------------
 
@@ -240,13 +233,6 @@ class CoverageInstance:
         if int(doc["n_sets"]) != len(covers):
             raise ValueError("n_sets does not match the covers list")
         return cls(covers=covers, vertex_values=tuple(float(x) for x in doc["vertex_values"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "CoverageInstance":
-        return cls.from_json(json.loads(text))
 
 
 class CoverageOracle(ValuationOracle):
@@ -373,7 +359,8 @@ class AdversarialFamilyOracle(ValuationOracle):
         f(S) = L     otherwise
 
     The companion bid profile is 1/L for unit sellers and L - 2 for the two
-    special sellers.
+    special sellers.  Values are small integers, so the generic marginal
+    f(S + i) - f(S) is exact.
     """
 
     def __init__(self, L: int):
@@ -390,44 +377,6 @@ class AdversarialFamilyOracle(ValuationOracle):
         if s and s[-1] >= self.L:
             return float(self.L)
         return float(len(s))
-
-    def _marginal(self, i: int, s: tuple[int, ...]) -> float:
-        has_special = bool(s) and s[-1] >= self.L
-        if has_special:
-            return 0.0
-        if i >= self.L:
-            return float(self.L - len(s))
-        return 1.0
-
-    def scratch(self) -> "FamilyScratch":
-        return FamilyScratch(self)
-
-
-class FamilyScratch(OracleScratch):
-    def __init__(self, oracle: AdversarialFamilyOracle):
-        super().__init__(oracle)
-        self._specials = 0
-
-    def copy(self) -> "FamilyScratch":
-        twin = super().copy()
-        twin._specials = self._specials
-        return twin
-
-    def _marginal(self, i: int) -> float:
-        L = self.oracle.L
-        if self._specials:
-            return 0.0
-        if i >= L:
-            return float(L - len(self._members))
-        return 1.0
-
-    def _apply_add(self, i: int) -> None:
-        if i >= self.oracle.L:
-            self._specials += 1
-
-    def _apply_remove(self, i: int) -> None:
-        if i >= self.oracle.L:
-            self._specials -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +402,6 @@ class NoisyOracle(ValuationOracle):
         self.epsilon = float(epsilon)
         self.seed = int(seed)
 
-    def perturbation(self, members: Iterable[int]) -> float:
-        s = canonical_set(members)
-        u = stable_hash64(self.seed, len(s), *s) / 2.0**64
-        return 1.0 - self.epsilon + 2.0 * self.epsilon * u
-
     def _value(self, s: tuple[int, ...]) -> float:
-        return self.base._value(s) * self.perturbation(s)
-
-    def _marginal(self, i: int, s: tuple[int, ...]) -> float:
-        # F is not submodular: fall back to the two-evaluation difference.
-        return self._value(canonical_set(s + (i,))) - self._value(s)
+        u = stable_hash64(self.seed, len(s), *s) / 2.0**64
+        return self.base._value(s) * (1.0 - self.epsilon + 2.0 * self.epsilon * u)

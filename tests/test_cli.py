@@ -6,7 +6,19 @@ import pytest
 
 from procure import verification
 from procure.cli import main
-from procure.harness import MechanismSpec, csv_body
+from procure.descending import (
+    AdversarialFamilySchedule,
+    CostScaledDemand,
+    ExactDemand,
+    LexicographicSchedule,
+    RoundRobinSchedule,
+    ScriptedSchedule,
+    run_descending,
+    schedule_factory,
+)
+from procure.harness import MechanismSpec, experiment_records
+from procure.instances import ExperimentConfig, build_instance, synthetic_bipartite_graph
+from procure.valuation import CoverageOracle
 
 
 def run_cli(args):
@@ -32,10 +44,9 @@ class TestExperiment:
     def test_record_cardinality_and_determinism(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = self._config(tmp_path, out1)
-        assert run_cli(["experiment", "--config", str(cfg)]) == 0
-        assert run_cli(["experiment", "--config", str(cfg), "--output", str(out2)]) == 0
-        body1, body2 = csv_body(str(out1)), csv_body(str(out2))
-        assert body1 == body2
+        assert run_cli(["experiment", "--config", str(cfg), "--no-timing"]) == 0
+        assert run_cli(["experiment", "--config", str(cfg), "--no-timing", "--output", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
         rows = [l for l in out1.read_text().splitlines() if l and not l.startswith("#")]
         assert len(rows) - 1 == 2 * 4 * 4  # (s values) x instances x mechanisms
 
@@ -61,9 +72,9 @@ class TestExperiment:
     def test_worker_count_does_not_change_the_body(self, tmp_path):
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         cfg = self._config(tmp_path, out1)
-        run_cli(["experiment", "--config", str(cfg), "--workers", "1"])
-        run_cli(["experiment", "--config", str(cfg), "--workers", "2", "--output", str(out2)])
-        assert csv_body(str(out1)) == csv_body(str(out2))
+        run_cli(["experiment", "--config", str(cfg), "--no-timing", "--workers", "1"])
+        run_cli(["experiment", "--config", str(cfg), "--no-timing", "--workers", "2", "--output", str(out2)])
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestVerify:
@@ -135,31 +146,21 @@ class TestOrderAndScheduleSelectors:
             named_order("sideways", 3)
 
     def test_named_schedules(self, tmp_path):
-        from procure.descending import (
-            AdversarialFamilySchedule,
-            LexicographicSchedule,
-            RoundRobinSchedule,
-            ScriptedSchedule,
-            named_schedule,
-        )
-
-        assert isinstance(named_schedule("lex", 4), LexicographicSchedule)
-        assert isinstance(named_schedule("rr", 4), RoundRobinSchedule)
-        assert isinstance(named_schedule("adversarial-family", 5), AdversarialFamilySchedule)
+        assert isinstance(schedule_factory("lex")(4), LexicographicSchedule)
+        assert isinstance(schedule_factory("rr")(4), RoundRobinSchedule)
+        assert isinstance(schedule_factory("adversarial-family")(5), AdversarialFamilySchedule)
         script = tmp_path / "sched.txt"
         script.write_text("1\n0\n")
-        assert isinstance(named_schedule(f"scripted:{script}", 2), ScriptedSchedule)
+        assert isinstance(schedule_factory(f"scripted:{script}")(2), ScriptedSchedule)
         with pytest.raises(ValueError):
-            named_schedule("chaotic", 4)
+            schedule_factory("chaotic")(4)
 
     @pytest.mark.parametrize("lines", ["0\n7\n", "0\n1\n", "0\n1\n1\n", "2\n1\n0\n3\n", ""])
     def test_scripted_schedule_must_be_a_permutation(self, tmp_path, lines):
-        from procure.descending import named_schedule
-
         script = tmp_path / "sched.txt"
         script.write_text(lines)
         with pytest.raises(ValueError, match="permutation"):
-            named_schedule(f"scripted:{script}", 3)
+            schedule_factory(f"scripted:{script}")(3)
 
     def _da_config(self, tmp_path, **overrides):
         config = {
@@ -267,6 +268,23 @@ def test_mechanism_spec_validation():
         MechanismSpec.parse("posted:distorted")
     with pytest.raises(ValueError):
         MechanismSpec.parse("teleport")
+
+
+@pytest.mark.parametrize("mechanism", ["da:cost-scaled", "da:exact"])
+def test_da_row_counts_only_the_auctions_queries(mechanism):
+    """A ``da:`` row's oracle_queries is the query count of the same
+    ``run_descending`` run on a fresh oracle: the reads that set the
+    default step are not charged to the auction."""
+    graph = synthetic_bipartite_graph(200, 120, seed=3)
+    [record] = experiment_records(graph, [8], [2.0], 1, [mechanism], seed=5)
+    instance, costs = build_instance(graph, ExperimentConfig(n=8, s=2.0, instances=1, seed=5), 0)
+    probe = CoverageOracle(instance)
+    eps = max(max(probe.marginal(i, ()) for i in range(probe.n)), 1.0) / 50.0
+    oracle = CoverageOracle(instance)
+    demand = ExactDemand(oracle, cap=12) if mechanism == "da:exact" else CostScaledDemand(oracle)
+    outcome = run_descending(oracle, costs, demand, LexicographicSchedule(), eps)
+    assert record.oracle_queries == oracle.query_count
+    assert (record.winner_count, record.total_payment) == (len(outcome.winners), outcome.total_payment)
 
 
 def test_console_entrypoint_runs():

@@ -35,7 +35,7 @@ class TestParseEdgeList:
     def test_duplicate_edges_deduplicated(self):
         graph = parse_edge_list("1 2\n1 2\n")
         assert graph.source_covers[1] == (2,)
-        assert graph.n_edges == 1
+        assert graph.target_in_degree == {2: 1}
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(EdgeListParseError) as err:

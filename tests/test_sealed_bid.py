@@ -7,7 +7,6 @@ from procure.scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, Unsupp
 from procure.sealed_bid import (
     AuctionOutcome,
     CapacityError,
-    ExactOptimizerConfig,
     exact_opt,
     run_sealed_bid,
     run_sealed_bid_lazy,
@@ -213,18 +212,16 @@ class TestExactOpt:
     def test_capacity_error(self):
         oracle, costs = random_oracle(71, 5, 8)
         with pytest.raises(CapacityError):
-            exact_opt(oracle, costs, ExactOptimizerConfig(max_exhaustive_n=3))
+            exact_opt(oracle, costs, cap=3)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
     def test_matches_enumeration(self, seed):
         oracle, costs = random_oracle(seed, 2, 9)
         pruned = exact_opt(oracle, costs)
-        plain = exact_opt(oracle, costs, ExactOptimizerConfig(use_bound_pruning=False))
         brute = brute_force_opt(oracle, costs)
         assert pruned[1] == pytest.approx(brute[1], abs=1e-9)
-        assert plain[1] == pytest.approx(brute[1], abs=1e-9)
-        assert plain[0] == brute[0]
+        assert pruned[0] == brute[0]
 
 
 class TestVcg:
@@ -257,6 +254,13 @@ class TestVcg:
         assert verify_ir(out, costs)
 
 
+def _first_price(oracle, bids, seed=None, focus=None):
+    """Pay-your-bid control: the greedy-margin allocation, winners paid their bids."""
+    trace = run_meta(make_rule("greedy-margin", oracle.n), oracle, bids, seed)
+    payments = tuple(bids[i] if i in trace.winners else 0.0 for i in range(oracle.n))
+    return AuctionOutcome(trace.winners, payments, value=oracle.value(trace.winners), trace=trace)
+
+
 class TestVerifyIc:
     def test_sealed_bid_mechanisms_pass(self):
         for seed in range(8):
@@ -266,15 +270,10 @@ class TestVerifyIc:
             assert report.passed, report.violations[:2]
 
     def test_first_price_fixture_fails(self):
-        def first_price(oracle, bids, seed=None, focus=None):
-            trace = run_meta(make_rule("greedy-margin", oracle.n), oracle, bids, seed)
-            payments = tuple(bids[i] if i in trace.winners else 0.0 for i in range(oracle.n))
-            return AuctionOutcome(trace.winners, payments, value=oracle.value(trace.winners), trace=trace)
-
         found = False
         for seed in range(20):
             oracle, costs = random_oracle(seed + 900, 2, 7)
-            report = verify_ic(first_price, oracle, costs, grid=12)
+            report = verify_ic(_first_price, oracle, costs, grid=12)
             if not report.passed:
                 found = True
                 break
@@ -287,6 +286,34 @@ class TestVerifyIc:
         truthful = runner(oracle, [4.0])
         shaded = runner(oracle, [1.0])
         assert truthful.payments == shaded.payments == (10.0,)
+
+
+@pytest.mark.parametrize("mechanism", ["first-price", "sealed"])
+class TestVerificationSettings:
+    """A NaN, negative or infinite tolerance, or an IC grid of fewer than two
+    points, would make a check pass or fail whatever the outcome."""
+
+    @staticmethod
+    def _runner(mechanism, oracle):
+        return _first_price if mechanism == "first-price" else sealed_bid_runner(make_rule("greedy-margin", oracle.n))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+    def test_bad_tolerance_rejected(self, mechanism, tol):
+        oracle, costs = random_oracle(900, 2, 7)
+        runner = self._runner(mechanism, oracle)
+        truthful = runner(oracle, costs)
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_ic(runner, oracle, costs, tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_ir(truthful, costs, tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_nas(truthful, oracle, tol=tol)
+
+    @pytest.mark.parametrize("grid", [-1, 0, 1])
+    def test_grid_below_two_rejected(self, mechanism, grid):
+        oracle, costs = random_oracle(900, 2, 7)
+        with pytest.raises(ValueError, match="two points"):
+            verify_ic(self._runner(mechanism, oracle), oracle, costs, grid=grid)
 
 
 class TestVerifyNas:
