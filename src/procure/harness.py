@@ -218,7 +218,8 @@ def _instance_records(
     """All mechanism rows for one sampled instance."""
     cfg = ExperimentConfig(n=n, s=s, instances=instances, seed=seed)
     instance, costs = build_instance(graph, cfg, index)
-    frac = active_fraction(instance, costs)
+    check_oracle = CoverageOracle(instance)  # apart from each mechanism's own oracle
+    frac = active_fraction(check_oracle, costs)
     instance_id = f"n{n}-s{s:g}-i{index}"
     run_seed = stable_hash64(seed, n, int(s * 1000), index) % 2**31
     records: list[RunRecord] = []
@@ -242,7 +243,6 @@ def _instance_records(
                           elapsed_ms, None, run_seed, skip)
             )
             continue
-        check_oracle = CoverageOracle(instance)
         welfare = check_oracle.value(outcome.winners) - sum_in_order(costs[i] for i in outcome.winners)
         claimed = outcome.welfare(costs)
         if abs(welfare - claimed) > 1e-9:

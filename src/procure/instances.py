@@ -119,11 +119,15 @@ def build_instance(
 
 
 def active_fraction(instance: CoverageInstance | ValuationOracle, costs: Sequence[float]) -> float:
-    """Share of sellers whose initial marginal strictly exceeds their cost."""
+    """Share of sellers whose initial marginal strictly exceeds their cost.
+
+    The initial marginals are read in one ``marginals`` call on a fresh scratch.
+    """
     oracle = instance if isinstance(instance, ValuationOracle) else CoverageOracle(instance)
     if oracle.n == 0:
         return 0.0
-    active = sum(1 for i in range(oracle.n) if oracle.marginal(i, ()) > costs[i])
+    initial = oracle.scratch().marginals(np.arange(oracle.n)).tolist()
+    active = sum(1 for i, m in enumerate(initial) if m > costs[i])
     return active / oracle.n
 
 

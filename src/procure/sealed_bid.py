@@ -383,13 +383,14 @@ def verify_ic(
     is run against the truthful profile of the others (same seed), and the
     seller's utility at its true cost must not improve beyond ``tol``.
     A grid of fewer than two points, which would check no deviation or
-    only the zero bid, raises ``ValueError``, as does a bad ``tol``.
+    only the zero bid, raises ``ValueError``, as do a bad ``tol`` and costs
+    of the wrong length, NaN or negative, before the runner is called.
     """
     _check_tol(tol)
     if grid < 2:
         raise ValueError(f"the deviation grid needs at least two points, got {grid}")
     n = oracle.n
-    costs = [float(c) for c in costs]
+    costs = _check_bids(costs, n)
     truthful = runner(oracle, costs, seed=seed)
     violations: list[IcViolation] = []
     deviations = 0

@@ -14,16 +14,19 @@ over the other remaining sellers (``_greedy_rounds(start=k)``, or
 ``_lazy_greedy`` on the copied heap).
 
 The meta loop's round is an array round: one ``provider.marginals`` call
-(on coverage, a gather from the scratch's cached marginal vector), one
+(on coverage, a gather from the scratch's marginal vector), one
 ``ScoringRule.scores`` call and ``np.argmax``, whose first maximum is the
 lexicographic tie-break because the candidates stay ascending.  Rounds
 that score fewer than ``ARRAY_ROUND_MIN`` candidates, and passes that
 start with fewer, keep the scalar loop (``_scalar_rounds``, also the test
-reference): on a 2-vCPU Xeon VM a clean array round cost about 9 us and
-one that first rebuilds the vector 25-65 us, against about 2 us per
-candidate for the scalar loop, so around 32 candidates the two meet.  The
-lazy heap's seed scores every candidate once, so it is an array round too;
-its re-scores stay scalar reads, a few per admission.
+reference).  On a 2-vCPU Xeon VM, over distorted runs at n = 100-500, a
+clean array round cost 4-5 us and one that first recomputes the sellers an
+admission changed 6-17 us (quartiles; a whole rebuild cost 21-38 us),
+against about 0.85 us per candidate for the scalar loop.  So the two now
+meet at 8-20 candidates; the cut-off stays at 32, which is where they met
+with whole rebuilds.  The lazy heap's seed scores every candidate once, so
+it is an array round too; its re-scores stay scalar reads, a few per
+admission.
 """
 
 from __future__ import annotations

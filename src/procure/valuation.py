@@ -12,15 +12,21 @@ piece of mutable observability state on an otherwise frozen object.
 
 A scratch also answers a whole round at once: ``marginals(idx)`` returns
 the marginals of many sellers as an array and charges one query per index.
-The coverage scratch keeps a marginal vector for all n sellers, recomputed
-on the first ``marginals`` call after the set changed, from a padded
-(width x n) matrix of cover vertex indices that its oracle builds on first
-array use (a sentinel column entry points at a 0.0 value).
+The coverage scratch keeps its own marginal vector for all n sellers.  The
+first ``marginals`` call builds it whole from a padded (width x n) matrix of
+cover vertex indices that the oracle builds on first array use (a sentinel
+entry points at a 0.0 value).  After one admission or removal, the next call
+recomputes only the sellers whose cover holds a vertex that became covered
+or uncovered, found through a vertex-to-sellers index that the oracle also
+builds on first use; after two changes without a read it builds the vector
+whole again.
 
 Summation order: every float reduction here adds left to right
 (``sum_in_order``), and the array kernel adds the masked vertex values
 column by column in cover order, which is the same order; adding 0.0 for a
 covered vertex is exact, so scalar and array marginals agree bit for bit.
+The partial rebuild recomputes each seller with the scalar kernel rather
+than subtracting the flipped values, so it keeps those bits too.
 Python >= 3.12 ``sum()`` compensates rounding and numpy's ``sum`` is
 pairwise, so neither is used for values that reach an output.
 """
@@ -244,6 +250,7 @@ class CoverageOracle(ValuationOracle):
         self.covers = tuple(tuple(sorted(set(c))) for c in instance.covers)
         self.vertex_values = instance.vertex_values
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._holders: tuple[tuple[int, ...], ...] | None = None
 
     def _value(self, s: tuple[int, ...]) -> float:
         covered: set[int] = set()
@@ -277,18 +284,35 @@ class CoverageOracle(ValuationOracle):
             self._arrays = (np.ascontiguousarray(matrix.T), values)
         return self._arrays
 
+    def _vertex_holders(self) -> tuple[tuple[int, ...], ...]:
+        """The sellers whose cover holds each vertex, ascending; built once."""
+        if self._holders is None:
+            holders: list[list[int]] = [[] for _ in self.vertex_values]
+            for i, cov in enumerate(self.covers):
+                for v in cov:
+                    holders[v].append(i)
+            self._holders = tuple(map(tuple, holders))
+        return self._holders
+
 
 class CoverageScratch(OracleScratch):
     """Coverage counts per vertex; marginal queries cost O(|cover(i)|).
 
-    ``marginals`` reads a cached vector of every seller's marginal, rebuilt
-    after the set changed in a handful of numpy operations per cover column.
+    ``marginals`` reads a vector of every seller's marginal.  The first read
+    builds it whole; the first change after a read records the vertices
+    whose coverage flipped (count 0 <-> 1), and the next read recomputes
+    only the sellers that hold one, each from scratch with the scalar
+    kernel.  A second change before that read drops the vector instead, so
+    scratches used only for scalar reads never track flips.  Along a run
+    that only admits, each vertex flips at most once, so the partial reads
+    of the whole run recompute each seller at most |cover| times.
     """
 
     def __init__(self, oracle: CoverageOracle):
         super().__init__(oracle)
         self._counts = [0] * len(oracle.vertex_values)
         self._vector: np.ndarray | None = None
+        self._flipped: list[int] | None = None
 
     def _marginal(self, i: int) -> float:
         counts = self._counts
@@ -305,25 +329,51 @@ class CoverageScratch(OracleScratch):
             for row in matrix:  # one cover position at a time: left to right
                 vector += live[row]
             self._vector = vector
+        elif self._flipped is not None:
+            holders = self.oracle._vertex_holders()
+            stale: set[int] = set()
+            for v in self._flipped:
+                stale.update(holders[v])
+            vector = self._vector
+            for i in stale:
+                vector[i] = self._marginal(i)
+            self._flipped = None
         return self._vector[idx]
 
     def copy(self) -> "CoverageScratch":
-        """Copies the counts; the marginal vector is shared, since a change
-        of set replaces it rather than writing into it."""
+        """Copies the counts, and the marginal vector with its pending flips:
+        each scratch updates its own vector in place."""
         twin = super().copy()
         twin._counts = self._counts.copy()
-        twin._vector = self._vector
+        if self._vector is not None:
+            twin._vector = self._vector.copy()
+            twin._flipped = None if self._flipped is None else self._flipped.copy()
         return twin
 
     def _apply_add(self, i: int) -> None:
-        self._vector = None
-        for v in self.oracle.covers[i]:
-            self._counts[v] += 1
+        self._shift(i, 1)
 
     def _apply_remove(self, i: int) -> None:
-        self._vector = None
+        self._shift(i, -1)
+
+    def _shift(self, i: int, step: int) -> None:
+        """Moves the counts of i's cover by ``step`` (+1 admits, -1 removes).
+
+        The first change after a read records the vertices whose coverage
+        flipped; a second one drops the vector, so the next read builds it
+        whole.
+        """
+        if self._vector is not None and self._flipped is None:
+            log = self._flipped = []
+        else:
+            log = None
+            self._vector = self._flipped = None
+        counts = self._counts
+        flipped_at = 1 if step > 0 else 0
         for v in self.oracle.covers[i]:
-            self._counts[v] -= 1
+            counts[v] += step
+            if log is not None and counts[v] == flipped_at:
+                log.append(v)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,19 @@ class TestActiveFraction:
         instance = CoverageInstance(covers=((0,),), vertex_values=(2.0,))
         assert active_fraction(instance, [1.0]) == 1.0
 
+    @pytest.mark.parametrize("source", ["random", "synthetic"])
+    def test_equals_the_count_of_scalar_initial_marginals(self, source):
+        if source == "random":
+            cases = [random_instance(n, seed) for n in (1, 5, 40, 90) for seed in range(3)]
+        else:
+            graph = synthetic_bipartite_graph(n_sources=300, n_targets=150, seed=3)
+            cases = [build_instance(graph, ExperimentConfig(n=n, s=s, seed=2), 0) for n in (20, 60) for s in (1.0, 4.0)]
+        for instance, costs in cases:
+            oracle = CoverageOracle(instance)
+            active = sum(1 for i in range(oracle.n) if oracle.marginal(i, ()) > costs[i])
+            assert active_fraction(instance, costs) == active / oracle.n
+            assert active_fraction(oracle, costs) == active / oracle.n
+
     def test_fraction_decreases_in_s(self):
         graph = synthetic_bipartite_graph(n_sources=300, n_targets=150, seed=3)
         s_grid = [1.0, 2.0, 4.0, 8.0]

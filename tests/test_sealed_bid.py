@@ -279,6 +279,20 @@ class TestVerifyIc:
                 break
         assert found, "pay-your-bid control never produced an IC violation"
 
+    @pytest.mark.parametrize("costs", [[1.0, 2.0], [1.0, math.nan, 2.0], [1.0, -0.5, 2.0]],
+                             ids=["wrong-length", "nan", "negative"])
+    def test_bad_costs_rejected_before_the_runner(self, costs):
+        """The costs are checked even when the runner checks no bids itself."""
+        calls = []
+
+        def unchecked(oracle, bids, seed=None, focus=None):
+            calls.append(bids)
+            return AuctionOutcome((), (0.0,) * oracle.n, value=0.0)
+
+        with pytest.raises(ValueError, match="bids"):
+            verify_ic(unchecked, AdditiveOracle([3.0, 3.0, 3.0]), costs)
+        assert calls == []
+
     def test_deviation_below_cost_keeps_payment(self):
         oracle = AdditiveOracle([10.0])
         rule = make_rule("greedy-margin", 1)

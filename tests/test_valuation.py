@@ -13,7 +13,8 @@ from procure.valuation import (
     CoverageOracle,
     NoisyOracle,
 )
-from conftest import random_oracle
+from procure.selection import ARRAY_ROUND_MIN
+from conftest import random_oracle, synthetic_instances
 
 
 class TestCoverage:
@@ -197,6 +198,107 @@ def test_scratch_copy_is_an_independent_checkpoint(make_oracle):
     assert [twin.marginal(i) for i in range(3, oracle.n)] == [oracle.marginal(i, (0, 1)) for i in range(3, oracle.n)]
     assert [scratch.marginal(i) for i in range(3, oracle.n)] == [oracle.marginal(i, (0, 2)) for i in range(3, oracle.n)]
     assert scratch.marginals(np.arange(3, oracle.n)).tolist() == [oracle.marginal(i, (0, 2)) for i in range(3, oracle.n)]
+
+
+def _assert_exact_vector(oracle, scratch):
+    """The scratch's marginals equal a fresh scratch's full build and the
+    scalar marginals, bit for bit."""
+    members = scratch.members
+    outside = np.array([i for i in range(oracle.n) if i not in scratch], dtype=np.intp)
+    fresh = oracle.scratch()
+    for i in members:
+        fresh.add(i)
+    got = scratch.marginals(outside).tolist()
+    assert got == fresh.marginals(outside).tolist()
+    assert got == [oracle.marginal(i, members) for i in outside.tolist()]
+
+
+def _coverage_oracle(seed: int, synthetic: bool) -> CoverageOracle:
+    """A coverage oracle with at least ``ARRAY_ROUND_MIN`` sellers: sparse
+    random covers, or overlapping ones cut from a synthetic graph."""
+    if synthetic:
+        return CoverageOracle(synthetic_instances(3)[seed % 3][0])
+    return random_oracle(seed, ARRAY_ROUND_MIN, 2 * ARRAY_ROUND_MIN)[0]
+
+
+_SCRATCH_OPS = st.lists(
+    st.tuples(st.sampled_from(["add", "add", "remove", "copy", "read", "read"]), st.integers(0, 10**6)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), _SCRATCH_OPS)
+def test_partial_rebuild_equals_full_build_exactly(seed, synthetic, ops):
+    """Any sequence of adds, removes, copies and reads leaves every scratch's
+    vector equal to a fresh full build and to the scalar marginals."""
+    oracle = _coverage_oracle(seed, synthetic)
+    assert oracle.n >= ARRAY_ROUND_MIN
+    scratches = [oracle.scratch()]
+    for op, r in ops:
+        scratch = scratches[r % len(scratches)]
+        members = scratch.members
+        if op == "add" and len(members) < oracle.n:
+            outside = [i for i in range(oracle.n) if i not in scratch]
+            scratch.add(outside[r % len(outside)])
+        elif op == "remove" and members:
+            scratch.remove(members[r % len(members)])
+        elif op == "copy":
+            scratches.append(scratch.copy())
+        elif op == "read" and len(members) < oracle.n:
+            _assert_exact_vector(oracle, scratch)
+    for scratch in scratches:
+        if len(scratch.members) < oracle.n:
+            _assert_exact_vector(oracle, scratch)
+
+
+def test_copy_and_original_each_update_their_own_vector():
+    """After a copy, the twin and the original admit different sellers and
+    each reads the marginals of its own set; a copy taken between a change
+    and the next read takes the pending flips along."""
+    oracle = _coverage_oracle(0, synthetic=True)
+    scratch = oracle.scratch()
+    scratch.marginals(np.arange(oracle.n))
+    twin = scratch.copy()
+    a, b = 0, 1
+    assert any(oracle.marginal(j, (a,)) != oracle.marginal(j, (b,)) for j in range(2, oracle.n))
+    scratch.add(a)
+    twin.add(b)
+    assert scratch._flipped and twin._flipped  # one change each: partial reads
+    _assert_exact_vector(oracle, scratch)
+    _assert_exact_vector(oracle, twin)
+    assert scratch._vector is not twin._vector
+    scratch.add(2)
+    pending = scratch.copy()
+    assert pending._flipped == scratch._flipped
+    pending.add(3)  # a second change: the pending copy drops its vector
+    assert pending._vector is None and scratch._vector is not None
+    _assert_exact_vector(oracle, scratch)
+    _assert_exact_vector(oracle, pending)
+    late = twin.copy()
+    twin.add(4)
+    late_copy = twin.copy()
+    _assert_exact_vector(oracle, late_copy)
+    _assert_exact_vector(oracle, twin)
+    _assert_exact_vector(oracle, late)
+
+
+def test_two_changes_without_a_read_drop_the_vector():
+    """The first change after a read is recorded; a second one drops the
+    vector, and the next read builds it whole without the vertex index."""
+    oracle = _coverage_oracle(1, synthetic=True)
+    scratch = oracle.scratch()
+    scratch.marginals(np.arange(oracle.n))
+    scratch.add(0)
+    assert scratch._vector is not None and scratch._flipped is not None
+    scratch.add(1)
+    assert scratch._vector is None and scratch._flipped is None
+    _assert_exact_vector(oracle, scratch)
+    assert scratch._vector is not None and oracle._holders is None
+    scratch.remove(1)
+    _assert_exact_vector(oracle, scratch)
+    assert oracle._holders is not None
 
 
 class TestAdversarialFamily:
