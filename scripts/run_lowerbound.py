@@ -18,7 +18,7 @@ def main() -> int:
     args = parser.parse_args()
     print(f"{'L':>5} {'epsilon':>9} {'OPT':>8} {'exact oracle':>13} {'cost-scaled':>12}")
     for L in args.levels:
-        res = lowerbound_report(L, epsilon=1.0 / (2 * L))
+        res = lowerbound_report(L)
         print(
             f"{L:>5} {res['epsilon']:>9.4g} {res['opt_welfare']:>8.4g} "
             f"{res['exact_oracle_welfare']:>13.4g} {res['cost_scaled_welfare']:>12.4g}"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .descending import CostScaledDemand, ExactDemand, _check_step, run_descending, schedule_factory
 from .instances import BipartiteGraph, ExperimentConfig, active_fraction, build_instance
-from .online import named_order, order_random, run_posted_price
+from .online import check_order, named_order, order_random, run_posted_price
 from .scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, make_rule
 from .selection import run_meta, run_meta_lazy
 from .sealed_bid import (
@@ -156,8 +156,8 @@ def run_mechanism(
 ) -> tuple[AuctionOutcome | None, int, str]:
     """Run one mechanism on one instance; (outcome, queries, skip_reason).
 
-    ``queries`` counts the mechanism's own oracle queries; a ``da:`` run's
-    default step reads the initial marginals uncounted.  ``make_schedule``
+    ``queries`` counts the mechanism's own oracle queries only, not a ``da:``
+    default step's reads or a ``worst-of`` order's search.  ``make_schedule``
     builds a ``da:`` auction's schedule for n sellers (see
     ``schedule_factory``).
     """
@@ -184,8 +184,8 @@ def run_mechanism(
         rule = make_rule(spec.rule, n)
         if arrival_order is None:
             order = order_random(n, seed)
-        else:
-            order = named_order(arrival_order, n, rule=rule, oracle=oracle, costs=costs)
+        else:  # a worst-of search runs on its own oracle: its queries are not the auction's
+            order = named_order(arrival_order, n, rule=rule, oracle=CoverageOracle(instance), costs=costs)
         posted = run_posted_price(rule, oracle, costs, order)
         outcome = AuctionOutcome(posted.winners, posted.payments, value=oracle.value(posted.winners))
     else:  # da
@@ -279,15 +279,21 @@ class ConfigError(ValueError):
     """An experiment setting that fails its check before the first cell."""
 
 
-def _checked_schedule(specs, n_values, vcg_cap, epsilon, da_schedule: str) -> Callable[[int], object] | None:
+def _checked_config(
+    specs, n_values, vcg_cap, epsilon, da_schedule: str, arrival_order: str | None
+) -> Callable[[int], object] | None:
     """The schedule factory for the descending auctions the matrix runs,
     None if it runs none.  The selector (a scripted file is read here, once)
-    and a configured step are checked for every n that runs one; a bad one
+    and a configured step are checked for every n that runs one, and the
+    arrival order for every n when a ``posted:`` mechanism runs; a bad one
     raises ``ConfigError`` before the first cell."""
     da_ns = [n for n in n_values if any(s.name == "da" and not _over_cap(s, n, vcg_cap) for s in specs)]
-    if not da_ns:
-        return None
+    orders = arrival_order is not None and any(s.name == "posted" for s in specs)
     try:
+        for n in n_values if orders else ():
+            check_order(arrival_order, n)
+        if not da_ns:
+            return None
         if epsilon is not None:
             _check_step(epsilon)
         make_schedule = schedule_factory(da_schedule)
@@ -318,11 +324,12 @@ def experiment_records(
     Per-instance seeds derive from (config seed, n, s, index), and records
     are reduced in key order, so the output is identical across reruns and
     worker counts.  Trace collection forces the serial path.  A bad
-    ``da_schedule`` or ``epsilon`` raises ``ConfigError`` before the first cell.
+    ``da_schedule``, ``epsilon`` or (when a ``posted:`` mechanism runs)
+    ``arrival_order`` raises ``ConfigError`` before the first cell.
     """
     specs = [MechanismSpec.parse(m) for m in mechanisms]
     cells = [(n, s, index) for n in n_values for s in s_values for index in range(instances)]
-    make_schedule = _checked_schedule(specs, n_values, vcg_cap, epsilon, da_schedule)
+    make_schedule = _checked_config(specs, n_values, vcg_cap, epsilon, da_schedule, arrival_order)
     records: list[RunRecord] = []
     if workers > 1 and trace_sink is None and len(cells) > 1:
         from concurrent.futures import ProcessPoolExecutor

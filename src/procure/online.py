@@ -52,9 +52,9 @@ def order_random(n: int, seed: int) -> tuple[int, ...]:
 def named_order(spec: str, n: int, *, rule=None, oracle=None, costs=None) -> tuple[int, ...]:
     """Arrival order from a CLI-style selector.
 
-    Accepts "identity", "reverse", "random:<seed>", "worst-of:<m>" (needs
-    the rule/oracle/costs to search over), or "file:<path>" with one seller
-    index per line.
+    Accepts "identity", "reverse", "random:<seed>", "worst-of:<m>" (m >= 1
+    samples; needs the rule/oracle/costs to search over), or "file:<path>"
+    with one seller index per line.
     """
     if spec == "identity":
         return order_identity(n)
@@ -148,6 +148,19 @@ def run_posted_price(
     )
 
 
+def check_order(spec: str, n: int) -> None:
+    """``named_order``'s checks of ``spec`` for n sellers, without a search."""
+    if spec.startswith("worst-of:"):
+        _check_samples(int(spec.split(":", 1)[1]))
+    else:
+        named_order(spec, n)
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"worst-of orders need at least one sample, got {samples}")
+
+
 def worst_sampled_order(
     rule: ScoringRule,
     oracle: ValuationOracle,
@@ -155,7 +168,8 @@ def worst_sampled_order(
     samples: int,
     seed: int,
 ) -> tuple[int, ...]:
-    """The welfare-minimizing order among ``samples`` random permutations."""
+    """The welfare-minimizing order among ``samples`` (at least one) random permutations."""
+    _check_samples(samples)
     _check_online(rule)
     worst_order = order_identity(oracle.n)
     worst_welfare = None

@@ -11,7 +11,9 @@ payments of ``sealed_bid``: at each winner's admission the sealed-bid
 mechanism copies the provider (``copy()``) and, on the lazy path, the heap
 with every entry stamped stale, then resumes the loop from that checkpoint
 over the other remaining sellers (``_greedy_rounds(start=k)``, or
-``_lazy_greedy`` on the copied heap).
+``_lazy_greedy`` on the copied heap).  The provider is the oracle's own
+scratch; the noisy rule reads it through ``_TrajectoryMinMarginals``, a
+running minimum of its marginals, scalar or array alike.
 
 The meta loop's round is an array round: one ``provider.marginals`` call
 (on coverage, a gather from the scratch's marginal vector), one
@@ -32,7 +34,6 @@ admission.
 from __future__ import annotations
 
 import bisect
-import copy
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -118,48 +119,44 @@ def _check_bids(bids, n: int) -> list[float]:
 
 
 class _TrajectoryMinMarginals:
-    """Running minimum of noisy marginals over the trajectory of tentatives.
+    """Running minimum of an oracle scratch's marginals over the trajectory.
 
     The noisy rule scores candidate i in round j with
     min over t <= j of F(i | S_{t-1}); since the tentative set changes only
-    on admission, folding the current set's marginal into a per-candidate
-    minimum every round reproduces that trajectory minimum.
+    on admission, folding the scratch's current marginal into a
+    per-candidate minimum every round reproduces that trajectory minimum.
+    On a coverage oracle the current marginal is that minimum, bit for bit
+    (a left-to-right sum over fewer nonnegative terms is never larger).
     """
 
-    def __init__(self, oracle: ValuationOracle):
-        self.oracle = oracle
-        self.members: list[int] = []
-        self._value = oracle.value(())
-        self._min: dict[int, float] = {}
+    def __init__(self, scratch, minima: np.ndarray | None = None):
+        self.scratch = scratch
+        self._min = np.full(scratch.oracle.n, math.inf) if minima is None else minima
 
     def marginal(self, i: int) -> float:
-        cur = self.oracle.value(self.members + [i]) - self._value
-        best = self._min.get(i, math.inf)
-        if cur < best:
-            best = cur
+        cur = self.scratch.marginal(i)
+        if cur < self._min[i]:
             self._min[i] = cur
-        return best
+            return cur
+        return float(self._min[i])
 
     def marginals(self, idx: np.ndarray) -> np.ndarray:
-        return np.array([self.marginal(i) for i in idx.tolist()], dtype=float)
+        best = np.minimum(self._min[idx], self.scratch.marginals(idx))
+        self._min[idx] = best
+        return best
 
     def copy(self) -> "_TrajectoryMinMarginals":
         """An independent provider with the same set and running minima."""
-        twin = copy.copy(self)
-        twin.members = self.members.copy()
-        twin._min = self._min.copy()
-        return twin
+        return _TrajectoryMinMarginals(self.scratch.copy(), self._min.copy())
 
     def add(self, i: int) -> None:
-        self.members.append(i)
-        self._value = self.oracle.value(self.members)
+        self.scratch.add(i)
 
 
 def _marginal_provider(rule: ScoringRule, oracle: ValuationOracle):
-    """The oracle scratch, or the trajectory minimum for the noisy rule."""
-    if rule.kind == "noisy-distorted":
-        return _TrajectoryMinMarginals(oracle)
-    return oracle.scratch()
+    """The oracle scratch, under the trajectory minimum for the noisy rule."""
+    scratch = oracle.scratch()
+    return _TrajectoryMinMarginals(scratch) if rule.kind == "noisy-distorted" else scratch
 
 
 def _validate_rule(rule: ScoringRule, oracle: ValuationOracle) -> None:

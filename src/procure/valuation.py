@@ -455,3 +455,29 @@ class NoisyOracle(ValuationOracle):
     def _value(self, s: tuple[int, ...]) -> float:
         u = stable_hash64(self.seed, len(s), *s) / 2.0**64
         return self.base._value(s) * (1.0 - self.epsilon + 2.0 * self.epsilon * u)
+
+    def scratch(self) -> "NoisyScratch":
+        return NoisyScratch(self)
+
+
+class NoisyScratch(OracleScratch):
+    """Keeps F(S) of the current set: a marginal is F(S + i) - F(S), one
+    perturbed value, with the bits of the oracle's own two-value marginal.
+    F(empty) = f(empty) * m = 0."""
+
+    def __init__(self, oracle: NoisyOracle):
+        super().__init__(oracle)
+        self._set_value = 0.0
+
+    def _marginal(self, i: int) -> float:
+        return self.oracle._value(canonical_set((*self._members, i))) - self._set_value
+
+    def copy(self) -> "NoisyScratch":
+        twin = super().copy()
+        twin._set_value = self._set_value
+        return twin
+
+    def _apply_add(self, i: int) -> None:
+        self._set_value = self.oracle._value(self.members)
+
+    _apply_remove = _apply_add

@@ -404,12 +404,14 @@ def descending_bound_suite(
     return report
 
 
-def lowerbound_report(L: int, epsilon: float) -> dict:
-    """Both demand oracles on the adversarial family under its schedule."""
+def lowerbound_report(L: int, epsilon: float | None = None) -> dict:
+    """Both demand oracles on the adversarial family under its schedule; the step defaults to 1/(2L)."""
     from .valuation import AdversarialFamilyOracle
 
     if L < 2:
-        raise ValueError(f"L must be at least 2, got {L}")
+        raise ValueError("L must be at least 2")
+    if epsilon is None:
+        epsilon = 1.0 / (2 * L)
     if epsilon >= 1.0 / L:
         raise ValueError(f"step size must be below 1/L = {1.0 / L:.4g}, got {epsilon}")
     oracle = AdversarialFamilyOracle(L)
@@ -433,16 +435,25 @@ def lowerbound_report(L: int, epsilon: float) -> dict:
     }
 
 
+def lowerbound_failures(res: dict) -> list[str]:
+    """Where a ``lowerbound_report`` misses the separation: exact demand
+    must end at welfare <= 2, cost-scaled demand at >= L/2 - 1."""
+    L, exact, scaled = res["L"], res["exact_oracle_welfare"], res["cost_scaled_welfare"]
+    failures = []
+    if exact > 2.0 + 1e-9:
+        failures.append(f"L={L}: exact-oracle welfare {exact:.4g} > 2")
+    if scaled < L / 2.0 - 1.0 - 1e-9:
+        failures.append(f"L={L}: cost-scaled welfare {scaled:.4g} < L/2 - 1")
+    return failures
+
+
 def descending_family_suite(levels: tuple[int, ...] = (10, 50, 100)) -> SuiteReport:
     """Exact demand collapses on the family; cost-scaled demand does not."""
     report = SuiteReport(name="descending-family")
     for L in levels:
-        res = lowerbound_report(L, epsilon=1.0 / (2 * L))
+        res = lowerbound_report(L)
         report.checks += 1
-        if res["exact_oracle_welfare"] > 2.0 + 1e-9:
-            report.fail(f"L={L}: exact-oracle welfare {res['exact_oracle_welfare']:.4g} > 2")
-        if res["cost_scaled_welfare"] < L / 2.0 - 1.0 - 1e-9:
-            report.fail(f"L={L}: cost-scaled welfare {res['cost_scaled_welfare']:.4g} < L/2 - 1")
+        report.failures += lowerbound_failures(res)
         report.extra[f"L={L}"] = {
             "exact": res["exact_oracle_welfare"],
             "cost_scaled": res["cost_scaled_welfare"],

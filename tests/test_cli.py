@@ -16,8 +16,11 @@ from procure.descending import (
     run_descending,
     schedule_factory,
 )
-from procure.harness import MechanismSpec, experiment_records
-from procure.instances import ExperimentConfig, build_instance, synthetic_bipartite_graph
+from procure.harness import CSV_COLUMNS, MechanismSpec, experiment_records
+from procure.instances import ExperimentConfig, build_instance, random_instance, synthetic_bipartite_graph
+from procure.online import run_posted_price, worst_sampled_order
+from procure.scoring import make_rule
+from procure.selection import ARRAY_ROUND_MIN
 from procure.valuation import CoverageOracle
 
 
@@ -144,6 +147,38 @@ class TestOrderAndScheduleSelectors:
         assert named_order(f"file:{perm}", 3) == (2, 0, 1)
         with pytest.raises(ValueError):
             named_order("sideways", 3)
+
+    @pytest.mark.parametrize("spec", ["worst-of:0", "worst-of:-3"])
+    def test_worst_of_needs_a_sample(self, spec):
+        from procure.online import named_order, worst_sampled_order
+
+        instance, costs = random_instance(6, 1)
+        rule, oracle = make_rule("cost-scaled", 6), CoverageOracle(instance)
+        with pytest.raises(ValueError, match="at least one sample"):
+            named_order(spec, 6, rule=rule, oracle=oracle, costs=costs)
+        with pytest.raises(ValueError, match="at least one sample"):
+            worst_sampled_order(rule, oracle, costs, samples=int(spec.split(":")[1]), seed=0)
+
+    @pytest.mark.parametrize("order", ["worst-of:x", "worst-of:0", "sideways", "file:{missing}", "file:{short}"])
+    def test_experiment_rejects_bad_arrival_order_before_running(self, tmp_path, monkeypatch, capsys, order):
+        from procure import harness
+
+        short = tmp_path / "short.txt"
+        short.write_text("0\n1\n")
+        order = order.format(missing=tmp_path / "missing.txt", short=short)
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the configuration was checked")
+
+        monkeypatch.setattr(harness, "_instance_records", no_cell)
+        config = self._da_config(tmp_path, mechanisms=["alloc:distorted", "posted:cost-scaled"], arrival_order=order)
+        assert run_cli(["experiment", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.strip()
+        assert not (tmp_path / "da.csv").exists()
+
+    def test_experiment_checks_the_arrival_order_only_when_a_posted_run_uses_it(self, tmp_path):
+        config = self._da_config(tmp_path, mechanisms=["alloc:greedy-margin"], arrival_order="worst-of:0")
+        assert run_cli(["experiment", "--config", str(config)]) == 0
 
     def test_named_schedules(self, tmp_path):
         assert isinstance(schedule_factory("lex")(4), LexicographicSchedule)
@@ -285,6 +320,39 @@ def test_da_row_counts_only_the_auctions_queries(mechanism):
     outcome = run_descending(oracle, costs, demand, LexicographicSchedule(), eps)
     assert record.oracle_queries == oracle.query_count
     assert (record.winner_count, record.total_payment) == (len(outcome.winners), outcome.total_payment)
+
+
+def test_posted_row_does_not_count_the_worst_of_search():
+    """A ``posted:`` row with a ``worst-of`` order counts the run on the chosen
+    order, on a fresh oracle, plus the one value read of its winners."""
+    graph = synthetic_bipartite_graph(200, 120, seed=3)
+    [record] = experiment_records(graph, [12], [2.0], 1, ["posted:cost-scaled"], seed=5, arrival_order="worst-of:4")
+    instance, costs = build_instance(graph, ExperimentConfig(n=12, s=2.0, instances=1, seed=5), 0)
+    rule = make_rule("cost-scaled", 12)
+    order = worst_sampled_order(rule, CoverageOracle(instance), costs, samples=4, seed=0)
+    oracle = CoverageOracle(instance)
+    posted = run_posted_price(rule, oracle, costs, order)
+    assert record.oracle_queries == oracle.query_count + 1
+    assert (record.winner_count, record.total_payment) == (len(posted.winners), posted.total_payment)
+
+
+def test_noisy_rows_equal_distorted_rows():
+    """The harness runs the noisy rule with eps = 0 on the plain coverage
+    oracle, where the running minimum of the scratch's marginals is the
+    current marginal: its rows equal the distorted rule's, queries included,
+    on both sides of the array-round cut-off."""
+    graph = synthetic_bipartite_graph(200, 120, seed=3)
+    n_values = [ARRAY_ROUND_MIN - 12, ARRAY_ROUND_MIN + 16]
+    mechanisms = ["alloc:distorted", "alloc:noisy-distorted", "sealed:distorted", "sealed:noisy-distorted"]
+    records = experiment_records(graph, n_values, [1.0], 2, mechanisms, seed=5)
+    rows = {(r.instance_id, r.mechanism, r.rule): r.row(include_timing=False) for r in records}
+    assert len(rows) == 16
+    rule_column = CSV_COLUMNS.index("rule")
+    for (instance_id, mechanism, rule), row in rows.items():
+        if rule == "noisy-distorted":
+            distorted = rows[instance_id, mechanism, "distorted"]
+            assert row[:rule_column] + row[rule_column + 1:] == distorted[:rule_column] + distorted[rule_column + 1:]
+    assert any(int(row[CSV_COLUMNS.index("winner_count")]) > 1 for row in rows.values())
 
 
 def test_console_entrypoint_runs():

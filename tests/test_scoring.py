@@ -262,7 +262,7 @@ class TestDiminishingFlag:
 def test_random_seed_batches_are_stable():
     seed = RandomSeed(123)
     assert seed.round_batch(3, 50, 4) == seed.round_batch(3, 50, 4)
-    assert seed.round_batch(3, 50, 4) != seed.round_batch(4, 50, 4) or True  # rounds may collide but rarely
+    assert any(seed.round_batch(k, 50, 4) != seed.round_batch(3, 50, 4) for k in range(4, 13))  # rounds draw anew
     assert RandomSeed(123).round_pick(2, 50) == seed.round_pick(2, 50)
 
 

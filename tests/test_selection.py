@@ -286,4 +286,4 @@ def test_noisy_provider_copy_keeps_the_running_minima():
     assert [twin.marginal(i) for i in range(1, base.n)] == [provider.marginal(i) for i in range(1, base.n)]
     assert all(m <= f for m, f in zip((twin.marginal(i) for i in range(1, base.n)), first))
     twin.add(1)
-    assert provider.members == [0] and twin.members == [0, 1]
+    assert provider.scratch.members == (0,) and twin.scratch.members == (0, 1)
