@@ -29,36 +29,32 @@ def _load_graph(dataset: str, seed: int):
         return parse_edge_list(fh)
 
 
+# Config key -> ``experiment_records`` keyword; every default lives in the
+# harness.  "dataset", "output" and "seed" (which also seeds a synthetic
+# graph) are read here.
+EXPERIMENT_KEYS = {
+    "n": "n_values", "s": "s_values", "instances": "instances", "mechanisms": "mechanisms",
+    "vcg_cap": "vcg_cap", "epsilon": "epsilon", "arrival_order": "arrival_order",
+    "da_schedule": "da_schedule", "workers": "workers",
+}
+
+
 def _cmd_experiment(args) -> int:
     config = {}
     if args.config:
         config = json.loads(Path(args.config).read_text())
     dataset = args.dataset or config.get("dataset", "synthetic")
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    n_values = config.get("n", [100])
-    s_values = config.get("s", [2])
-    instances = int(config.get("instances", 10))
-    mechanisms = config.get("mechanisms", list(harness.DEFAULT_MECHANISMS))
     output = args.output or config.get("output", "experiment.csv")
-
-    graph = _load_graph(dataset, seed)
+    settings = {EXPERIMENT_KEYS[key]: value for key, value in config.items() if key in EXPERIMENT_KEYS}
+    if args.workers is not None:
+        settings["workers"] = args.workers
     trace_sink: list | None = [] if args.trace else None
-    epsilon = config.get("epsilon")
     try:
-        records = harness.experiment_records(
-            graph,
-            n_values=[int(n) for n in n_values],
-            s_values=[float(s) for s in s_values],
-            instances=instances,
-            mechanisms=mechanisms,
-            seed=seed,
-            vcg_cap=int(config.get("vcg_cap", 12)),
-            epsilon=None if epsilon is None else float(epsilon),
-            arrival_order=config.get("arrival_order"),
-            da_schedule=config.get("da_schedule", "lex"),
-            trace_sink=trace_sink,
-            workers=args.workers if args.workers is not None else int(config.get("workers", 1)),
-        )
+        unknown = sorted(set(config) - set(EXPERIMENT_KEYS) - {"dataset", "output", "seed"})
+        if unknown:
+            raise harness.ConfigError(f"unknown config keys {unknown}")
+        records = harness.experiment_records(_load_graph(dataset, seed), seed=seed, trace_sink=trace_sink, **settings)
     except harness.ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -79,23 +75,27 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        report = verification.run_suite(args.suite, trials=args.trials, seed=args.seed)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    report = verification.run_suite(args.suite, trials=args.trials, seed=args.seed)
     print(json.dumps(report.to_json(), indent=2, default=str))
     return 0 if report.passed else 1
 
 
 def _cmd_lowerbound(args) -> int:
     try:
-        res = verification.lowerbound_report(args.L, args.epsilon)
+        reports = [verification.lowerbound_report(L, args.epsilon) for L in args.L]
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    print(json.dumps(res, indent=2))
-    return 1 if verification.lowerbound_failures(res) else 0
+    for res in reports:
+        print(json.dumps(res))
+    return 1 if any(verification.lowerbound_failures(res) for res in reports) else 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cmd_gen_instance(args) -> int:
@@ -149,12 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("suite", choices=sorted(verification.SUITES))
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("lowerbound", help="adversarial family under both demand oracles")
-    p.add_argument("L", type=int)
+    p = sub.add_parser("lowerbound", help="adversarial family under both demand oracles, one JSON line per L")
+    p.add_argument("L", type=int, nargs="+")
     p.add_argument("--epsilon", type=float, default=None)
     p.set_defaults(fn=_cmd_lowerbound)
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .descending import CostScaledDemand, ExactDemand, _check_step, run_descending, schedule_factory
 from .instances import BipartiteGraph, ExperimentConfig, active_fraction, build_instance
-from .online import check_order, named_order, order_random, run_posted_price
+from .online import order_factory, order_random, run_posted_price
 from .scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, make_rule
 from .selection import run_meta, run_meta_lazy
 from .sealed_bid import (
@@ -133,9 +134,6 @@ DEFAULT_MECHANISMS = (
 )
 
 
-_LEX_SCHEDULE = schedule_factory("lex")
-
-
 def _over_cap(spec: MechanismSpec, n: int, vcg_cap: int) -> bool:
     """Whether the spec needs the exhaustive optimizer and n is past its cap
     (the run is then skipped)."""
@@ -149,17 +147,18 @@ def run_mechanism(
     costs: Sequence[float],
     seed: int,
     *,
-    vcg_cap: int = 12,
-    epsilon: float | None = None,
-    arrival_order: str | None = None,
-    make_schedule: Callable[[int], object] = _LEX_SCHEDULE,
+    vcg_cap: int,
+    epsilon: float | None,
+    make_order: Callable[..., tuple[int, ...]] | None,
+    make_schedule: Callable[[int], object] | None,
 ) -> tuple[AuctionOutcome | None, int, str]:
     """Run one mechanism on one instance; (outcome, queries, skip_reason).
 
     ``queries`` counts the mechanism's own oracle queries only, not a ``da:``
-    default step's reads or a ``worst-of`` order's search.  ``make_schedule``
-    builds a ``da:`` auction's schedule for n sellers (see
-    ``schedule_factory``).
+    default step's reads or a ``worst-of`` order's search.  ``make_order``
+    builds a ``posted:`` run's arrival order (see ``order_factory``; None
+    draws a random one from ``seed``) and ``make_schedule`` a ``da:``
+    auction's schedule for n sellers (see ``schedule_factory``).
     """
     oracle = CoverageOracle(instance)
     n = oracle.n
@@ -182,10 +181,10 @@ def run_mechanism(
         outcome = runner(rule, oracle, costs, seed=RandomSeed(seed))
     elif spec.name == "posted":
         rule = make_rule(spec.rule, n)
-        if arrival_order is None:
+        if make_order is None:
             order = order_random(n, seed)
         else:  # a worst-of search runs on its own oracle: its queries are not the auction's
-            order = named_order(arrival_order, n, rule=rule, oracle=CoverageOracle(instance), costs=costs)
+            order = make_order(n, rule=rule, oracle=CoverageOracle(instance), costs=costs)
         posted = run_posted_price(rule, oracle, costs, order)
         outcome = AuctionOutcome(posted.winners, posted.payments, value=oracle.value(posted.winners))
     else:  # da
@@ -203,33 +202,25 @@ def run_mechanism(
 
 def _instance_records(
     graph: BipartiteGraph,
-    n: int,
-    s: float,
-    index: int,
     specs: Sequence[MechanismSpec],
-    instances: int,
-    seed: int,
-    vcg_cap: int,
-    epsilon: float | None,
-    arrival_order: str | None,
-    make_schedule: Callable[[int], object] | None,
-    want_traces: bool,
+    run: Callable[..., tuple[AuctionOutcome | None, int, str]],
+    cell: tuple[ExperimentConfig, int],
+    want_traces: bool = False,
 ) -> tuple[list[RunRecord], list[dict]]:
-    """All mechanism rows for one sampled instance."""
-    cfg = ExperimentConfig(n=n, s=s, instances=instances, seed=seed)
+    """All mechanism rows for one sampled instance; ``run`` is
+    ``run_mechanism`` with the experiment's checked settings bound."""
+    cfg, index = cell
+    n, s = cfg.n, cfg.s
     instance, costs = build_instance(graph, cfg, index)
     check_oracle = CoverageOracle(instance)  # apart from each mechanism's own oracle
     frac = active_fraction(check_oracle, costs)
     instance_id = f"n{n}-s{s:g}-i{index}"
-    run_seed = stable_hash64(seed, n, int(s * 1000), index) % 2**31
+    run_seed = stable_hash64(cfg.seed, n, int(s * 1000), index) % 2**31
     records: list[RunRecord] = []
     traces: list[dict] = []
     for spec in specs:
         t0 = time.perf_counter()
-        outcome, queries, skip = run_mechanism(
-            spec, instance, costs, run_seed, vcg_cap=vcg_cap, epsilon=epsilon,
-            arrival_order=arrival_order, make_schedule=make_schedule,
-        )
+        outcome, queries, skip = run(spec, instance, costs, run_seed)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         mech, rule = spec.label()
         if want_traces and outcome is not None and outcome.trace is not None:
@@ -257,60 +248,17 @@ def _instance_records(
     return records, traces
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(graph, specs, instances, seed, vcg_cap, epsilon, arrival_order, make_schedule):
-    _POOL_STATE["graph"] = graph
-    _POOL_STATE["args"] = (specs, instances, seed, vcg_cap, epsilon, arrival_order, make_schedule)
-
-
-def _pool_task(cell: tuple[int, float, int]) -> list[RunRecord]:
-    n, s, index = cell
-    specs, instances, seed, vcg_cap, epsilon, arrival_order, make_schedule = _POOL_STATE["args"]
-    records, _ = _instance_records(
-        _POOL_STATE["graph"], n, s, index, specs, instances, seed,
-        vcg_cap, epsilon, arrival_order, make_schedule, want_traces=False,
-    )
-    return records
-
-
 class ConfigError(ValueError):
     """An experiment setting that fails its check before the first cell."""
 
 
-def _checked_config(
-    specs, n_values, vcg_cap, epsilon, da_schedule: str, arrival_order: str | None
-) -> Callable[[int], object] | None:
-    """The schedule factory for the descending auctions the matrix runs,
-    None if it runs none.  The selector (a scripted file is read here, once)
-    and a configured step are checked for every n that runs one, and the
-    arrival order for every n when a ``posted:`` mechanism runs; a bad one
-    raises ``ConfigError`` before the first cell."""
-    da_ns = [n for n in n_values if any(s.name == "da" and not _over_cap(s, n, vcg_cap) for s in specs)]
-    orders = arrival_order is not None and any(s.name == "posted" for s in specs)
-    try:
-        for n in n_values if orders else ():
-            check_order(arrival_order, n)
-        if not da_ns:
-            return None
-        if epsilon is not None:
-            _check_step(epsilon)
-        make_schedule = schedule_factory(da_schedule)
-        for n in da_ns:
-            make_schedule(n)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return make_schedule
-
-
 def experiment_records(
     graph: BipartiteGraph,
-    n_values: Sequence[int],
-    s_values: Sequence[float],
-    instances: int,
-    mechanisms: Sequence[str],
-    seed: int,
+    n_values: Sequence[int] = (100,),
+    s_values: Sequence[float] = (2.0,),
+    instances: int = 10,
+    mechanisms: Sequence[str] = DEFAULT_MECHANISMS,
+    seed: int = 0,
     *,
     vcg_cap: int = 12,
     epsilon: float | None = None,
@@ -323,28 +271,59 @@ def experiment_records(
 
     Per-instance seeds derive from (config seed, n, s, index), and records
     are reduced in key order, so the output is identical across reruns and
-    worker counts.  Trace collection forces the serial path.  A bad
-    ``da_schedule``, ``epsilon`` or (when a ``posted:`` mechanism runs)
-    ``arrival_order`` raises ``ConfigError`` before the first cell.
+    worker counts.  Trace collection forces the serial path.
+
+    Every setting is checked once, before the first cell, and a bad one
+    raises ``ConfigError``: the mechanism selectors; each (n, s) cell's
+    ``ExperimentConfig`` (n >= 1, s finite and >= 1, ``instances`` >= 1)
+    with n at most the graph's source count; ``workers`` >= 1; the arrival
+    order (a file is read here, once) when a ``posted:`` mechanism runs; and
+    ``da_schedule`` (for every n) and ``epsilon`` when a ``da:`` mechanism
+    runs below the cap.  The cells and pool workers all read the one plan
+    built from the checked settings.
     """
-    specs = [MechanismSpec.parse(m) for m in mechanisms]
-    cells = [(n, s, index) for n in n_values for s in s_values for index in range(instances)]
-    make_schedule = _checked_config(specs, n_values, vcg_cap, epsilon, da_schedule, arrival_order)
+    try:
+        specs = [MechanismSpec.parse(m) for m in mechanisms]
+        configs = [ExperimentConfig(n=int(n), s=float(s), instances=int(instances), seed=seed)
+                   for n in n_values for s in s_values]
+        if not specs or not configs:
+            raise ValueError("an experiment needs at least one mechanism, n and s")
+        ns = sorted({cfg.n for cfg in configs})
+        if ns[-1] > graph.n_sources:
+            raise ValueError(f"cannot sample {ns[-1]} of {graph.n_sources} set nodes")
+        vcg_cap, workers = int(vcg_cap), int(workers)
+        if workers < 1:
+            raise ValueError(f"worker count must be at least 1, got {workers}")
+        make_order = make_schedule = None
+        if arrival_order is not None and any(s.name == "posted" for s in specs):
+            make_order = order_factory(arrival_order)
+            if not arrival_order.startswith("worst-of:"):  # a search needs an instance; it yields a permutation
+                for n in ns:
+                    make_order(n)
+        da_ns = [n for n in ns if any(s.name == "da" and not _over_cap(s, n, vcg_cap) for s in specs)]
+        if da_ns:
+            if epsilon is not None:
+                epsilon = float(epsilon)
+                _check_step(epsilon)
+            make_schedule = schedule_factory(da_schedule)
+            for n in da_ns:
+                make_schedule(n)
+    except (ValueError, TypeError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+    run = partial(run_mechanism, vcg_cap=vcg_cap, epsilon=epsilon, make_order=make_order, make_schedule=make_schedule)
+    plan = partial(_instance_records, graph, specs, run)
+    cells = [(cfg, index) for cfg in configs for index in range(cfg.instances)]
     records: list[RunRecord] = []
     if workers > 1 and trace_sink is None and len(cells) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        initargs = (graph, specs, instances, seed, vcg_cap, epsilon, arrival_order, make_schedule)
         chunk = max(1, len(cells) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=initargs) as pool:
-            for recs in pool.map(_pool_task, cells, chunksize=chunk):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for recs, _ in pool.map(plan, cells, chunksize=chunk):
                 records.extend(recs)
     else:
-        for n, s, index in cells:
-            recs, traces = _instance_records(
-                graph, n, s, index, specs, instances, seed, vcg_cap, epsilon,
-                arrival_order, make_schedule, want_traces=trace_sink is not None,
-            )
+        for cell in cells:
+            recs, traces = plan(cell, want_traces=trace_sink is not None)
             records.extend(recs)
             if trace_sink is not None:
                 trace_sink.extend(traces)

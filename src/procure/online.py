@@ -19,6 +19,7 @@ from-scratch marginal over the admitted set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,27 +50,44 @@ def order_random(n: int, seed: int) -> tuple[int, ...]:
     return tuple(int(i) for i in rng.permutation(n))
 
 
-def named_order(spec: str, n: int, *, rule=None, oracle=None, costs=None) -> tuple[int, ...]:
-    """Arrival order from a CLI-style selector.
+def order_factory(spec: str):
+    """Parse an arrival-order selector once; returns a picklable
+    ``(n, *, rule=None, oracle=None, costs=None) -> order``.
 
     Accepts "identity", "reverse", "random:<seed>", "worst-of:<m>" (m >= 1
-    samples; needs the rule/oracle/costs to search over), or "file:<path>"
-    with one seller index per line.
+    samples; an order is then searched for and needs the rule, oracle and
+    costs), or "file:<path>" with one seller index per line.  A file is read
+    here, once, and an unknown selector or a bad count raises ``ValueError``
+    here; a file order that is not a permutation of ``range(n)`` raises when
+    the order for n is built.
     """
-    if spec == "identity":
+    kind, _, arg = spec.partition(":")
+    if spec in ("identity", "reverse"):
+        param = None
+    elif kind in ("random", "worst-of") and arg:
+        param = int(arg)
+        if kind == "worst-of" and param < 1:
+            raise ValueError(f"worst-of orders need at least one sample, got {param}")
+    elif kind == "file" and arg:
+        with open(arg) as fh:
+            param = tuple(int(line) for line in fh if line.strip())
+    else:
+        raise ValueError(f"unknown arrival order {spec!r}")
+    return partial(_build_order, kind, param)
+
+
+def _build_order(kind: str, param, n: int, *, rule=None, oracle=None, costs=None) -> tuple[int, ...]:
+    if kind == "identity":
         return order_identity(n)
-    if spec == "reverse":
+    if kind == "reverse":
         return order_reverse(n)
-    if spec.startswith("random:"):
-        return order_random(n, int(spec.split(":", 1)[1]))
-    if spec.startswith("worst-of:"):
-        if rule is None or oracle is None or costs is None:
-            raise ValueError("worst-of orders need the rule, oracle, and costs")
-        return worst_sampled_order(rule, oracle, costs, samples=int(spec.split(":", 1)[1]), seed=0)
-    if spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            return as_arrival_order((int(line) for line in fh if line.strip()), n)
-    raise ValueError(f"unknown arrival order {spec!r}")
+    if kind == "random":
+        return order_random(n, param)
+    if kind == "file":
+        return as_arrival_order(param, n)
+    if rule is None or oracle is None or costs is None:
+        raise ValueError("worst-of orders need the rule, oracle, and costs")
+    return worst_sampled_order(rule, oracle, costs, samples=param, seed=0)
 
 
 @dataclass
@@ -148,19 +166,6 @@ def run_posted_price(
     )
 
 
-def check_order(spec: str, n: int) -> None:
-    """``named_order``'s checks of ``spec`` for n sellers, without a search."""
-    if spec.startswith("worst-of:"):
-        _check_samples(int(spec.split(":", 1)[1]))
-    else:
-        named_order(spec, n)
-
-
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"worst-of orders need at least one sample, got {samples}")
-
-
 def worst_sampled_order(
     rule: ScoringRule,
     oracle: ValuationOracle,
@@ -169,7 +174,8 @@ def worst_sampled_order(
     seed: int,
 ) -> tuple[int, ...]:
     """The welfare-minimizing order among ``samples`` (at least one) random permutations."""
-    _check_samples(samples)
+    if samples < 1:
+        raise ValueError(f"worst-of orders need at least one sample, got {samples}")
     _check_online(rule)
     worst_order = order_identity(oracle.n)
     worst_welfare = None

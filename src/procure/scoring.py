@@ -81,11 +81,6 @@ class RandomSeed:
         rng = np.random.default_rng(stable_hash64(self.seed, k))
         return frozenset(int(x) for x in rng.integers(0, n, size=size))
 
-    def round_pick(self, k: int, n: int) -> int:
-        """The single uniform draw r(k)."""
-        rng = np.random.default_rng(stable_hash64(self.seed, k))
-        return int(rng.integers(0, n))
-
 
 def as_random_seed(seed) -> RandomSeed:
     if seed is None:

@@ -78,11 +78,15 @@ def sample_instance(rng: np.random.Generator, n_lo: int = 2, n_hi: int = 10):
     return CoverageOracle(instance), costs
 
 
-def suite_rule(name: str, oracle: ValuationOracle, noise_seed: int = 0, noise_epsilon: float = 0.05):
+#: The noise level of the noisy rule in the property suites.
+SUITE_NOISE_EPSILON = 0.05
+
+
+def suite_rule(name: str, oracle: ValuationOracle, noise_seed: int = 0):
     """Rule plus the oracle the mechanism should see (noisy rules wrap it)."""
     if name == "noisy-distorted":
-        rule = make_rule(name, oracle.n, noise_epsilon=noise_epsilon)
-        return rule, NoisyOracle(oracle, noise_epsilon, seed=noise_seed)
+        rule = make_rule(name, oracle.n, noise_epsilon=SUITE_NOISE_EPSILON)
+        return rule, NoisyOracle(oracle, SUITE_NOISE_EPSILON, seed=noise_seed)
     return make_rule(name, oracle.n), oracle
 
 
@@ -94,14 +98,13 @@ def suite_rule(name: str, oracle: ValuationOracle, noise_seed: int = 0, noise_ep
 def feasibility_suite(
     trials: int = 500,
     seed: int = 0,
-    rules=DETERMINISTIC_RULES,
     grid: int = 20,
     tol: float = 1e-9,
     parts: tuple[str, ...] = ("ic", "ir", "nas"),
 ) -> SuiteReport:
     """IC on a deviation grid plus IR and NAS on the truthful run."""
     report = SuiteReport(name="+".join(parts))
-    for rule_index, rule_name in enumerate(rules):
+    for rule_index, rule_name in enumerate(DETERMINISTIC_RULES):
         rng = np.random.default_rng(stable_hash64(seed, rule_index))
         for t in range(trials):
             base, costs = sample_instance(rng)

@@ -18,7 +18,7 @@ from procure.descending import (
 )
 from procure.harness import CSV_COLUMNS, MechanismSpec, experiment_records
 from procure.instances import ExperimentConfig, build_instance, random_instance, synthetic_bipartite_graph
-from procure.online import run_posted_price, worst_sampled_order
+from procure.online import order_factory, run_posted_price, worst_sampled_order
 from procure.scoring import make_rule
 from procure.selection import ARRAY_ROUND_MIN
 from procure.valuation import CoverageOracle
@@ -91,6 +91,13 @@ class TestVerify:
             run_cli(["verify", "bogus", "--trials", "5"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_usage_error(self, capsys, trials):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", "nas", "--trials", trials])
+        assert err.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+
 
 class TestLowerbound:
     def test_report(self, capsys):
@@ -99,6 +106,13 @@ class TestLowerbound:
         assert doc["opt_welfare"] == 9.0
         assert doc["exact_oracle_welfare"] <= 2.0
         assert doc["cost_scaled_welfare"] >= 4.0
+
+    def test_one_line_per_family_size(self, capsys, monkeypatch):
+        assert run_cli(["lowerbound", "10", "12"]) == 0
+        assert [json.loads(line)["L"] for line in capsys.readouterr().out.splitlines()] == [10, 12]
+        monkeypatch.setattr(verification, "lowerbound_failures", lambda res: ["missed"] if res["L"] == 12 else [])
+        assert run_cli(["lowerbound", "10", "12"]) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_epsilon_precondition_usage_error(self, capsys):
         assert run_cli(["lowerbound", "10", "--epsilon", "0.5"]) == 2
@@ -137,25 +151,21 @@ class TestGenInstance:
 
 class TestOrderAndScheduleSelectors:
     def test_named_orders(self, tmp_path):
-        from procure.online import named_order
-
-        assert named_order("identity", 3) == (0, 1, 2)
-        assert named_order("reverse", 3) == (2, 1, 0)
-        assert sorted(named_order("random:5", 6)) == list(range(6))
+        assert order_factory("identity")(3) == (0, 1, 2)
+        assert order_factory("reverse")(3) == (2, 1, 0)
+        assert sorted(order_factory("random:5")(6)) == list(range(6))
         perm = tmp_path / "order.txt"
         perm.write_text("2\n0\n1\n")
-        assert named_order(f"file:{perm}", 3) == (2, 0, 1)
+        assert order_factory(f"file:{perm}")(3) == (2, 0, 1)
         with pytest.raises(ValueError):
-            named_order("sideways", 3)
+            order_factory("sideways")
 
     @pytest.mark.parametrize("spec", ["worst-of:0", "worst-of:-3"])
     def test_worst_of_needs_a_sample(self, spec):
-        from procure.online import named_order, worst_sampled_order
-
         instance, costs = random_instance(6, 1)
         rule, oracle = make_rule("cost-scaled", 6), CoverageOracle(instance)
         with pytest.raises(ValueError, match="at least one sample"):
-            named_order(spec, 6, rule=rule, oracle=oracle, costs=costs)
+            order_factory(spec)
         with pytest.raises(ValueError, match="at least one sample"):
             worst_sampled_order(rule, oracle, costs, samples=int(spec.split(":")[1]), seed=0)
 
@@ -263,6 +273,40 @@ class TestOrderAndScheduleSelectors:
         )
         assert run_cli(["experiment", "--config", str(config), "--no-timing"]) == 0
         assert opened == [str(script)]
+
+    def test_order_file_is_read_once(self, tmp_path, monkeypatch):
+        from procure import online
+
+        order = tmp_path / "order.txt"
+        order.write_text("\n".join(str(i) for i in (5, 3, 1, 0, 2, 4)) + "\n")
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(online, "open", counting_open, raising=False)
+        config = self._da_config(
+            tmp_path, n=[6], s=[1, 2], instances=3, arrival_order=f"file:{order}",
+            mechanisms=["posted:cost-scaled", "posted:greedy-margin"],
+        )
+        assert run_cli(["experiment", "--config", str(config), "--no-timing"]) == 0
+        assert opened == [str(order)]
+
+    @pytest.mark.parametrize("bad", [
+        {"n": [0]}, {"n": [6, 100000]}, {"s": [0.5]}, {"s": [float("nan")]}, {"instances": 0},
+        {"workers": 0}, {"mechanism": ["alloc:distorted"]}, {"mechanisms": ["sealed:nonsense"]},
+    ])
+    def test_experiment_rejects_bad_settings_before_running(self, tmp_path, monkeypatch, capsys, bad):
+        from procure import harness
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the configuration was checked")
+
+        monkeypatch.setattr(harness, "_instance_records", no_cell)
+        assert run_cli(["experiment", "--config", str(self._da_config(tmp_path, **bad))]) == 2
+        assert capsys.readouterr().err.strip()
+        assert not (tmp_path / "da.csv").exists()
 
     def test_experiment_with_posted_and_da(self, tmp_path):
         out = tmp_path / "mix.csv"

@@ -167,7 +167,8 @@ class TestStochastic:
         seed = RandomSeed(9)
         trace = run_meta(rule, oracle, costs, seed=seed)
         for i, k in trace.chosen_at.items():
-            assert i == seed.round_pick(k, oracle.n)
+            [pick] = seed.round_batch(k, oracle.n, 1)
+            assert i == pick
 
     def test_sampling_saves_oracle_queries(self):
         oracle, costs = random_oracle(53, 10, 14)
