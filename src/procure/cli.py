@@ -44,7 +44,7 @@ def _cmd_experiment(args) -> int:
     if args.config:
         config = json.loads(Path(args.config).read_text())
     dataset = args.dataset or config.get("dataset", "synthetic")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
     output = args.output or config.get("output", "experiment.csv")
     settings = {EXPERIMENT_KEYS[key]: value for key, value in config.items() if key in EXPERIMENT_KEYS}
     if args.workers is not None:
@@ -54,6 +54,8 @@ def _cmd_experiment(args) -> int:
         unknown = sorted(set(config) - set(EXPERIMENT_KEYS) - {"dataset", "output", "seed"})
         if unknown:
             raise harness.ConfigError(f"unknown config keys {unknown}")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise harness.ConfigError(f"seed must be an integer, got {seed!r}")
         records = harness.experiment_records(_load_graph(dataset, seed), seed=seed, trace_sink=trace_sink, **settings)
     except harness.ConfigError as exc:
         print(exc, file=sys.stderr)

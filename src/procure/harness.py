@@ -29,7 +29,7 @@ from .sealed_bid import (
     run_sealed_bid_lazy,
     run_vcg,
 )
-from .valuation import CoverageInstance, CoverageOracle, stable_hash64, sum_in_order
+from .valuation import CoverageInstance, CoverageOracle, stable_hash64, welfare
 
 CSV_SCHEMA = 1
 
@@ -234,14 +234,14 @@ def _instance_records(
                           elapsed_ms, None, run_seed, skip)
             )
             continue
-        welfare = check_oracle.value(outcome.winners) - sum_in_order(costs[i] for i in outcome.winners)
+        achieved = welfare(check_oracle, costs, outcome.winners)
         claimed = outcome.welfare(costs)
-        if abs(welfare - claimed) > 1e-9:
+        if abs(achieved - claimed) > 1e-9:
             raise AssertionError(
-                f"report-time welfare {welfare!r} disagrees with mechanism claim {claimed!r}"
+                f"report-time welfare {achieved!r} disagrees with mechanism claim {claimed!r}"
             )
         records.append(
-            RunRecord(instance_id, n, s, frac, mech, rule, welfare,
+            RunRecord(instance_id, n, s, frac, mech, rule, achieved,
                       outcome.auctioneer_surplus, outcome.total_payment,
                       len(outcome.winners), elapsed_ms, queries, run_seed)
         )
@@ -271,7 +271,7 @@ def experiment_records(
 
     Per-instance seeds derive from (config seed, n, s, index), and records
     are reduced in key order, so the output is identical across reruns and
-    worker counts.  Trace collection forces the serial path.
+    worker counts.
 
     Every setting is checked once, before the first cell, and a bad one
     raises ``ConfigError``: the mechanism selectors; each (n, s) cell's
@@ -311,22 +311,21 @@ def experiment_records(
     except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     run = partial(run_mechanism, vcg_cap=vcg_cap, epsilon=epsilon, make_order=make_order, make_schedule=make_schedule)
-    plan = partial(_instance_records, graph, specs, run)
+    plan = partial(_instance_records, graph, specs, run, want_traces=trace_sink is not None)
     cells = [(cfg, index) for cfg in configs for index in range(cfg.instances)]
-    records: list[RunRecord] = []
-    if workers > 1 and trace_sink is None and len(cells) > 1:
+    if workers > 1 and len(cells) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, len(cells) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for recs, _ in pool.map(plan, cells, chunksize=chunk):
-                records.extend(recs)
+            results = list(pool.map(plan, cells, chunksize=chunk))
     else:
-        for cell in cells:
-            recs, traces = plan(cell, want_traces=trace_sink is not None)
-            records.extend(recs)
-            if trace_sink is not None:
-                trace_sink.extend(traces)
+        results = map(plan, cells)
+    records: list[RunRecord] = []
+    for recs, traces in results:  # in cell order, on either path
+        records.extend(recs)
+        if trace_sink is not None:
+            trace_sink.extend(traces)
     records.sort(key=RunRecord.key)
     return records
 
@@ -349,13 +348,17 @@ def write_csv(records: Sequence[RunRecord], path_or_buf, include_timing: bool = 
             buf.close()
 
 
-def bucket_summary(records: Sequence[RunRecord], width: float = 0.1) -> list[dict]:
+#: Width of an active-fraction bucket in ``bucket_summary``.
+BUCKET_WIDTH = 0.1
+
+
+def bucket_summary(records: Sequence[RunRecord]) -> list[dict]:
     """Mean welfare grouped by (n, mechanism, rule, active-fraction bucket)."""
     groups: dict[tuple, list[float]] = {}
     for rec in records:
         if rec.welfare is None:
             continue
-        bucket = min(int(rec.active_fraction / width), int(1.0 / width) - 1)
+        bucket = min(int(rec.active_fraction / BUCKET_WIDTH), int(1.0 / BUCKET_WIDTH) - 1)
         groups.setdefault((rec.n, rec.mechanism, rec.rule, bucket), []).append(rec.welfare)
     rows = []
     for (n, mech, rule, bucket), welfares in sorted(groups.items()):
@@ -364,8 +367,8 @@ def bucket_summary(records: Sequence[RunRecord], width: float = 0.1) -> list[dic
                 "n": n,
                 "mechanism": mech,
                 "rule": rule,
-                "bucket_lo": round(bucket * width, 3),
-                "bucket_hi": round((bucket + 1) * width, 3),
+                "bucket_lo": round(bucket * BUCKET_WIDTH, 3),
+                "bucket_hi": round((bucket + 1) * BUCKET_WIDTH, 3),
                 "count": len(welfares),
                 "mean_welfare": float(np.mean(welfares)),
             }

@@ -26,7 +26,7 @@ import numpy as np
 
 from .scoring import ScoringRule, UnsupportedRuleError
 from .selection import _check_bids
-from .valuation import ValuationOracle, canonical_set, sum_in_order
+from .valuation import ValuationOracle, canonical_set, sum_in_order, welfare
 
 
 def as_arrival_order(order: Iterable[int], n: int) -> tuple[int, ...]:
@@ -182,7 +182,7 @@ def worst_sampled_order(
     for s in range(samples):
         order = order_random(oracle.n, seed + s)
         winners = run_online_meta(rule, oracle, costs, order)
-        welfare = oracle.value(winners) - sum_in_order(costs[i] for i in winners)
-        if worst_welfare is None or welfare < worst_welfare:
-            worst_welfare, worst_order = welfare, order
+        achieved = welfare(oracle, costs, winners)
+        if worst_welfare is None or achieved < worst_welfare:
+            worst_welfare, worst_order = achieved, order
     return worst_order

@@ -35,7 +35,7 @@ gate and, for the noisy rule, the trajectory minimum of the marginals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,15 +71,21 @@ class RandomSeed:
     """Deterministic source of the per-round draws used by stochastic rules.
 
     The batch drawn in round k depends only on (seed, k), so allocation and
-    payment re-runs sharing a seed see identical draws.
+    payment re-runs sharing a seed see identical draws.  Each batch is drawn
+    once per object and kept; the kept batches take no part in equality.
     """
 
     seed: int = 0
+    _batches: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def round_batch(self, k: int, n: int, size: int) -> frozenset[int]:
         """Sample ``size`` sellers uniformly with replacement for round k."""
-        rng = np.random.default_rng(stable_hash64(self.seed, k))
-        return frozenset(int(x) for x in rng.integers(0, n, size=size))
+        key = (k, n, size)
+        batch = self._batches.get(key)
+        if batch is None:
+            rng = np.random.default_rng(stable_hash64(self.seed, k))
+            batch = self._batches[key] = frozenset(int(x) for x in rng.integers(0, n, size=size))
+        return batch
 
 
 def as_random_seed(seed) -> RandomSeed:
@@ -304,16 +310,11 @@ def _as_scorer(rule, oracle: ValuationOracle, seed) -> Scorer:
     return scorer
 
 
-def validate_assumptions(
-    rule,
-    oracle: ValuationOracle,
-    trials: int = 200,
-    seed: int = 0,
-    grid: int = 12,
-) -> AssumptionReport:
+def validate_assumptions(rule, oracle: ValuationOracle, trials: int = 200, seed: int = 0) -> AssumptionReport:
     """Randomized check of the three mechanism assumptions.
 
-    (1) the score is non-increasing in the candidate's own bid,
+    (1) the score is non-increasing in the candidate's own bid, on a
+        12-point grid,
     (2) the score is negative once the bid exceeds the marginal the oracle
         reports, and
     (3) the score does not move when any other seller's bid changes.
@@ -345,7 +346,7 @@ def validate_assumptions(
         bids = np.abs(rng.normal(scale=scale, size=n))
 
         if monotone.passed:
-            grid_bids = np.linspace(0.0, 2.0 * scale, grid)
+            grid_bids = np.linspace(0.0, 2.0 * scale, 12)
             prev = math.inf
             for b in grid_bids:
                 bids_b = bids.copy()

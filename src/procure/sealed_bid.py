@@ -40,7 +40,7 @@ from .selection import (
     _stale_copy,
     _validate_rule,
 )
-from .valuation import ValuationOracle, sum_in_order
+from .valuation import ValuationOracle, sum_in_order, welfare
 
 
 class CapacityError(ValueError):
@@ -294,7 +294,7 @@ def best_subset(
 
     rec(0, 0.0)
     winners = best["set"]
-    return winners, oracle.value(winners) - sum_in_order(costs[i] for i in winners)
+    return winners, welfare(oracle, costs, winners)
 
 
 def exact_opt(

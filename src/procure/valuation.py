@@ -50,6 +50,11 @@ def sum_in_order(values: Iterable[float]) -> float:
     return total
 
 
+def welfare(oracle: ValuationOracle, costs: Sequence[float], winners: Sequence[int]) -> float:
+    """f(winners) on ``oracle`` minus the winners' costs, summed in order."""
+    return oracle.value(winners) - sum_in_order(costs[i] for i in winners)
+
+
 def canonical_set(members: Iterable[int]) -> tuple[int, ...]:
     """Sorted, duplicate-free tuple of seller indices."""
     return tuple(sorted(set(members)))

@@ -4,7 +4,8 @@ Each suite draws random instances, exercises one of the published claims
 (incentive compatibility, bi-criteria welfare bounds, lazy/naive and
 online/posted equivalences, descending-auction bounds) and reports the
 failures it saw.  The CLI's ``verify`` command and the acceptance tests
-both run these with their own trial counts.
+both run these with their own trial counts; every other setting is a
+module constant or a literal below.
 """
 
 from __future__ import annotations
@@ -38,13 +39,18 @@ from .sealed_bid import (
     verify_nas,
 )
 from .selection import run_meta, run_meta_lazy
-from .valuation import CoverageOracle, NoisyOracle, ValuationOracle, stable_hash64, sum_in_order
+from .valuation import CoverageOracle, NoisyOracle, ValuationOracle, stable_hash64, sum_in_order, welfare
 
 #: Rules whose sealed-bid mechanism is deterministic given the bids, in
 #: ``RULE_NAMES`` order: the suites pick trial t's rule by its index here.
 DETERMINISTIC_RULES = tuple(name for name in RULE_NAMES if not make_rule(name, 1).randomized)
 
 BETA_GRID = tuple(round(0.05 * i, 2) for i in range(21))
+
+#: Slack of the exact welfare bounds: distorted, table, online and descending.
+TOL = 1e-9
+#: Runs per instance of ``stochastic_guarantee_suite``.
+SEEDS_PER_INSTANCE = 200
 
 
 @dataclass
@@ -61,6 +67,19 @@ class SuiteReport:
     def fail(self, message: str) -> None:
         self.failures.append(message)
 
+    def check(self, ok: bool, message: str) -> bool:
+        """Count one check, recording ``message`` as its failure unless ``ok``."""
+        self.checks += 1
+        if not ok:
+            self.fail(message)
+        return ok
+
+    def margin(self, key: str, margin: float, tol: float, message: str) -> None:
+        """Check ``margin`` >= -tol, keeping the worst margin as ``extra[key]``
+        (which the suite sets to inf before its first check)."""
+        self.extra[key] = min(self.extra[key], margin)
+        self.check(not margin < -tol, message)
+
     def to_json(self) -> dict:
         return {
             "suite": self.name,
@@ -71,9 +90,9 @@ class SuiteReport:
         }
 
 
-def sample_instance(rng: np.random.Generator, n_lo: int = 2, n_hi: int = 10):
-    """Random coverage oracle and cost vector with n in [n_lo, n_hi]."""
-    n = int(rng.integers(n_lo, n_hi + 1))
+def sample_instance(rng: np.random.Generator, n_hi: int):
+    """Random coverage oracle and cost vector with n in [2, n_hi]."""
+    n = int(rng.integers(2, n_hi + 1))
     instance, costs = random_instance(n, int(rng.integers(0, 2**31)))
     return CoverageOracle(instance), costs
 
@@ -95,33 +114,26 @@ def suite_rule(name: str, oracle: ValuationOracle, noise_seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def feasibility_suite(
-    trials: int = 500,
-    seed: int = 0,
-    grid: int = 20,
-    tol: float = 1e-9,
-    parts: tuple[str, ...] = ("ic", "ir", "nas"),
-) -> SuiteReport:
-    """IC on a deviation grid plus IR and NAS on the truthful run."""
+def feasibility_suite(trials: int = 500, seed: int = 0, parts: tuple[str, ...] = ("ic", "ir", "nas")) -> SuiteReport:
+    """IC on a 20-point deviation grid plus IR and NAS on the truthful run,
+    at the verifiers' default tolerance."""
     report = SuiteReport(name="+".join(parts))
     for rule_index, rule_name in enumerate(DETERMINISTIC_RULES):
         rng = np.random.default_rng(stable_hash64(seed, rule_index))
         for t in range(trials):
-            base, costs = sample_instance(rng)
+            base, costs = sample_instance(rng, 10)
             rule, oracle = suite_rule(rule_name, base, noise_seed=t)
             runner = sealed_bid_runner(rule)
             run_seed = RandomSeed(int(rng.integers(0, 2**31)))
             truthful = runner(oracle, costs, seed=run_seed)
-            report.checks += 1
-            if "ir" in parts and not verify_ir(truthful, costs, tol=tol):
-                report.fail(f"{rule_name}: IR violated on trial {t}")
-            if "nas" in parts and not verify_nas(truthful, oracle, tol=tol):
+            report.check("ir" not in parts or verify_ir(truthful, costs), f"{rule_name}: IR violated on trial {t}")
+            if "nas" in parts and not verify_nas(truthful, oracle):
                 report.fail(
                     f"{rule_name}: NAS violated on trial {t}: value {oracle.value(truthful.winners):.6g}"
                     f" < payments {truthful.total_payment:.6g}"
                 )
             if "ic" in parts:
-                ic = verify_ic(runner, oracle, costs, grid=grid, seed=run_seed, tol=tol)
+                ic = verify_ic(runner, oracle, costs, seed=run_seed)
                 if not ic.passed:
                     v = ic.violations[0]
                     report.fail(
@@ -143,131 +155,108 @@ def _opt(oracle: ValuationOracle, costs) -> tuple[float, float]:
     return oracle.value(winners), sum_in_order(costs[i] for i in winners)
 
 
-def distorted_guarantee_suite(trials: int = 200, seed: int = 0, tol: float = 1e-9, n_hi: int = 12) -> SuiteReport:
+def distorted_guarantee_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
     """Simultaneous (1 - e^-beta, beta + 1/n) bounds for the distorted rule."""
-    report = SuiteReport(name="distorted-guarantee")
+    report = SuiteReport(name="distorted-guarantee", extra={"worst_margin": math.inf})
     rng = np.random.default_rng(seed)
-    worst = math.inf
     for _ in range(trials):
-        oracle, costs = sample_instance(rng, 2, n_hi)
+        oracle, costs = sample_instance(rng, 12)
         n = oracle.n
-        rule = make_rule("distorted", n)
-        trace = run_meta(rule, oracle, costs)
-        achieved = oracle.value(trace.winners) - sum_in_order(costs[i] for i in trace.winners)
+        trace = run_meta(make_rule("distorted", n), oracle, costs)
+        achieved = welfare(oracle, costs, trace.winners)
         f_opt, c_opt = _opt(oracle, costs)
         for beta in BETA_GRID:
             bound = (1.0 - math.exp(-beta)) * f_opt - (beta + 1.0 / n) * c_opt
-            margin = achieved - bound
-            worst = min(worst, margin)
-            report.checks += 1
-            if margin < -tol:
-                report.fail(f"beta={beta}: welfare {achieved:.6g} below bound {bound:.6g}")
-    report.extra["worst_margin"] = worst
+            report.margin("worst_margin", achieved - bound, TOL,
+                          f"beta={beta}: welfare {achieved:.6g} below bound {bound:.6g}")
     return report
 
 
-def table_guarantee_suite(trials: int = 200, seed: int = 0, tol: float = 1e-9, n_hi: int = 12) -> SuiteReport:
+def table_guarantee_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
     """Cost-scaled (1/2, 1) and ROI logarithmic bounds on random instances."""
     report = SuiteReport(name="table-guarantees")
     rng = np.random.default_rng(seed)
     roi_checked = 0
     for _ in range(trials):
-        oracle, costs = sample_instance(rng, 2, n_hi)
+        oracle, costs = sample_instance(rng, 12)
         f_opt, c_opt = _opt(oracle, costs)
 
         trace = run_meta(make_rule("cost-scaled", oracle.n), oracle, costs)
-        achieved = oracle.value(trace.winners) - sum_in_order(costs[i] for i in trace.winners)
-        report.checks += 1
-        if achieved < 0.5 * f_opt - c_opt - tol:
-            report.fail(f"cost-scaled: {achieved:.6g} < {0.5 * f_opt - c_opt:.6g}")
+        achieved = welfare(oracle, costs, trace.winners)
+        bound = 0.5 * f_opt - c_opt
+        report.check(not achieved < bound - TOL, f"cost-scaled: {achieved:.6g} < {bound:.6g}")
 
         if f_opt >= c_opt > 0:
             roi_checked += 1
             trace = run_meta(make_rule("roi", oracle.n), oracle, costs)
-            achieved = oracle.value(trace.winners) - sum_in_order(costs[i] for i in trace.winners)
+            achieved = welfare(oracle, costs, trace.winners)
             bound = f_opt - (1.0 + math.log(f_opt / c_opt)) * c_opt
-            report.checks += 1
-            if achieved < bound - tol:
-                report.fail(f"roi: {achieved:.6g} < {bound:.6g}")
+            report.check(not achieved < bound - TOL, f"roi: {achieved:.6g} < {bound:.6g}")
     report.extra["roi_instances"] = roi_checked
     return report
 
 
-def noisy_guarantee_suite(
-    trials: int = 200,
-    seed: int = 0,
-    epsilons: tuple[float, ...] = (0.01, 0.05),
-    tol: float = 1e-7,
-    n_hi: int = 12,
-) -> SuiteReport:
-    """Noisy distorted greedy welfare bound with the default cost multiplier.
+def noisy_guarantee_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
+    """Noisy distorted greedy welfare bound with the default cost multiplier,
+    at eps 0.01 and 0.05.
 
     Checked form: f(S) - c(S) >= (1-eps)/(1+2*eps*n+eps) (1-1/e) f(OPT) - c(OPT),
     which is what the potential-function derivation yields after dividing by
-    the cost multiplier.
+    the cost multiplier, to within 1e-7.
     """
-    report = SuiteReport(name="noisy-guarantee")
+    report = SuiteReport(name="noisy-guarantee", extra={"worst_margin": math.inf})
     rng = np.random.default_rng(seed)
-    worst = math.inf
     for t in range(trials):
-        base, costs = sample_instance(rng, 2, n_hi)
+        base, costs = sample_instance(rng, 12)
         n = base.n
         f_opt, c_opt = _opt(base, costs)
-        for eps in epsilons:
+        for eps in (0.01, 0.05):
             noisy = NoisyOracle(base, eps, seed=t)
             rule = make_rule("noisy-distorted", n, noise_epsilon=eps)
             trace = run_meta(rule, noisy, costs)
-            welfare = base.value(trace.winners) - sum_in_order(costs[i] for i in trace.winners)
+            achieved = welfare(base, costs, trace.winners)
             factor = (1.0 - eps) / (1.0 + 2.0 * eps * n + eps) * (1.0 - 1.0 / math.e)
             bound = factor * f_opt - c_opt
-            margin = welfare - bound
-            worst = min(worst, margin)
-            report.checks += 1
-            if margin < -tol:
-                report.fail(f"eps={eps}: welfare {welfare:.6g} < {bound:.6g}")
-    report.extra["worst_margin"] = worst
+            report.margin("worst_margin", achieved - bound, 1e-7,
+                          f"eps={eps}: welfare {achieved:.6g} < {bound:.6g}")
     return report
 
 
-def stochastic_guarantee_suite(
-    instances: int = 50,
-    seeds_per_instance: int = 200,
-    seed: int = 0,
-    tol_rate: float = 0.05,
-    n_hi: int = 12,
-) -> SuiteReport:
-    """Expected-welfare bound for the stochastic rule, within two standard errors."""
+def stochastic_guarantee_suite(trials: int = 50, seed: int = 0) -> SuiteReport:
+    """Expected-welfare bound for the stochastic rule, within two standard errors.
+
+    Each of ``trials`` instances averages ``SEEDS_PER_INSTANCE`` runs; the
+    suite fails when more than 5% of them leave the band.  The report's
+    ``"instances"`` is ``trials``.
+    """
     report = SuiteReport(name="stochastic-guarantee")
     rng = np.random.default_rng(seed)
     failed_instances = 0
-    for _ in range(instances):
-        oracle, costs = sample_instance(rng, 2, n_hi)
+    for _ in range(trials):
+        oracle, costs = sample_instance(rng, 12)
         n = oracle.n
         rule = make_rule("stochastic-distorted", n)
         eps_s = rule.stochastic_epsilon
         f_opt, c_opt = _opt(oracle, costs)
-        welfares = np.empty(seeds_per_instance)
-        for s in range(seeds_per_instance):
+        welfares = np.empty(SEEDS_PER_INSTANCE)
+        for s in range(SEEDS_PER_INSTANCE):
             trace = run_meta(rule, oracle, costs, seed=RandomSeed(int(rng.integers(0, 2**31))))
-            welfares[s] = oracle.value(trace.winners) - sum_in_order(costs[i] for i in trace.winners)
+            welfares[s] = welfare(oracle, costs, trace.winners)
         mean = float(welfares.mean())
-        sem = float(welfares.std(ddof=1)) / math.sqrt(seeds_per_instance)
-        ok = True
+        sem = float(welfares.std(ddof=1)) / math.sqrt(SEEDS_PER_INSTANCE)
         for beta in BETA_GRID:
             bound = (1.0 - eps_s) * (1.0 - math.exp(-beta)) * f_opt - (beta + 1.0 / n) * c_opt
-            report.checks += 1
+            report.checks += 1  # a miss is an example; too many missed instances fail the suite
             if mean < bound - 2.0 * sem:
-                ok = False
+                failed_instances += 1
                 report.extra.setdefault("examples", []).append(
                     f"beta={beta}: mean {mean:.6g} < {bound:.6g} - 2sem {2 * sem:.3g}"
                 )
                 break
-        if not ok:
-            failed_instances += 1
     report.extra["failed_instances"] = failed_instances
-    report.extra["instances"] = instances
-    if failed_instances > tol_rate * instances:
-        report.fail(f"{failed_instances}/{instances} instances broke the 2-sigma expectation band")
+    report.extra["instances"] = trials
+    if failed_instances > 0.05 * trials:
+        report.fail(f"{failed_instances}/{trials} instances broke the 2-sigma expectation band")
     return report
 
 
@@ -276,19 +265,18 @@ def stochastic_guarantee_suite(
 # ---------------------------------------------------------------------------
 
 
-def lazy_equivalence_suite(trials: int = 500, seed: int = 0, n_hi: int = 30) -> SuiteReport:
+def lazy_equivalence_suite(trials: int = 500, seed: int = 0) -> SuiteReport:
     """Lazy allocation and payments must match the naive loops exactly."""
     report = SuiteReport(name="lazy-equivalence")
     rng = np.random.default_rng(seed)
     for t in range(trials):
-        oracle, costs = sample_instance(rng, 2, n_hi)
+        oracle, costs = sample_instance(rng, 30)
         for rule_name in ONLINE_CAPABLE_RULES:
             rule = make_rule(rule_name, oracle.n)
             naive = run_sealed_bid(rule, oracle, costs)
             lazy = run_sealed_bid_lazy(rule, oracle, costs)
-            report.checks += 1
-            if naive.winners != lazy.winners:
-                report.fail(f"{rule_name} trial {t}: winners {naive.winners} != {lazy.winners}")
+            if not report.check(naive.winners == lazy.winners,
+                                f"{rule_name} trial {t}: winners {naive.winners} != {lazy.winners}"):
                 continue
             if naive.trace.chosen_at != lazy.trace.chosen_at:
                 report.fail(f"{rule_name} trial {t}: admission rounds differ")
@@ -300,8 +288,9 @@ def lazy_equivalence_suite(trials: int = 500, seed: int = 0, n_hi: int = 30) -> 
     return report
 
 
-def lazy_query_advantage(n: int = 2000, seed: int = 0, rule_name: str = "greedy-margin") -> dict:
-    """Oracle-query counts of the naive and lazy allocation at scale."""
+def lazy_query_advantage(seed: int = 0) -> dict:
+    """Oracle-query counts of the naive and lazy greedy-margin allocation at n = 2000."""
+    n, rule_name = 2000, "greedy-margin"
     instance, costs = random_instance(n, seed)
     rule = make_rule(rule_name, n)
 
@@ -315,23 +304,18 @@ def lazy_query_advantage(n: int = 2000, seed: int = 0, rule_name: str = "greedy-
     return {"n": n, "rule": rule_name, "naive_queries": naive_queries, "lazy_queries": lazy_queries}
 
 
-def online_equivalence_suite(
-    pairs: int = 500,
-    seed: int = 0,
-    welfare_instances: int = 20,
-    orders_per_instance: int = 50,
-    tol: float = 1e-9,
-    n_hi: int = 12,
-) -> SuiteReport:
+def online_equivalence_suite(trials: int = 500, seed: int = 0) -> SuiteReport:
     """Posted-price winners equal a from-scratch posted-price walk; cost-scaled keeps (1/2, 1).
 
     The walk prices each arrival from ``oracle.marginal`` on the sellers
-    admitted so far, independently of the mechanism's scratch.
+    admitted so far, independently of the mechanism's scratch.  The bound is
+    checked on 20 instances, each under 49 random orders and the worst of
+    25 more.
     """
-    report = SuiteReport(name="online-equivalence")
+    report = SuiteReport(name="online-equivalence", extra={"worst_online_margin": math.inf})
     rng = np.random.default_rng(seed)
-    for t in range(pairs):
-        oracle, costs = sample_instance(rng, 2, n_hi)
+    for t in range(trials):
+        oracle, costs = sample_instance(rng, 12)
         rule_name = ONLINE_CAPABLE_RULES[t % len(ONLINE_CAPABLE_RULES)]
         rule = make_rule(rule_name, oracle.n)
         order = order_random(oracle.n, int(rng.integers(0, 2**31)))
@@ -340,30 +324,21 @@ def online_equivalence_suite(
             if costs[k] < rule.posted_price(oracle.marginal(k, walked)):
                 walked.append(k)
         posted = run_posted_price(rule, oracle, costs, order)
-        report.checks += 1
-        if tuple(sorted(walked)) != posted.winners:
-            report.fail(f"trial {t} {rule_name}: {tuple(sorted(walked))} != {posted.winners}")
-        if not verify_nas(
-            AuctionOutcome(posted.winners, posted.payments, oracle.value(posted.winners)), oracle, tol
-        ):
+        report.check(tuple(sorted(walked)) == posted.winners,
+                     f"trial {t} {rule_name}: {tuple(sorted(walked))} != {posted.winners}")
+        if not verify_nas(AuctionOutcome(posted.winners, posted.payments, oracle.value(posted.winners)), oracle):
             report.fail(f"trial {t} {rule_name}: posted-price NAS violated")
 
-    worst_margin = math.inf
-    for t in range(welfare_instances):
-        oracle, costs = sample_instance(rng, 2, n_hi)
+    for _ in range(20):
+        oracle, costs = sample_instance(rng, 12)
         rule = make_rule("cost-scaled", oracle.n)
         f_opt, c_opt = _opt(oracle, costs)
-        orders = [order_random(oracle.n, int(rng.integers(0, 2**31))) for _ in range(orders_per_instance - 1)]
+        orders = [order_random(oracle.n, int(rng.integers(0, 2**31))) for _ in range(49)]
         orders.append(worst_sampled_order(rule, oracle, costs, samples=25, seed=int(rng.integers(0, 2**31))))
         for order in orders:
-            winners = run_online_meta(rule, oracle, costs, order)
-            welfare = oracle.value(winners) - sum_in_order(costs[i] for i in winners)
-            margin = welfare - (0.5 * f_opt - c_opt)
-            worst_margin = min(worst_margin, margin)
-            report.checks += 1
-            if margin < -tol:
-                report.fail(f"online cost-scaled below (1/2, 1) bound by {-margin:.3g}")
-    report.extra["worst_online_margin"] = worst_margin
+            margin = welfare(oracle, costs, run_online_meta(rule, oracle, costs, order)) - (0.5 * f_opt - c_opt)
+            report.margin("worst_online_margin", margin, TOL,
+                          f"online cost-scaled below (1/2, 1) bound by {-margin:.3g}")
     return report
 
 
@@ -372,19 +347,13 @@ def online_equivalence_suite(
 # ---------------------------------------------------------------------------
 
 
-def descending_bound_suite(
-    trials: int = 200,
-    seed: int = 0,
-    scripted: int = 100,
-    tol: float = 1e-9,
-    n_hi: int = 12,
-) -> SuiteReport:
-    """Cost-scaled demand keeps (1/2, 1) up to n*epsilon under any schedule."""
-    report = SuiteReport(name="descending-bound")
+def descending_bound_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
+    """Cost-scaled demand keeps (1/2, 1) up to n*epsilon under any schedule: the
+    lexicographic, the round-robin and 100 random scripted ones per instance."""
+    report = SuiteReport(name="descending-bound", extra={"worst_margin": math.inf})
     rng = np.random.default_rng(seed)
-    worst_margin = math.inf
     for t in range(trials):
-        oracle, costs = sample_instance(rng, 2, n_hi)
+        oracle, costs = sample_instance(rng, 12)
         n = oracle.n
         initial = [oracle.marginal(i, ()) for i in range(n)]
         top = max(initial) if initial else 1.0
@@ -392,18 +361,13 @@ def descending_bound_suite(
         f_opt, c_opt = _opt(oracle, costs)
         bound = 0.5 * f_opt - c_opt - n * epsilon
         schedules = [LexicographicSchedule(), RoundRobinSchedule(n)]
-        schedules += random_scripted_schedules(n, scripted, int(rng.integers(0, 2**31)))
+        schedules += random_scripted_schedules(n, 100, int(rng.integers(0, 2**31)))
         for schedule in schedules:
-            outcome = run_descending(oracle, costs, CostScaledDemand(oracle), schedule, epsilon)
-            welfare = outcome.value - sum_in_order(costs[i] for i in outcome.winners)
-            margin = welfare - bound
-            worst_margin = min(worst_margin, margin)
-            report.checks += 1
-            if margin < -tol:
-                report.fail(f"trial {t}: welfare {welfare:.6g} below bound {bound:.6g}")
+            achieved = run_descending(oracle, costs, CostScaledDemand(oracle), schedule, epsilon).welfare(costs)
+            report.margin("worst_margin", achieved - bound, TOL,
+                          f"trial {t}: welfare {achieved:.6g} below bound {bound:.6g}")
         if len(report.failures) > 20:
             return report
-    report.extra["worst_margin"] = worst_margin
     return report
 
 
@@ -421,11 +385,11 @@ def lowerbound_report(L: int, epsilon: float | None = None) -> dict:
     bids = oracle.bids()
 
     exact = run_descending(oracle, bids, FamilyExactDemand(oracle), AdversarialFamilySchedule(L), epsilon)
-    exact_welfare = exact.value - sum_in_order(bids[i] for i in exact.winners)
+    exact_welfare = exact.welfare(bids)
 
     oracle2 = AdversarialFamilyOracle(L)
     scaled = run_descending(oracle2, bids, CostScaledDemand(oracle2), AdversarialFamilySchedule(L), epsilon)
-    scaled_welfare = scaled.value - sum_in_order(bids[i] for i in scaled.winners)
+    scaled_welfare = scaled.welfare(bids)
 
     return {
         "L": L,
@@ -450,10 +414,10 @@ def lowerbound_failures(res: dict) -> list[str]:
     return failures
 
 
-def descending_family_suite(levels: tuple[int, ...] = (10, 50, 100)) -> SuiteReport:
+def descending_family_suite() -> SuiteReport:
     """Exact demand collapses on the family; cost-scaled demand does not."""
     report = SuiteReport(name="descending-family")
-    for L in levels:
+    for L in (10, 50, 100):
         res = lowerbound_report(L)
         report.checks += 1
         report.failures += lowerbound_failures(res)
@@ -480,14 +444,15 @@ def descending_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def critical_bid_bisection(rule: ScoringRule, oracle: ValuationOracle, bids, i: int, seed=None, precision: float = 1e-8) -> float:
-    """Largest bid at which seller i still wins, found on the allocation alone."""
+def critical_bid_bisection(rule: ScoringRule, oracle: ValuationOracle, bids, i: int) -> float:
+    """Largest bid at which seller i still wins, to within 1e-8, found on the
+    allocation alone (run unseeded)."""
     bids = [float(b) for b in bids]
 
     def wins(b: float) -> bool:
         probe = bids.copy()
         probe[i] = b
-        return i in run_meta(rule, oracle, probe, seed).winners
+        return i in run_meta(rule, oracle, probe).winners
 
     hi = 2.0 * oracle.marginal(i, ()) + 1.0
     if wins(hi):
@@ -495,7 +460,7 @@ def critical_bid_bisection(rule: ScoringRule, oracle: ValuationOracle, bids, i: 
     lo = 0.0
     if not wins(lo):
         return 0.0
-    while hi - lo > precision:
+    while hi - lo > 1e-8:
         mid = (lo + hi) / 2.0
         if wins(mid):
             lo = mid
@@ -504,22 +469,19 @@ def critical_bid_bisection(rule: ScoringRule, oracle: ValuationOracle, bids, i: 
     return (lo + hi) / 2.0
 
 
-def critical_bid_suite(trials: int = 200, seed: int = 0, tol: float = 1e-6, n_hi: int = 10) -> SuiteReport:
-    """Closed-form payments match bisection critical bids."""
+def critical_bid_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
+    """Closed-form payments match bisection critical bids within 1e-6."""
     report = SuiteReport(name="critical-bids")
     rng = np.random.default_rng(seed)
     for t in range(trials):
-        base, costs = sample_instance(rng, 2, n_hi)
+        base, costs = sample_instance(rng, 10)
         rule_name = DETERMINISTIC_RULES[t % len(DETERMINISTIC_RULES)]
         rule, oracle = suite_rule(rule_name, base, noise_seed=t)
         outcome = run_sealed_bid(rule, oracle, costs)
         for i in outcome.winners:
             crit = critical_bid_bisection(rule, oracle, costs, i)
-            report.checks += 1
-            if abs(outcome.payments[i] - crit) > tol:
-                report.fail(
-                    f"trial {t} {rule_name}: payment {outcome.payments[i]:.8g} vs critical {crit:.8g}"
-                )
+            report.check(not abs(outcome.payments[i] - crit) > 1e-6,
+                         f"trial {t} {rule_name}: payment {outcome.payments[i]:.8g} vs critical {crit:.8g}")
         if len(report.failures) > 20:
             return report
     return report
@@ -530,18 +492,16 @@ def critical_bid_suite(trials: int = 200, seed: int = 0, tol: float = 1e-6, n_hi
 # ---------------------------------------------------------------------------
 
 
-def vcg_suite(trials: int = 500, seed: int = 0, n_hi: int = 12) -> SuiteReport:
+def vcg_suite(trials: int = 500, seed: int = 0) -> SuiteReport:
     """VCG attains the exact optimum and never overpays the acquired value."""
     report = SuiteReport(name="vcg")
     rng = np.random.default_rng(seed)
     for t in range(trials):
-        oracle, costs = sample_instance(rng, 2, n_hi)
+        oracle, costs = sample_instance(rng, 12)
         outcome = run_vcg(oracle, costs)
         _, opt_welfare = exact_opt(oracle, costs)
-        welfare = outcome.value - sum_in_order(costs[i] for i in outcome.winners)
-        report.checks += 1
-        if welfare != opt_welfare:
-            report.fail(f"trial {t}: VCG welfare {welfare!r} != OPT {opt_welfare!r}")
+        achieved = outcome.welfare(costs)
+        report.check(achieved == opt_welfare, f"trial {t}: VCG welfare {achieved!r} != OPT {opt_welfare!r}")
         if outcome.total_payment > outcome.value + 1e-9:
             report.fail(f"trial {t}: VCG payments exceed acquired value")
     return report
@@ -567,7 +527,7 @@ def _guarantee_bundle(trials: int, seed: int) -> SuiteReport:
     report = SuiteReport(name="guarantees", checks=sum(p.checks for p in parts))
     for p in parts:
         report.failures.extend(f"{p.name}: {f}" for f in p.failures)
-        report.extra[p.name] = {k: v for k, v in p.extra.items()}
+        report.extra[p.name] = dict(p.extra)
     return report
 
 

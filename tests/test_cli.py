@@ -75,9 +75,11 @@ class TestExperiment:
     def test_worker_count_does_not_change_the_body(self, tmp_path):
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         cfg = self._config(tmp_path, out1)
-        run_cli(["experiment", "--config", str(cfg), "--no-timing", "--workers", "1"])
-        run_cli(["experiment", "--config", str(cfg), "--no-timing", "--workers", "2", "--output", str(out2)])
+        run_cli(["experiment", "--config", str(cfg), "--no-timing", "--trace", "--workers", "1"])
+        run_cli(["experiment", "--config", str(cfg), "--no-timing", "--trace", "--workers", "2", "--output", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+        traces1 = (tmp_path / "w1.csv.traces.jsonl").read_bytes()
+        assert traces1 and traces1 == (tmp_path / "w2.csv.traces.jsonl").read_bytes()
 
 
 class TestVerify:
@@ -85,6 +87,11 @@ class TestVerify:
         assert run_cli(["verify", "nas", "--trials", "5", "--seed", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
+
+    @pytest.mark.parametrize("name", sorted(verification.SUITES))
+    def test_every_suite_runs_and_passes(self, name):
+        report = verification.run_suite(name, 2, 7)
+        assert report.passed and report.checks >= 1, report.failures[:5]
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -296,6 +303,7 @@ class TestOrderAndScheduleSelectors:
     @pytest.mark.parametrize("bad", [
         {"n": [0]}, {"n": [6, 100000]}, {"s": [0.5]}, {"s": [float("nan")]}, {"instances": 0},
         {"workers": 0}, {"mechanism": ["alloc:distorted"]}, {"mechanisms": ["sealed:nonsense"]},
+        {"seed": "x"}, {"seed": 1.5}, {"seed": True},
     ])
     def test_experiment_rejects_bad_settings_before_running(self, tmp_path, monkeypatch, capsys, bad):
         from procure import harness

@@ -129,6 +129,27 @@ def test_stochastic_rule_payments_use_shared_seed():
     assert verify_ir(out1, costs) and verify_nas(out1, oracle)
 
 
+def test_stochastic_run_draws_each_batch_once(monkeypatch):
+    """The allocation and every payment pass share the run's seed object,
+    so each round's batch is drawn once, however many passes read it."""
+    from procure import scoring
+
+    oracle, costs = random_oracle(301, 8, 12)
+    rule = make_rule("stochastic-distorted", oracle.n)
+    expected = run_sealed_bid(rule, oracle, costs, seed=RandomSeed(8))
+    draws = []
+    real = scoring.np.random.default_rng
+
+    def counting_rng(seed):
+        draws.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(scoring.np.random, "default_rng", counting_rng)
+    out = run_sealed_bid(rule, oracle, costs, seed=RandomSeed(8))
+    assert (out.winners, out.payments) == (expected.winners, expected.payments)
+    assert 0 < len(draws) == len(set(draws)) <= rule.rounds
+
+
 class TestLazyEquivalence:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(("greedy-margin", "greedy-rate", "roi", "cost-scaled")))
