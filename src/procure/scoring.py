@@ -35,6 +35,7 @@ gate and, for the noisy rule, the trajectory minimum of the marginals.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -66,6 +67,14 @@ class UnsupportedRuleError(ValueError):
     """Raised when a rule lacks the structure an operation requires."""
 
 
+#: Sampling error of the stochastic rule: each round scores a batch of
+#: ceil((n/k) ln(1/eps)) sellers drawn with replacement (Mirzasoleiman et al.,
+#: "Lazier Than Lazy Greedy", AAAI 2015).  Every mechanism runs k = n rounds,
+#: so the batch is ceil(ln 10) = 3 draws whatever n is.
+STOCHASTIC_EPSILON = 0.1
+STOCHASTIC_BATCH = math.ceil(math.log(1 / STOCHASTIC_EPSILON))
+
+
 @dataclass(frozen=True)
 class RandomSeed:
     """Deterministic source of the per-round draws used by stochastic rules.
@@ -78,22 +87,24 @@ class RandomSeed:
     seed: int = 0
     _batches: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def round_batch(self, k: int, n: int, size: int) -> frozenset[int]:
-        """Sample ``size`` sellers uniformly with replacement for round k."""
-        key = (k, n, size)
-        batch = self._batches.get(key)
+    def __post_init__(self):
+        # operator.index keeps numpy integers and refuses floats, which int() truncates.
+        if isinstance(self.seed, bool):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", operator.index(self.seed))
+
+    def round_batch(self, k: int, n: int) -> tuple[int, ...]:
+        """The distinct sellers of ``STOCHASTIC_BATCH`` uniform draws for round k, ascending."""
+        batch = self._batches.get((k, n))
         if batch is None:
             rng = np.random.default_rng(stable_hash64(self.seed, k))
-            batch = self._batches[key] = frozenset(int(x) for x in rng.integers(0, n, size=size))
+            draws = rng.integers(0, n, size=STOCHASTIC_BATCH).tolist()
+            batch = self._batches[k, n] = tuple(sorted(set(draws)))
         return batch
 
 
 def as_random_seed(seed) -> RandomSeed:
-    if seed is None:
-        return RandomSeed(0)
-    if isinstance(seed, RandomSeed):
-        return seed
-    return RandomSeed(int(seed))
+    return seed if isinstance(seed, RandomSeed) else RandomSeed(0 if seed is None else seed)
 
 
 @dataclass(frozen=True)
@@ -110,8 +121,6 @@ class ScoringRule:
     kind: str
     horizon: int = 0
     cardinality: int | None = None
-    stochastic_epsilon: float = 0.1
-    stochastic_batch_size: int | None = None
     noise_epsilon: float = 0.0
 
     def __post_init__(self):
@@ -123,10 +132,6 @@ class ScoringRule:
             raise ValueError("the cardinality variant exists only for the distorted rule")
         if self.cardinality is not None and self.cardinality < 1:
             raise ValueError(f"cardinality must be at least 1, got {self.cardinality}")
-        if not 0.0 < self.stochastic_epsilon < 1.0:
-            raise ValueError("stochastic epsilon must be in (0, 1)")
-        if self.stochastic_batch_size is not None and self.stochastic_batch_size < 1:
-            raise ValueError("batch size must be at least 1")
         if not 0.0 <= self.noise_epsilon < 1.0:
             raise ValueError(f"noise epsilon must be in [0, 1), got {self.noise_epsilon}")
         # The affine coefficients; round k indexes the alpha tuple directly.
@@ -167,17 +172,6 @@ class ScoringRule:
             return (1.0 - 1.0 / cap) ** (cap - k)
         n = self.horizon
         return (1.0 - 1.0 / n) ** (n - k)
-
-    def batch_size(self) -> int:
-        """Per-round sample count of the stochastic rule.
-
-        Defaults to ceil((n/k) log(1/eps)); override with
-        ``stochastic_batch_size=1`` for the single-draw indicator form.
-        """
-        if self.stochastic_batch_size is not None:
-            return self.stochastic_batch_size
-        n, k = self.horizon, self.rounds
-        return max(1, math.ceil((n / k) * math.log(1.0 / self.stochastic_epsilon)))
 
     # -- score core ------------------------------------------------------
 
@@ -303,7 +297,7 @@ def _as_scorer(rule, oracle: ValuationOracle, seed) -> Scorer:
     seed = as_random_seed(seed)
 
     def scorer(i: int, tentative: tuple[int, ...], bids: Sequence[float], k: int) -> float:
-        if rule.randomized and i not in seed.round_batch(k, oracle.n, rule.batch_size()):
+        if rule.randomized and i not in seed.round_batch(k, oracle.n):
             return NOT_SAMPLED
         return rule.score_from_marginal(oracle.marginal(i, tentative), bids[i], k)
 

@@ -20,8 +20,8 @@ The meta loop's round is an array round: one ``provider.marginals`` call
 ``ScoringRule.scores`` call and ``np.argmax``, whose first maximum is the
 lexicographic tie-break because the candidates stay ascending.  Rounds
 that score fewer than ``ARRAY_ROUND_MIN`` candidates, and passes that
-start with fewer, keep the scalar loop (``_scalar_rounds``, also the test
-reference).  On a 2-vCPU Xeon VM, over distorted runs at n = 100-500, a
+start with fewer or are stochastic, keep the scalar loop (``_scalar_rounds``,
+also the test reference).  On a 2-vCPU Xeon VM, over distorted runs at n = 100-500, a
 clean array round cost 4-5 us and one that first recomputes the sellers an
 admission changed 6-17 us (quartiles; a whole rebuild cost 21-38 us),
 against about 0.85 us per candidate for the scalar loop.  So the two now
@@ -180,17 +180,21 @@ def _best_of(rule: ScoringRule, provider, bids, scored, k: int) -> tuple:
 def _scalar_rounds(
     rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, rounds: int, start: int = 1
 ) -> Iterator[tuple]:
-    """The meta loop scored one candidate at a time: the small-n path and the reference."""
+    """The meta loop scored one candidate at a time: small and stochastic passes, and the reference.
+
+    A stochastic round scores its ascending batch's remaining members, so
+    the first maximum is still the lexicographically-first argmax.
+    """
     n = len(bids)
-    remaining = list(candidates)
+    remaining = dict.fromkeys(candidates)  # ascending, with O(1) lookup and removal
     for k in range(start, rounds + 1):
-        batch = seed.round_batch(k, n, rule.batch_size()) if rule.randomized else None
-        scored = remaining if batch is None else [i for i in remaining if i in batch]
+        batch = seed.round_batch(k, n) if rule.randomized else None
+        scored = remaining if batch is None else [i for i in batch if i in remaining]
         best_i, best_score = _best_of(rule, provider, bids, scored, k)
         yield k, batch, best_i, best_score
         if best_i is not None and best_score > 0.0:
             provider.add(best_i)
-            remaining.remove(best_i)
+            del remaining[best_i]
 
 
 def _greedy_rounds(
@@ -208,29 +212,23 @@ def _greedy_rounds(
     A round with at least ``ARRAY_ROUND_MIN`` scored candidates reads their
     marginals with one ``provider.marginals`` call and scores them with
     ``rule.scores``; smaller rounds, and passes that start smaller, use the
-    scalar loop.  Both yield the same tuples, as Python ints and floats.
+    scalar loop.  Both yield the same tuples, as Python ints and floats.  A
+    stochastic round scores at most ``STOCHASTIC_BATCH`` = 3 < ``ARRAY_ROUND_MIN``
+    candidates, so a randomized rule's whole pass takes the scalar loop.
     """
-    if len(candidates) < ARRAY_ROUND_MIN:
+    if rule.randomized or len(candidates) < ARRAY_ROUND_MIN:
         yield from _scalar_rounds(rule, provider, bids, seed, candidates, rounds, start)
         return
-    n = len(bids)
     bid_array = np.array(bids, dtype=float)
     remaining = np.array(candidates, dtype=np.intp)
     for k in range(start, rounds + 1):
-        batch = None
-        scored = remaining
-        if rule.randomized:
-            batch = seed.round_batch(k, n, rule.batch_size())
-            in_batch = np.zeros(n, dtype=bool)
-            in_batch[list(batch)] = True
-            scored = remaining[in_batch[remaining]]
-        if len(scored) < ARRAY_ROUND_MIN:
-            best_i, best_score = _best_of(rule, provider, bids, scored.tolist(), k)
+        if len(remaining) < ARRAY_ROUND_MIN:
+            best_i, best_score = _best_of(rule, provider, bids, remaining.tolist(), k)
         else:
-            scores = rule.scores(provider.marginals(scored), bid_array[scored], k)
+            scores = rule.scores(provider.marginals(remaining), bid_array[remaining], k)
             j = int(np.argmax(scores))
-            best_i, best_score = int(scored[j]), float(scores[j])
-        yield k, batch, best_i, best_score
+            best_i, best_score = int(remaining[j]), float(scores[j])
+        yield k, None, best_i, best_score
         if best_i is not None and best_score > 0.0:
             provider.add(best_i)
             remaining = remaining[remaining != best_i]

@@ -26,7 +26,7 @@ from .descending import (
 )
 from .instances import random_instance
 from .online import run_online_meta, run_posted_price, order_random, worst_sampled_order
-from .scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, ScoringRule, make_rule
+from .scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, STOCHASTIC_EPSILON, RandomSeed, ScoringRule, make_rule
 from .sealed_bid import (
     AuctionOutcome,
     exact_opt,
@@ -236,7 +236,6 @@ def stochastic_guarantee_suite(trials: int = 50, seed: int = 0) -> SuiteReport:
         oracle, costs = sample_instance(rng, 12)
         n = oracle.n
         rule = make_rule("stochastic-distorted", n)
-        eps_s = rule.stochastic_epsilon
         f_opt, c_opt = _opt(oracle, costs)
         welfares = np.empty(SEEDS_PER_INSTANCE)
         for s in range(SEEDS_PER_INSTANCE):
@@ -245,7 +244,7 @@ def stochastic_guarantee_suite(trials: int = 50, seed: int = 0) -> SuiteReport:
         mean = float(welfares.mean())
         sem = float(welfares.std(ddof=1)) / math.sqrt(SEEDS_PER_INSTANCE)
         for beta in BETA_GRID:
-            bound = (1.0 - eps_s) * (1.0 - math.exp(-beta)) * f_opt - (beta + 1.0 / n) * c_opt
+            bound = (1.0 - STOCHASTIC_EPSILON) * (1.0 - math.exp(-beta)) * f_opt - (beta + 1.0 / n) * c_opt
             report.checks += 1  # a miss is an example; too many missed instances fail the suite
             if mean < bound - 2.0 * sem:
                 failed_instances += 1

@@ -122,6 +122,12 @@ class TestActiveFraction:
     def test_mixed(self, coverage_pair):
         assert active_fraction(coverage_pair, [4.0, 1.0]) == 0.5
 
+    @pytest.mark.parametrize("costs", [[1.0], [1.0, 1.0, 1.0], [float("nan"), 1.0], [-1.0, 1.0]])
+    def test_bad_costs_raise(self, coverage_pair, costs):
+        """Short costs raised IndexError; long ones passed, NaN counted inactive, negative active."""
+        with pytest.raises(ValueError):
+            active_fraction(coverage_pair, costs)
+
     def test_accepts_instance(self):
         instance = CoverageInstance(covers=((0,),), vertex_values=(2.0,))
         assert active_fraction(instance, [1.0]) == 1.0

@@ -8,6 +8,7 @@ from procure.scoring import (
     NOT_SAMPLED,
     ONLINE_CAPABLE_RULES,
     RULE_NAMES,
+    STOCHASTIC_BATCH,
     RandomSeed,
     UnsupportedRuleError,
     _as_scorer,
@@ -23,7 +24,7 @@ ALL_RULES = ("greedy-margin", "greedy-rate", "distorted", "stochastic-distorted"
 
 def sampled(rule, i, k, n, seed):
     """False iff the stochastic rule's round-k batch skips seller i."""
-    return not rule.randomized or i in seed.round_batch(k, n, rule.batch_size())
+    return not rule.randomized or i in seed.round_batch(k, n)
 
 
 class TestScoreValues:
@@ -56,9 +57,9 @@ class TestScoreValues:
         oracle = AdditiveOracle([5.0] * 6)
         rule = make_rule("stochastic-distorted", 6)
         seed = RandomSeed(4)
-        batch = seed.round_batch(1, 6, rule.batch_size())
+        batch = seed.round_batch(1, 6)
         outside = next(i for i in range(6) if i not in batch)
-        inside = next(iter(batch))
+        inside = batch[0]
         scorer = _as_scorer(rule, oracle, seed)
         assert scorer(outside, (), [1.0] * 6, 1) == NOT_SAMPLED
         expected = rule.multiplier(1) * 5.0 - 1.0
@@ -261,13 +262,36 @@ class TestDiminishingFlag:
 
 def test_random_seed_batches_are_stable():
     seed = RandomSeed(123)
-    assert seed.round_batch(3, 50, 4) == seed.round_batch(3, 50, 4)
-    assert any(seed.round_batch(k, 50, 4) != seed.round_batch(3, 50, 4) for k in range(4, 13))  # rounds draw anew
+    assert seed.round_batch(3, 50) == seed.round_batch(3, 50)
+    assert any(seed.round_batch(k, 50) != seed.round_batch(3, 50) for k in range(4, 13))  # rounds draw anew
 
 
-def test_batch_size_default():
-    rule = make_rule("stochastic-distorted", 10)
-    assert rule.batch_size() == math.ceil(math.log(1 / 0.1))
+def test_round_batch_is_an_ascending_tuple_of_at_most_three_sellers():
+    assert STOCHASTIC_BATCH == math.ceil(math.log(1 / 0.1)) == 3
+    sizes = set()
+    for seed in range(20):
+        for n in (1, 2, 5, 500):
+            for k in range(1, 6):
+                batch = RandomSeed(seed).round_batch(k, n)
+                assert type(batch) is tuple and all(type(i) is int for i in batch)
+                assert list(batch) == sorted(set(batch)) and all(0 <= i < n for i in batch)
+                sizes.add(len(batch))
+    assert sizes == {1, 2, 3}  # repeated draws collapse
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
+def test_seed_must_be_an_integer(seed):
+    """A float was truncated (1.5 ran as seed 1); a bool is refused like the CLI's."""
+    with pytest.raises(TypeError):
+        RandomSeed(seed)
+    with pytest.raises(TypeError):
+        run_meta(make_rule("stochastic-distorted", 3), AdditiveOracle([1.0, 2.0, 3.0]), [0.5] * 3, seed=seed)
+
+
+def test_numpy_integer_seed_is_kept():
+    seed = RandomSeed(np.int64(7))
+    assert type(seed.seed) is int and seed == RandomSeed(7)
+    assert seed.round_batch(4, 30) == RandomSeed(7).round_batch(4, 30)
 
 
 # -- per-rule closed forms, as the rules were first written out ---------------

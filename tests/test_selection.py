@@ -158,17 +158,43 @@ class TestStochastic:
         rule = make_rule("stochastic-distorted", oracle.n)
         trace = run_meta(rule, oracle, costs, seed=RandomSeed(1))
         for i, k in trace.chosen_at.items():
-            batch = RandomSeed(1).round_batch(k, oracle.n, rule.batch_size())
+            batch = RandomSeed(1).round_batch(k, oracle.n)
             assert i in batch
 
-    def test_single_draw_form_matches_round_pick(self):
-        oracle, costs = random_oracle(47, 5, 9)
-        rule = make_rule("stochastic-distorted", oracle.n, stochastic_batch_size=1)
-        seed = RandomSeed(9)
-        trace = run_meta(rule, oracle, costs, seed=seed)
-        for i, k in trace.chosen_at.items():
-            [pick] = seed.round_batch(k, oracle.n, 1)
-            assert i == pick
+    # (n, seed) -> each winner's admission round, the winners' payments as
+    # float.hex() and the oracle queries of a sealed stochastic-distorted run,
+    # recorded when passes over 32 or more sellers still took the array rounds.
+    PINNED = {
+        (7, 11): ({2: 3, 5: 1}, {2: "0x1.17050bf7acf6fp+2", 5: "0x1.2e41c8fde0d64p+1"}, 48),
+        (20, 12): (
+            {0: 15, 8: 19, 11: 3, 12: 9, 13: 16, 14: 12, 15: 20, 16: 5, 17: 4, 18: 14, 19: 2},
+            {0: "0x1.1842774f1060ep+3", 8: "0x1.1f839796e8fa4p+3", 11: "0x1.668cd285abd84p+1",
+             12: "0x1.69c7549d5e1a1p+2", 13: "0x1.208348b150083p+3", 14: "0x1.0a10e2f6b08a0p+3",
+             15: "0x1.46626a322313ap+4", 16: "0x1.f0b5908055fdfp+3", 17: "0x1.02e30fc5fc364p+2",
+             18: "0x1.4b4c689ee9849p+4", 19: "0x1.2bb34896d65b8p+4"},
+            352,
+        ),
+        (45, 13): (
+            {5: 8, 8: 5, 9: 2, 10: 44, 13: 14, 16: 24, 19: 3, 25: 18, 34: 17, 37: 6, 39: 40},
+            {5: "0x1.b2a48b90ef2e1p+3", 8: "0x1.89c241ba6ffe6p+3", 9: "0x1.5c006b429e54cp+3",
+             10: "0x1.55dc0272c385cp+4", 13: "0x1.e791d18de07a0p+0", 16: "0x1.c5abfd2995eb0p+0",
+             19: "0x1.02d82ad748b18p+0", 25: "0x1.7e1c4c982713ap+3", 34: "0x1.65e94e33d0f28p+1",
+             37: "0x1.f032fa4ec55f2p+3", 39: "0x1.045288287db99p+3"},
+            924,
+        ),
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(PINNED))
+    def test_sealed_outputs_match_recorded_values(self, n, seed):
+        chosen_at, payments, queries = self.PINNED[n, seed]
+        instance, costs = random_instance(n, seed)
+        oracle = CoverageOracle(instance)
+        outcome = run_sealed_bid(make_rule("stochastic-distorted", n), oracle, costs, seed=RandomSeed(seed))
+        assert outcome.winners == tuple(sorted(chosen_at))
+        assert outcome.trace.chosen_at == chosen_at
+        assert {i: p.hex() for i, p in enumerate(outcome.payments) if i in chosen_at} == payments
+        assert all(p == 0.0 for i, p in enumerate(outcome.payments) if i not in chosen_at)
+        assert oracle.query_count == queries
 
     def test_sampling_saves_oracle_queries(self):
         oracle, costs = random_oracle(53, 10, 14)
