@@ -260,6 +260,14 @@ def make_rule(name: str, n: int, **kwargs) -> ScoringRule:
     return ScoringRule(kind=name, horizon=n, **kwargs)
 
 
+def _validate_rule(rule: ScoringRule, oracle: ValuationOracle) -> None:
+    """A round-indexed rule must be built for the oracle's seller count."""
+    if not rule.diminishing_return and rule.horizon != oracle.n:
+        raise ValueError(
+            f"rule horizon {rule.horizon} does not match the {oracle.n}-seller instance"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Assumption validation
 # ---------------------------------------------------------------------------
@@ -315,8 +323,12 @@ def validate_assumptions(rule, oracle: ValuationOracle, trials: int = 200, seed:
 
     Accepts a ScoringRule or any callable scorer(i, S, bids, k) fixture.
     Each trial scores a random round k in [1, n], or in [1, cap] for a
-    capped rule, which never runs a round past its cap.
+    capped rule, which never runs a round past its cap.  A round-indexed
+    rule whose horizon is not ``oracle.n`` raises ``ValueError``, as the
+    engines do.
     """
+    if isinstance(rule, ScoringRule):
+        _validate_rule(rule, oracle)
     rng = np.random.default_rng(seed)
     n = oracle.n
     scorer = _as_scorer(rule, oracle, seed)

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .scoring import RandomSeed, ScoringRule, UnsupportedRuleError, as_random_seed
+from .scoring import RandomSeed, ScoringRule, UnsupportedRuleError, _validate_rule, as_random_seed
 from .selection import (
     SelectionTrace,
     _check_bids,
@@ -38,7 +38,6 @@ from .selection import (
     _lazy_heap,
     _marginal_provider,
     _stale_copy,
-    _validate_rule,
 )
 from .valuation import ValuationOracle, sum_in_order, welfare
 

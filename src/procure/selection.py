@@ -21,12 +21,14 @@ The meta loop's round is an array round: one ``provider.marginals`` call
 lexicographic tie-break because the candidates stay ascending.  Rounds
 that score fewer than ``ARRAY_ROUND_MIN`` candidates, and passes that
 start with fewer or are stochastic, keep the scalar loop (``_scalar_rounds``,
-also the test reference).  On a 2-vCPU Xeon VM, over distorted runs at n = 100-500, a
-clean array round cost 4-5 us and one that first recomputes the sellers an
-admission changed 6-17 us (quartiles; a whole rebuild cost 21-38 us),
-against about 0.85 us per candidate for the scalar loop.  So the two now
-meet at 8-20 candidates; the cut-off stays at 32, which is where they met
-with whole rebuilds.  The lazy heap's seed scores every candidate once, so
+also the test reference).  On a 2-vCPU Xeon VM, over distorted runs at
+n = 100-500 on the synthetic graph (1500, 600), a clean array round cost
+6-7 us and one that first recomputes the sellers an admission changed
+7-12 us (quartiles; a whole rebuild cost 34-49 us), against 0.46-0.52 us
+per candidate for the scalar loop with the in-frame coverage sum.  So the
+two meet at 11-27 candidates; a pass builds its vector whole only at its
+first read (a payment continuation copies the allocation's), so the
+cut-off stays at 32.  The lazy heap's seed scores every candidate once, so
 it is an array round too; its re-scores stay scalar reads, a few per
 admission.
 """
@@ -46,6 +48,7 @@ from .scoring import (
     RandomSeed,
     ScoringRule,
     UnsupportedRuleError,
+    _validate_rule,
     as_random_seed,
 )
 from .valuation import ValuationOracle
@@ -159,19 +162,13 @@ def _marginal_provider(rule: ScoringRule, oracle: ValuationOracle):
     return _TrajectoryMinMarginals(scratch) if rule.kind == "noisy-distorted" else scratch
 
 
-def _validate_rule(rule: ScoringRule, oracle: ValuationOracle) -> None:
-    if not rule.diminishing_return and rule.horizon != oracle.n:
-        raise ValueError(
-            f"rule horizon {rule.horizon} does not match the {oracle.n}-seller instance"
-        )
-
-
 def _best_of(rule: ScoringRule, provider, bids, scored, k: int) -> tuple:
     """(argmax, score) over ``scored`` one marginal at a time; the first maximum wins."""
+    marginal, score_of = provider.marginal, rule.score_from_marginal
     best_i = None
     best_score = NOT_SAMPLED
     for i in scored:
-        sc = rule.score_from_marginal(provider.marginal(i), bids[i], k)
+        sc = score_of(marginal(i), bids[i], k)
         if best_i is None or sc > best_score:
             best_i, best_score = i, sc
     return best_i, best_score
@@ -267,17 +264,19 @@ def _lazy_greedy(rule: ScoringRule, provider, bids, heap: list, limit: int) -> I
     on the fresh scores, so any queue of valid upper bounds gives the same
     admissions.
     """
+    marginal, score_of = provider.marginal, rule.score_from_marginal
+    heappop, heappush = heapq.heappop, heapq.heappush
     for admitted in range(limit):
         while heap:
-            neg, i, stamp = heapq.heappop(heap)
+            neg, i, stamp = heappop(heap)
             if stamp == admitted:
                 score = -neg
                 break
-            score = rule.score_from_marginal(provider.marginal(i), bids[i], 1)
+            score = score_of(marginal(i), bids[i], 1)
             runner_up = -heap[0][0] if heap else NOT_SAMPLED
             if score > max(0.0, runner_up) or runner_up < 0.0:
                 break
-            heapq.heappush(heap, (-score, i, admitted))
+            heappush(heap, (-score, i, admitted))
         else:
             return
         if not score > 0.0:

@@ -21,12 +21,15 @@ or uncovered, found through a vertex-to-sellers index that the oracle also
 builds on first use; after two changes without a read it builds the vector
 whole again.
 
-Summation order: every float reduction here adds left to right
-(``sum_in_order``), and the array kernel adds the masked vertex values
-column by column in cover order, which is the same order; adding 0.0 for a
-covered vertex is exact, so scalar and array marginals agree bit for bit.
-The partial rebuild recomputes each seller with the scalar kernel rather
-than subtracting the flipped values, so it keeps those bits too.
+Summation order: every float reduction here adds left to right.  The hot
+coverage kernels (the oracle's value and marginal, the scratch's scalar
+marginal) sum in one in-frame loop; ``sum_in_order`` is their reference,
+over the same terms in the same order, and the sum everywhere else.  The
+array kernel adds the masked vertex values column by column in cover
+order, which is the same order; adding 0.0 for a covered vertex is exact,
+so scalar and array marginals agree bit for bit.  The partial rebuild
+recomputes each seller with the scalar kernel rather than subtracting the
+flipped values, so it keeps those bits too.
 Python >= 3.12 ``sum()`` compensates rounding and numpy's ``sum`` is
 pairwise, so neither is used for values that reach an output.
 """
@@ -60,10 +63,16 @@ def canonical_set(members: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(members)))
 
 
+#: One packer per part count; the largest key is |S| + 2 for a set S.
+_PACKERS: dict[int, struct.Struct] = {}
+
+
 def stable_hash64(*parts: int) -> int:
     """Deterministic 64-bit hash of a tuple of ints, stable across processes."""
-    payload = struct.pack(f"<{len(parts)}q", *parts)
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    packer = _PACKERS.get(len(parts))
+    if packer is None:
+        packer = _PACKERS[len(parts)] = struct.Struct(f"<{len(parts)}q")
+    digest = hashlib.blake2b(packer.pack(*parts), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
@@ -261,13 +270,22 @@ class CoverageOracle(ValuationOracle):
         covered: set[int] = set()
         for i in s:
             covered.update(self.covers[i])
-        return sum_in_order(self.vertex_values[v] for v in covered)
+        values = self.vertex_values
+        total = 0.0
+        for v in covered:  # the set's own order, which the noisy oracle's bits depend on
+            total += values[v]
+        return total
 
     def _marginal(self, i: int, s: tuple[int, ...]) -> float:
         covered: set[int] = set()
         for j in s:
             covered.update(self.covers[j])
-        return sum_in_order(self.vertex_values[v] for v in self.covers[i] if v not in covered)
+        values = self.vertex_values
+        total = 0.0
+        for v in self.covers[i]:
+            if v not in covered:
+                total += values[v]
+        return total
 
     def scratch(self) -> "CoverageScratch":
         return CoverageScratch(self)
@@ -322,7 +340,11 @@ class CoverageScratch(OracleScratch):
     def _marginal(self, i: int) -> float:
         counts = self._counts
         values = self.oracle.vertex_values
-        return sum_in_order(values[v] for v in self.oracle.covers[i] if counts[v] == 0)
+        total = 0.0
+        for v in self.oracle.covers[i]:
+            if counts[v] == 0:
+                total += values[v]
+        return total
 
     def marginals(self, idx: np.ndarray) -> np.ndarray:
         self.oracle._queries += len(idx)
@@ -475,7 +497,9 @@ class NoisyScratch(OracleScratch):
         self._set_value = 0.0
 
     def _marginal(self, i: int) -> float:
-        return self.oracle._value(canonical_set((*self._members, i))) - self._set_value
+        # i is never a member (``marginal`` checks, ``marginals`` requires it),
+        # so the sorted tuple is already canonical.
+        return self.oracle._value(tuple(sorted((*self._members, i)))) - self._set_value
 
     def copy(self) -> "NoisyScratch":
         twin = super().copy()

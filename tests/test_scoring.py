@@ -203,6 +203,14 @@ class TestValidateAssumptions:
         report = validate_assumptions(rule, oracle, trials=100, seed=5)
         assert report.passed, [c.counterexample for c in report.checks if not c.passed]
 
+    @pytest.mark.parametrize("rule_name", ["distorted", "stochastic-distorted", "noisy-distorted"])
+    @pytest.mark.parametrize("horizon", [3, 9])
+    def test_horizon_must_match_the_oracle(self, rule_name, horizon):
+        """Too short a horizon would index past the alpha tuple; too long a
+        one would check multipliers that no 6-seller run uses."""
+        with pytest.raises(ValueError, match="horizon"):
+            validate_assumptions(make_rule(rule_name, horizon), AdditiveOracle([1.0] * 6), trials=20)
+
     def test_increasing_fixture_fails_monotonicity(self):
         oracle, _ = random_oracle(31, 3, 6)
 

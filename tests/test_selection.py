@@ -161,41 +161,6 @@ class TestStochastic:
             batch = RandomSeed(1).round_batch(k, oracle.n)
             assert i in batch
 
-    # (n, seed) -> each winner's admission round, the winners' payments as
-    # float.hex() and the oracle queries of a sealed stochastic-distorted run,
-    # recorded when passes over 32 or more sellers still took the array rounds.
-    PINNED = {
-        (7, 11): ({2: 3, 5: 1}, {2: "0x1.17050bf7acf6fp+2", 5: "0x1.2e41c8fde0d64p+1"}, 48),
-        (20, 12): (
-            {0: 15, 8: 19, 11: 3, 12: 9, 13: 16, 14: 12, 15: 20, 16: 5, 17: 4, 18: 14, 19: 2},
-            {0: "0x1.1842774f1060ep+3", 8: "0x1.1f839796e8fa4p+3", 11: "0x1.668cd285abd84p+1",
-             12: "0x1.69c7549d5e1a1p+2", 13: "0x1.208348b150083p+3", 14: "0x1.0a10e2f6b08a0p+3",
-             15: "0x1.46626a322313ap+4", 16: "0x1.f0b5908055fdfp+3", 17: "0x1.02e30fc5fc364p+2",
-             18: "0x1.4b4c689ee9849p+4", 19: "0x1.2bb34896d65b8p+4"},
-            352,
-        ),
-        (45, 13): (
-            {5: 8, 8: 5, 9: 2, 10: 44, 13: 14, 16: 24, 19: 3, 25: 18, 34: 17, 37: 6, 39: 40},
-            {5: "0x1.b2a48b90ef2e1p+3", 8: "0x1.89c241ba6ffe6p+3", 9: "0x1.5c006b429e54cp+3",
-             10: "0x1.55dc0272c385cp+4", 13: "0x1.e791d18de07a0p+0", 16: "0x1.c5abfd2995eb0p+0",
-             19: "0x1.02d82ad748b18p+0", 25: "0x1.7e1c4c982713ap+3", 34: "0x1.65e94e33d0f28p+1",
-             37: "0x1.f032fa4ec55f2p+3", 39: "0x1.045288287db99p+3"},
-            924,
-        ),
-    }
-
-    @pytest.mark.parametrize("n, seed", sorted(PINNED))
-    def test_sealed_outputs_match_recorded_values(self, n, seed):
-        chosen_at, payments, queries = self.PINNED[n, seed]
-        instance, costs = random_instance(n, seed)
-        oracle = CoverageOracle(instance)
-        outcome = run_sealed_bid(make_rule("stochastic-distorted", n), oracle, costs, seed=RandomSeed(seed))
-        assert outcome.winners == tuple(sorted(chosen_at))
-        assert outcome.trace.chosen_at == chosen_at
-        assert {i: p.hex() for i, p in enumerate(outcome.payments) if i in chosen_at} == payments
-        assert all(p == 0.0 for i, p in enumerate(outcome.payments) if i not in chosen_at)
-        assert oracle.query_count == queries
-
     def test_sampling_saves_oracle_queries(self):
         oracle, costs = random_oracle(53, 10, 14)
         base = CoverageOracle(oracle.instance)
@@ -204,6 +169,99 @@ class TestStochastic:
         base2 = CoverageOracle(oracle.instance)
         run_meta(make_rule("stochastic-distorted", base2.n), base2, costs, seed=RandomSeed(3))
         assert base2.query_count < full_queries
+
+
+# ---------------------------------------------------------------------------
+# Sealed-bid outputs pinned bit for bit
+# ---------------------------------------------------------------------------
+
+# (rule, n, seed) -> each winner's admission round, the winners' payments as
+# float.hex() and the oracle queries of a sealed run on random_instance(n, seed):
+# stochastic-distorted as recorded when passes over 32 or more sellers still
+# took the array rounds; distorted at n >= ARRAY_ROUND_MIN, so array rounds
+# and partial rebuilds run; greedy-rate through the lazy payments; and
+# noisy-distorted on NoisyOracle(coverage, 0.1, seed).  The kernel's sums
+# must not move any of these bits.
+SEALED_PINNED = {
+    ("stochastic-distorted", 7, 11): (
+        {2: 3, 5: 1},
+        {2: "0x1.17050bf7acf6fp+2", 5: "0x1.2e41c8fde0d64p+1"},
+        48,
+    ),
+    ("stochastic-distorted", 20, 12): (
+        {0: 15, 8: 19, 11: 3, 12: 9, 13: 16, 14: 12, 15: 20, 16: 5, 17: 4, 18: 14, 19: 2},
+        {0: "0x1.1842774f1060ep+3", 8: "0x1.1f839796e8fa4p+3", 11: "0x1.668cd285abd84p+1",
+         12: "0x1.69c7549d5e1a1p+2", 13: "0x1.208348b150083p+3", 14: "0x1.0a10e2f6b08a0p+3",
+         15: "0x1.46626a322313ap+4", 16: "0x1.f0b5908055fdfp+3", 17: "0x1.02e30fc5fc364p+2",
+         18: "0x1.4b4c689ee9849p+4", 19: "0x1.2bb34896d65b8p+4"},
+        352,
+    ),
+    ("stochastic-distorted", 45, 13): (
+        {5: 8, 8: 5, 9: 2, 10: 44, 13: 14, 16: 24, 19: 3, 25: 18, 34: 17, 37: 6, 39: 40},
+        {5: "0x1.b2a48b90ef2e1p+3", 8: "0x1.89c241ba6ffe6p+3", 9: "0x1.5c006b429e54cp+3",
+         10: "0x1.55dc0272c385cp+4", 13: "0x1.e791d18de07a0p+0", 16: "0x1.c5abfd2995eb0p+0",
+         19: "0x1.02d82ad748b18p+0", 25: "0x1.7e1c4c982713ap+3", 34: "0x1.65e94e33d0f28p+1",
+         37: "0x1.f032fa4ec55f2p+3", 39: "0x1.045288287db99p+3"},
+        924,
+    ),
+    ("distorted", 45, 14): (
+        {6: 5, 7: 32, 8: 16, 10: 3, 11: 23, 15: 30, 21: 12, 25: 33, 29: 4, 30: 37, 31: 2, 33: 17, 34: 41,
+         35: 35, 37: 31, 38: 21, 43: 1},
+        {6: "0x1.82d30acca9c8dp+2", 7: "0x1.4c534c132991ep+0", 8: "0x1.316bc919e39dep+4",
+         10: "0x1.b05c6adec67bep+4", 11: "0x1.b6164f268a569p+2", 15: "0x1.86c2f8c3887b8p+2",
+         21: "0x1.9bab498db8571p+4", 25: "0x1.77eec5a31d1d9p+4", 29: "0x1.208e848426118p+3",
+         30: "0x1.87c2f914d30e8p+4", 31: "0x1.dc7fb6aa055cfp+3", 33: "0x1.41edf6bce65dep+4",
+         34: "0x1.2b2dd3087a4dfp+3", 35: "0x1.84eaf372be38fp+1", 37: "0x1.75522a94f8fa2p+3",
+         38: "0x1.00181aae49ef5p+5", 43: "0x1.96827475f90a0p+3"},
+        16794,
+    ),
+    ("distorted", 60, 15): (
+        {0: 7, 1: 2, 10: 32, 13: 36, 14: 55, 18: 4, 23: 52, 24: 3, 27: 43, 28: 5, 30: 6, 34: 19, 38: 17,
+         41: 35, 48: 1, 52: 51, 58: 33},
+        {0: "0x1.67ae1a9b94b69p+2", 1: "0x1.5b74d1dd417fbp+3", 10: "0x1.b2a6e030e9326p+3",
+         13: "0x1.0adc0137f82bap+1", 14: "0x1.9d0acc2132e10p-4", 18: "0x1.9adcda6a92e5ap+3",
+         23: "0x1.c8a5f8463a1c2p+3", 24: "0x1.be627dd06b45ap+3", 27: "0x1.5cb89fe54da12p+4",
+         28: "0x1.c19be51475d65p+2", 30: "0x1.e3c7a4e03407ep+1", 34: "0x1.236a3b4a33ddbp+4",
+         38: "0x1.752d4af6ed8e2p+1", 41: "0x1.7739e7187b3ffp+4", 48: "0x1.98727ad97eaaep+3",
+         52: "0x1.909bed2b6339ep+1", 58: "0x1.d9875b7c5bf6cp+3"},
+        34102,
+    ),
+    ("greedy-rate", 60, 16): (
+        {0: 1, 10: 6, 14: 19, 15: 9, 16: 12, 18: 17, 20: 5, 26: 16, 27: 8, 29: 10, 32: 14, 34: 15, 35: 11,
+         37: 13, 40: 3, 45: 4, 52: 18, 54: 7, 55: 2, 59: 20},
+        {0: "0x1.e5a07e2516016p+3", 10: "0x1.b438a4578e068p+3", 14: "0x1.4a31d74f0409cp+4",
+         15: "0x1.5da2b3e5e1b5bp+2", 16: "0x1.1730452e5e566p+4", 18: "0x1.fb06d6296158ep+1",
+         20: "0x1.e7a279a17964ap+2", 26: "0x1.a2b814811b577p+3", 27: "0x1.47fc650a7298dp+2",
+         29: "0x1.2c94dabc0255cp+2", 32: "0x1.7680d42215ac0p+4", 34: "0x1.d0fd332e04fe9p+3",
+         35: "0x1.2d18f3ee16266p+4", 37: "0x1.113dda7623ef3p+3", 40: "0x1.deaa76dbe7c3dp+2",
+         45: "0x1.1d1067018b384p+3", 52: "0x1.12e887f14e24fp+5", 54: "0x1.74dca890f83acp+2",
+         55: "0x1.93deef4678cabp+2", 59: "0x1.e819b2465958bp+3"},
+        893,
+    ),
+    ("noisy-distorted", 40, 17): (
+        {4: 13, 34: 1, 35: 2},
+        {4: "0x1.e0c565a9ea0b8p+0", 34: "0x1.e42571cbd7025p+0", 35: "0x1.2c41c922e1a1cp+0"},
+        5595,
+    ),
+}
+
+
+@pytest.mark.parametrize("rule_name, n, seed", sorted(SEALED_PINNED))
+def test_sealed_outputs_match_recorded_values(rule_name, n, seed):
+    chosen_at, payments, queries = SEALED_PINNED[rule_name, n, seed]
+    instance, costs = random_instance(n, seed)
+    oracle = CoverageOracle(instance)
+    if rule_name == "noisy-distorted":
+        rule, oracle = make_rule(rule_name, n, noise_epsilon=0.1), NoisyOracle(oracle, 0.1, seed)
+    else:
+        rule = make_rule(rule_name, n)
+    run = run_sealed_bid_lazy if rule_name == "greedy-rate" else run_sealed_bid
+    outcome = run(rule, oracle, costs, seed=RandomSeed(seed))
+    assert outcome.winners == tuple(sorted(chosen_at))
+    assert outcome.trace.chosen_at == chosen_at
+    assert {i: p.hex() for i, p in enumerate(outcome.payments) if i in chosen_at} == payments
+    assert all(p == 0.0 for i, p in enumerate(outcome.payments) if i not in chosen_at)
+    assert oracle.query_count == queries
 
 
 def test_cardinality_variant_caps_admissions():

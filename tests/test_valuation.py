@@ -12,7 +12,9 @@ from procure.valuation import (
     CoverageInstance,
     CoverageOracle,
     NoisyOracle,
+    sum_in_order,
 )
+from procure.instances import random_instance
 from procure.selection import ARRAY_ROUND_MIN
 from conftest import random_oracle, synthetic_instances
 
@@ -150,6 +152,39 @@ def test_coverage_sums_add_left_to_right():
     assert oracle.marginal(0, ()) == 1e16
     assert oracle.scratch().marginal(0) == 1e16
     assert oracle.scratch().marginals(np.array([0])).tolist() == [1e16]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_coverage_kernels_match_sum_in_order(seed):
+    """The in-frame sums of the scratch (scalar, whole and partial vector
+    reads) and of the oracle's value and marginal give the bits of
+    ``sum_in_order`` over the same terms in the same order, through
+    interleaved adds and removes."""
+    n = ARRAY_ROUND_MIN + 8 * seed
+    oracle = CoverageOracle(random_instance(n, seed)[0])
+    values, covers = oracle.vertex_values, oracle.covers
+    rng = np.random.default_rng(seed)
+    scratch = oracle.scratch()
+    reads = {"whole": 0, "partial": 0}
+    for step in range(3 * n):
+        members = scratch.members
+        covered: set[int] = set()
+        for j in members:
+            covered.update(covers[j])
+        value = sum_in_order(values[v] for v in covered)
+        assert oracle.value(members).hex() == value.hex()
+        outside = [i for i in range(n) if i not in scratch]
+        expected = [sum_in_order(values[v] for v in covers[i] if v not in covered).hex() for i in outside]
+        assert [oracle.marginal(i, members).hex() for i in outside] == expected
+        assert [scratch.marginal(i).hex() for i in outside] == expected
+        if step % 3 != 2 and outside:  # a third of the changes come two in a row: a whole rebuild
+            reads["whole" if scratch._vector is None else "partial"] += 1
+            assert [m.hex() for m in scratch.marginals(np.array(outside, dtype=np.intp)).tolist()] == expected
+        if members and (rng.random() < 0.3 or not outside):
+            scratch.remove(members[int(rng.integers(len(members)))])
+        else:
+            scratch.add(outside[int(rng.integers(len(outside)))])
+    assert reads["whole"] > 1 and reads["partial"] > 1
 
 
 def test_additive_scratch_uses_the_oracle_marginal():
