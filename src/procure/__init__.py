@@ -23,7 +23,6 @@ from .scoring import (
     ScoringRule,
     UnsupportedRuleError,
     make_rule,
-    validate_assumptions,
 )
 from .selection import SelectionTrace, run_meta, run_meta_lazy
 from .sealed_bid import (

@@ -15,9 +15,9 @@ coefficients fixed when the rule is built:
     stochastic-distorted  as distorted, restricted to a per-round random batch
     noisy-distorted       as distorted, on min_t F(i|S_t), beta = x = 1 + 2 eps n + eps
 
-(the capped distorted rule uses (1 - 1/cap)^(cap-k)).  Its score, critical
-bid and posted price are alpha m - beta b, max(0, (alpha m - target) / beta)
-and m / beta.  The other two are ratios in the bid:
+Their score, critical bid and posted price are alpha m - beta b,
+max(0, (alpha m - target) / beta) and m / beta.  The other two are ratios
+in the bid:
 
     greedy-rate           (f(i|S) - b_i) / f(i|S)
     roi                   (f(i|S) - b_i) / b_i
@@ -37,11 +37,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .valuation import ValuationOracle, canonical_set, stable_hash64
+from .valuation import ValuationOracle, stable_hash64
 
 RULE_NAMES = (
     "greedy-margin",
@@ -112,15 +111,11 @@ class ScoringRule:
     """A named scoring rule together with the parameters it needs.
 
     ``horizon`` is the number of rounds n of the enclosing run; the
-    distorted family needs it for the (1 - 1/n)^(n-k) multiplier.  The
-    optional ``cardinality`` switches the distorted rule to the capacity-
-    constrained multiplier (1 - 1/cap)^(cap-k) and caps the run at ``cap``
-    admission rounds.
+    distorted family needs it for the (1 - 1/n)^(n-k) multiplier.
     """
 
     kind: str
     horizon: int = 0
-    cardinality: int | None = None
     noise_epsilon: float = 0.0
 
     def __post_init__(self):
@@ -128,18 +123,12 @@ class ScoringRule:
             raise UnsupportedRuleError(f"unknown rule {self.kind!r}; expected one of {RULE_NAMES}")
         if self.kind not in _ROUND_FREE and self.horizon < 1:
             raise ValueError(f"rule {self.kind!r} needs a positive horizon")
-        if self.cardinality is not None and self.kind != "distorted":
-            raise ValueError("the cardinality variant exists only for the distorted rule")
-        if self.cardinality is not None and self.cardinality < 1:
-            raise ValueError(f"cardinality must be at least 1, got {self.cardinality}")
         if not 0.0 <= self.noise_epsilon < 1.0:
             raise ValueError(f"noise epsilon must be in [0, 1), got {self.noise_epsilon}")
-        # The affine coefficients; round k indexes the alpha tuple directly.
-        # A run scores rounds 1 .. ``rounds`` and no later one, so the tuple
-        # stops there; past a cap the capped multiplier exceeds 1 (at cap = 1
-        # it divides by zero).  Round-free rules carry no tuple: their alpha
-        # is 1 in every round.
-        alpha = () if self.diminishing_return else tuple(self.multiplier(k) for k in range(self.rounds + 1))
+        # The affine coefficients; round k indexes the alpha tuple directly,
+        # over the run's rounds 1 .. n.  Round-free rules carry no tuple:
+        # their alpha is 1 in every round.
+        alpha = () if self.diminishing_return else tuple(self.multiplier(k) for k in range(self.horizon + 1))
         beta = {"cost-scaled": 2.0, "noisy-distorted": self.x}.get(self.kind, 1.0)
         object.__setattr__(self, "_affine", self.kind not in ("greedy-rate", "roi"))
         object.__setattr__(self, "_alpha", alpha)
@@ -154,22 +143,12 @@ class ScoringRule:
         return self.kind == "stochastic-distorted"
 
     @property
-    def rounds(self) -> int:
-        """Number of admission rounds a run of this rule performs."""
-        if self.cardinality is not None:
-            return self.cardinality
-        return self.horizon
-
-    @property
     def x(self) -> float:
         """Cost multiplier of the noisy rule: 1 + 2*eps*n + eps."""
         return 1.0 + 2.0 * self.noise_epsilon * self.horizon + self.noise_epsilon
 
     def multiplier(self, k: int) -> float:
         """Distortion multiplier applied to the marginal in round k."""
-        if self.cardinality is not None:
-            cap = self.cardinality
-            return (1.0 - 1.0 / cap) ** (cap - k)
         n = self.horizon
         return (1.0 - 1.0 / n) ** (n - k)
 
@@ -266,123 +245,3 @@ def _validate_rule(rule: ScoringRule, oracle: ValuationOracle) -> None:
         raise ValueError(
             f"rule horizon {rule.horizon} does not match the {oracle.n}-seller instance"
         )
-
-
-# ---------------------------------------------------------------------------
-# Assumption validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AssumptionCheck:
-    name: str
-    passed: bool
-    counterexample: str | None = None
-
-
-@dataclass
-class AssumptionReport:
-    rule: str
-    trials: int
-    checks: list[AssumptionCheck]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-Scorer = Callable[[int, tuple[int, ...], Sequence[float], int], float]
-
-
-def _as_scorer(rule, oracle: ValuationOracle, seed) -> Scorer:
-    """Adapt a ScoringRule (or any callable fixture) to a bid-vector scorer.
-
-    A rule's scorer applies the stochastic batch gate of round k, then
-    scores i's marginal against the tentative set.
-    """
-    if callable(rule) and not isinstance(rule, ScoringRule):
-        return rule
-    seed = as_random_seed(seed)
-
-    def scorer(i: int, tentative: tuple[int, ...], bids: Sequence[float], k: int) -> float:
-        if rule.randomized and i not in seed.round_batch(k, oracle.n):
-            return NOT_SAMPLED
-        return rule.score_from_marginal(oracle.marginal(i, tentative), bids[i], k)
-
-    return scorer
-
-
-def validate_assumptions(rule, oracle: ValuationOracle, trials: int = 200, seed: int = 0) -> AssumptionReport:
-    """Randomized check of the three mechanism assumptions.
-
-    (1) the score is non-increasing in the candidate's own bid, on a
-        12-point grid,
-    (2) the score is negative once the bid exceeds the marginal the oracle
-        reports, and
-    (3) the score does not move when any other seller's bid changes.
-
-    Accepts a ScoringRule or any callable scorer(i, S, bids, k) fixture.
-    Each trial scores a random round k in [1, n], or in [1, cap] for a
-    capped rule, which never runs a round past its cap.  A round-indexed
-    rule whose horizon is not ``oracle.n`` raises ``ValueError``, as the
-    engines do.
-    """
-    if isinstance(rule, ScoringRule):
-        _validate_rule(rule, oracle)
-    rng = np.random.default_rng(seed)
-    n = oracle.n
-    scorer = _as_scorer(rule, oracle, seed)
-    capped = isinstance(rule, ScoringRule) and rule.cardinality is not None
-    last_round = rule.cardinality if capped else n
-    name = rule.kind if isinstance(rule, ScoringRule) else getattr(rule, "__name__", "custom")
-    monotone = AssumptionCheck("non-increasing-in-own-bid", True)
-    negative = AssumptionCheck("negative-above-marginal", True)
-    invariant = AssumptionCheck("independent-of-other-bids", True)
-
-    for _ in range(trials):
-        size = int(rng.integers(0, n))
-        tentative = canonical_set(rng.choice(n, size=size, replace=False)) if size else ()
-        outside = [i for i in range(n) if i not in tentative]
-        if not outside:
-            continue
-        i = int(rng.choice(outside))
-        k = int(rng.integers(1, last_round + 1))
-        m = oracle.marginal(i, tentative)
-        scale = max(1.0, abs(m))
-        bids = np.abs(rng.normal(scale=scale, size=n))
-
-        if monotone.passed:
-            grid_bids = np.linspace(0.0, 2.0 * scale, 12)
-            prev = math.inf
-            for b in grid_bids:
-                bids_b = bids.copy()
-                bids_b[i] = b
-                cur = scorer(i, tentative, bids_b, k)
-                if cur > prev + 1e-9:
-                    monotone.passed = False
-                    monotone.counterexample = f"i={i} S={tentative} bid {b:.4g}: score rose to {cur:.6g}"
-                    break
-                prev = cur
-
-        if negative.passed:
-            bids_hi = bids.copy()
-            bids_hi[i] = max(m, 0.0) + 0.1 + float(rng.uniform(0, scale))
-            sc = scorer(i, tentative, bids_hi, k)
-            if not sc < 0:
-                negative.passed = False
-                negative.counterexample = (
-                    f"i={i} S={tentative} bid {bids_hi[i]:.4g} > marginal {m:.4g} but score {sc:.6g}"
-                )
-
-        if invariant.passed and n > 1:
-            base = scorer(i, tentative, bids, k)
-            bids_perturbed = bids.copy()
-            j = int(rng.choice([x for x in range(n) if x != i]))
-            bids_perturbed[j] = bids_perturbed[j] + float(rng.uniform(0.1, scale))
-            other = scorer(i, tentative, bids_perturbed, k)
-            if not (base == other or (math.isinf(base) and math.isinf(other) and base == other)):
-                if abs(base - other) > 1e-12:
-                    invariant.passed = False
-                    invariant.counterexample = f"i={i} S={tentative}: {base:.6g} -> {other:.6g} after moving bid {j}"
-
-    return AssumptionReport(rule=name, trials=trials, checks=[monotone, negative, invariant])

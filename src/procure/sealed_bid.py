@@ -105,7 +105,7 @@ def _critical_payment(
     downward ulp the analytic inversion can introduce at exact score ties.
     """
     best = bids[i]
-    for j, batch, comp_id, comp_score in _greedy_rounds(rule, provider, bids, seed, others, len(bids), start=k):
+    for j, batch, comp_id, comp_score in _greedy_rounds(rule, provider, bids, seed, others, start=k):
         if batch is not None and i not in batch:
             continue
         m_i = provider.marginal(i)
@@ -133,8 +133,6 @@ def run_sealed_bid(
     seller, for callers that only need that seller's outcome (incentive
     checks).
     """
-    if rule.cardinality is not None:
-        raise UnsupportedRuleError("the mechanism runs n rounds; cardinality-capped rules are not supported")
     n = oracle.n
     _validate_rule(rule, oracle)
     bids = _check_bids(bids, n)
@@ -142,7 +140,7 @@ def run_sealed_bid(
     provider = _marginal_provider(rule, oracle)
     trace = SelectionTrace(n)
     payments = [0.0] * n
-    for k, _, i, score in _greedy_rounds(rule, provider, bids, seed, range(n), n):
+    for k, _, i, score in _greedy_rounds(rule, provider, bids, seed, range(n)):
         if i is None or not score > 0.0:
             continue
         trace.admit(i, k, score)

@@ -65,24 +65,26 @@ STALE = -1
 class SelectionTrace:
     """Full record of one selection run over n sellers.
 
-    ``order`` holds the admitted sellers in admission order, ``chosen_at``
-    their admission rounds and ``scores_at_admission`` the scores that
+    ``chosen_at`` maps the admitted sellers, in admission order, to their
+    admission rounds and ``scores_at_admission`` to the scores that
     admitted them; the tentative sets S_0 .. S_n are derived from these.
     """
 
     n: int
-    order: list[int] = field(default_factory=list)
     chosen_at: dict[int, int] = field(default_factory=dict)
     scores_at_admission: dict[int, float] = field(default_factory=dict)
 
     def admit(self, i: int, k: int, score: float) -> None:
-        self.order.append(i)
         self.chosen_at[i] = k
         self.scores_at_admission[i] = score
 
     @property
+    def order(self) -> list[int]:
+        return list(self.chosen_at)
+
+    @property
     def winners(self) -> tuple[int, ...]:
-        return tuple(sorted(self.order))
+        return tuple(sorted(self.chosen_at))
 
     @property
     def tentative_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -174,9 +176,7 @@ def _best_of(rule: ScoringRule, provider, bids, scored, k: int) -> tuple:
     return best_i, best_score
 
 
-def _scalar_rounds(
-    rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, rounds: int, start: int = 1
-) -> Iterator[tuple]:
+def _scalar_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, start: int = 1) -> Iterator[tuple]:
     """The meta loop scored one candidate at a time: small and stochastic passes, and the reference.
 
     A stochastic round scores its ascending batch's remaining members, so
@@ -184,7 +184,7 @@ def _scalar_rounds(
     """
     n = len(bids)
     remaining = dict.fromkeys(candidates)  # ascending, with O(1) lookup and removal
-    for k in range(start, rounds + 1):
+    for k in range(start, n + 1):
         batch = seed.round_batch(k, n) if rule.randomized else None
         scored = remaining if batch is None else [i for i in batch if i in remaining]
         best_i, best_score = _best_of(rule, provider, bids, scored, k)
@@ -194,10 +194,8 @@ def _scalar_rounds(
             del remaining[best_i]
 
 
-def _greedy_rounds(
-    rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, rounds: int, start: int = 1
-) -> Iterator[tuple]:
-    """The meta loop: yields (k, batch, argmax, score) for rounds ``start`` .. ``rounds``.
+def _greedy_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, start: int = 1) -> Iterator[tuple]:
+    """The meta loop: yields (k, batch, argmax, score) for rounds ``start`` .. n = ``len(bids)``.
 
     The argmax (None when no candidate was scored) is admitted when the
     caller resumes, iff its score is strictly positive; until then the
@@ -214,11 +212,11 @@ def _greedy_rounds(
     candidates, so a randomized rule's whole pass takes the scalar loop.
     """
     if rule.randomized or len(candidates) < ARRAY_ROUND_MIN:
-        yield from _scalar_rounds(rule, provider, bids, seed, candidates, rounds, start)
+        yield from _scalar_rounds(rule, provider, bids, seed, candidates, start)
         return
     bid_array = np.array(bids, dtype=float)
     remaining = np.array(candidates, dtype=np.intp)
-    for k in range(start, rounds + 1):
+    for k in range(start, len(bids) + 1):
         if len(remaining) < ARRAY_ROUND_MIN:
             best_i, best_score = _best_of(rule, provider, bids, remaining.tolist(), k)
         else:
@@ -274,7 +272,7 @@ def _lazy_greedy(rule: ScoringRule, provider, bids, heap: list, limit: int) -> I
                 break
             score = score_of(marginal(i), bids[i], 1)
             runner_up = -heap[0][0] if heap else NOT_SAMPLED
-            if score > max(0.0, runner_up) or runner_up < 0.0:
+            if (score > 0.0 and score > runner_up) or runner_up < 0.0:
                 break
             heappush(heap, (-score, i, admitted))
         else:
@@ -291,14 +289,13 @@ def run_meta(
     bids,
     seed: RandomSeed | int | None = None,
 ) -> SelectionTrace:
-    """One full run of the meta selection algorithm (n rounds, or the rule's cardinality cap)."""
+    """One full run of the meta selection algorithm, over n = ``oracle.n`` rounds."""
     n = oracle.n
     _validate_rule(rule, oracle)
     bids = _check_bids(bids, n)
-    rounds = rule.cardinality if rule.cardinality is not None else n
     provider = _marginal_provider(rule, oracle)
     trace = SelectionTrace(n)
-    for k, _, i, score in _greedy_rounds(rule, provider, bids, as_random_seed(seed), range(n), rounds):
+    for k, _, i, score in _greedy_rounds(rule, provider, bids, as_random_seed(seed), range(n)):
         if i is not None and score > 0.0:
             trace.admit(i, k, score)
     return trace

@@ -1,17 +1,18 @@
-"""Property suites: feasibility, welfare guarantees, and equivalences.
+"""Property suites: mechanism assumptions, feasibility, welfare guarantees, and equivalences.
 
 Each suite draws random instances, exercises one of the published claims
-(incentive compatibility, bi-criteria welfare bounds, lazy/naive and
-online/posted equivalences, descending-auction bounds) and reports the
-failures it saw.  The CLI's ``verify`` command and the acceptance tests
-both run these with their own trial counts; every other setting is a
-module constant or a literal below.
+(the rules' mechanism assumptions, incentive compatibility, bi-criteria
+welfare bounds, lazy/naive and online/posted equivalences,
+descending-auction bounds) and reports the failures it saw.  The CLI's
+``verify`` command and the acceptance tests both run these with their own
+trial counts; every other setting is a module constant or a literal below.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,17 @@ from .descending import (
 )
 from .instances import random_instance
 from .online import run_online_meta, run_posted_price, order_random, worst_sampled_order
-from .scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, STOCHASTIC_EPSILON, RandomSeed, ScoringRule, make_rule
+from .scoring import (
+    NOT_SAMPLED,
+    ONLINE_CAPABLE_RULES,
+    RULE_NAMES,
+    STOCHASTIC_EPSILON,
+    RandomSeed,
+    ScoringRule,
+    _validate_rule,
+    as_random_seed,
+    make_rule,
+)
 from .sealed_bid import (
     AuctionOutcome,
     exact_opt,
@@ -39,7 +50,15 @@ from .sealed_bid import (
     verify_nas,
 )
 from .selection import run_meta, run_meta_lazy
-from .valuation import CoverageOracle, NoisyOracle, ValuationOracle, stable_hash64, sum_in_order, welfare
+from .valuation import (
+    CoverageOracle,
+    NoisyOracle,
+    ValuationOracle,
+    canonical_set,
+    stable_hash64,
+    sum_in_order,
+    welfare,
+)
 
 #: Rules whose sealed-bid mechanism is deterministic given the bids, in
 #: ``RULE_NAMES`` order: the suites pick trial t's rule by its index here.
@@ -51,6 +70,8 @@ BETA_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 TOL = 1e-9
 #: Runs per instance of ``stochastic_guarantee_suite``.
 SEEDS_PER_INSTANCE = 200
+#: Random (set, seller, round, bids) draws per instance of ``assumptions_suite``.
+ASSUMPTION_DRAWS = 50
 
 
 @dataclass
@@ -107,6 +128,119 @@ def suite_rule(name: str, oracle: ValuationOracle, noise_seed: int = 0):
         rule = make_rule(name, oracle.n, noise_epsilon=SUITE_NOISE_EPSILON)
         return rule, NoisyOracle(oracle, SUITE_NOISE_EPSILON, seed=noise_seed)
     return make_rule(name, oracle.n), oracle
+
+
+# ---------------------------------------------------------------------------
+# The three mechanism assumptions
+# ---------------------------------------------------------------------------
+
+#: The assumptions ``validate_assumptions`` checks, in its order; a failure
+#: reads "<name>: <counterexample>".
+ASSUMPTIONS = ("non-increasing-in-own-bid", "negative-above-marginal", "independent-of-other-bids")
+
+
+def _as_scorer(rule, oracle: ValuationOracle, seed):
+    """Adapt a ScoringRule (or any callable fixture) to a bid-vector scorer.
+
+    A rule's scorer applies the stochastic batch gate of round k, then
+    scores i's marginal against the tentative set.
+    """
+    if not isinstance(rule, ScoringRule):
+        return rule
+    seed = as_random_seed(seed)
+
+    def scorer(i: int, tentative: tuple[int, ...], bids: Sequence[float], k: int) -> float:
+        if rule.randomized and i not in seed.round_batch(k, oracle.n):
+            return NOT_SAMPLED
+        return rule.score_from_marginal(oracle.marginal(i, tentative), bids[i], k)
+
+    return scorer
+
+
+def validate_assumptions(rule, oracle: ValuationOracle, trials: int = 200, seed: int = 0) -> SuiteReport:
+    """Randomized check of the three mechanism assumptions, in ``ASSUMPTIONS`` order:
+
+    (1) the score is non-increasing in the candidate's own bid, on a
+        12-point grid,
+    (2) the score is negative once the bid exceeds the marginal the oracle
+        reports, and
+    (3) the score does not move when any other seller's bid changes.
+
+    Accepts a ScoringRule or any callable scorer(i, S, bids, k) fixture.
+    Each trial scores a random round k in [1, n]; each assumption stops at
+    its first counterexample.  A round-indexed rule whose horizon is not
+    ``oracle.n`` raises ``ValueError``, as the engines do.
+    """
+    if isinstance(rule, ScoringRule):
+        _validate_rule(rule, oracle)
+    rng = np.random.default_rng(seed)
+    n = oracle.n
+    scorer = _as_scorer(rule, oracle, seed)
+    report = SuiteReport(name=rule.kind if isinstance(rule, ScoringRule) else getattr(rule, "__name__", "custom"))
+    monotone, negative, invariant = ASSUMPTIONS
+    found: dict[str, str] = {}  # assumption -> its first counterexample
+    for _ in range(trials):
+        size = int(rng.integers(0, n))
+        tentative = canonical_set(rng.choice(n, size=size, replace=False).tolist()) if size else ()
+        outside = [i for i in range(n) if i not in tentative]
+        if not outside:
+            continue
+        i = int(rng.choice(outside))
+        k = int(rng.integers(1, n + 1))
+        m = oracle.marginal(i, tentative)
+        scale = max(1.0, abs(m))
+        bids = np.abs(rng.normal(scale=scale, size=n))
+
+        if monotone not in found:
+            report.checks += 1
+            prev = math.inf
+            for b in np.linspace(0.0, 2.0 * scale, 12):
+                bids_b = bids.copy()
+                bids_b[i] = b
+                cur = scorer(i, tentative, bids_b, k)
+                if cur > prev + 1e-9:
+                    found[monotone] = f"i={i} S={tentative} bid {b:.4g}: score rose to {cur:.6g}"
+                    break
+                prev = cur
+
+        if negative not in found:
+            report.checks += 1
+            bids_hi = bids.copy()
+            bids_hi[i] = max(m, 0.0) + 0.1 + float(rng.uniform(0, scale))
+            sc = scorer(i, tentative, bids_hi, k)
+            if not sc < 0:
+                found[negative] = f"i={i} S={tentative} bid {bids_hi[i]:.4g} > marginal {m:.4g} but score {sc:.6g}"
+
+        if invariant not in found and n > 1:
+            report.checks += 1
+            base = scorer(i, tentative, bids, k)
+            bids_perturbed = bids.copy()
+            j = int(rng.choice([x for x in range(n) if x != i]))
+            bids_perturbed[j] = bids_perturbed[j] + float(rng.uniform(0.1, scale))
+            other = scorer(i, tentative, bids_perturbed, k)
+            if abs(base - other) > 1e-12:  # equal infinities give NaN, which passes
+                found[invariant] = f"i={i} S={tentative}: {base:.6g} -> {other:.6g} after moving bid {j}"
+
+    report.failures = [f"{assumption}: {found[assumption]}" for assumption in ASSUMPTIONS if assumption in found]
+    return report
+
+
+def assumptions_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
+    """``validate_assumptions`` for every rule in ``RULE_NAMES``, on ``trials``
+    random instances each (the noisy rule on its ``NoisyOracle``), with
+    ``ASSUMPTION_DRAWS`` draws per instance."""
+    report = SuiteReport(name="assumptions")
+    for rule_index, rule_name in enumerate(RULE_NAMES):
+        rng = np.random.default_rng(stable_hash64(seed, rule_index))
+        for t in range(trials):
+            base, _ = sample_instance(rng, 12)
+            rule, oracle = suite_rule(rule_name, base, noise_seed=t)
+            part = validate_assumptions(rule, oracle, ASSUMPTION_DRAWS, int(rng.integers(0, 2**31)))
+            report.checks += part.checks
+            report.failures.extend(f"{rule_name} trial {t}: {f}" for f in part.failures)
+            if len(report.failures) > 20:
+                return report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +641,7 @@ def vcg_suite(trials: int = 500, seed: int = 0) -> SuiteReport:
 
 
 SUITES = {
+    "assumptions": lambda trials, seed: assumptions_suite(trials, seed),
     "ic": lambda trials, seed: feasibility_suite(trials, seed, parts=("ic",)),
     "ir": lambda trials, seed: feasibility_suite(trials, seed, parts=("ir",)),
     "nas": lambda trials, seed: feasibility_suite(trials, seed, parts=("nas",)),

@@ -48,13 +48,11 @@ def edge_case_instances(
     return CoverageInstance(covers, tuple(values)), costs
 
 
-def rule_and_oracle(rule_name, instance, capped=False):
+def rule_and_oracle(rule_name, instance):
     """The rule over ``instance`` and a fresh oracle for it (noisy for the noisy rule)."""
     n = instance.n_sets
     if rule_name == "noisy-distorted":
         return make_rule(rule_name, n, noise_epsilon=0.1), NoisyOracle(CoverageOracle(instance), 0.1, seed=n)
-    if capped:
-        return make_rule("distorted", n, cardinality=max(1, n // 3)), CoverageOracle(instance)
     return make_rule(rule_name, n), CoverageOracle(instance)
 
 

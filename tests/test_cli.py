@@ -53,6 +53,14 @@ class TestExperiment:
         rows = [l for l in out1.read_text().splitlines() if l and not l.startswith("#")]
         assert len(rows) - 1 == 2 * 4 * 4  # (s values) x instances x mechanisms
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        """It used to reach numpy and exit 1 with a traceback."""
+        out = tmp_path / "neg.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["experiment", "--config", str(self._config(tmp_path, out)), "--seed", "-1"])
+        assert err.value.code == 2
+        assert "at least 0" in capsys.readouterr().err and not out.exists()
+
     def test_vcg_skipped_beyond_cap(self, tmp_path):
         out = tmp_path / "skip.csv"
         config = {
@@ -97,6 +105,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             run_cli(["verify", "bogus", "--trials", "5"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("suite", ["lazy-equivalence", "guarantees", "online-equivalence", "descending"])
+    def test_negative_seed_is_usage_error(self, capsys, suite):
+        """These suites used to reach numpy and exit 1 with a traceback."""
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", suite, "--trials", "1", "--seed", "-1"])
+        assert err.value.code == 2
+        assert "at least 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_is_usage_error(self, capsys, trials):
@@ -143,6 +159,12 @@ class TestGenInstance:
         doc = json.loads(out.read_text())
         assert doc["instance"]["n_sets"] == 5
         assert len(doc["costs"]) == 5
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["gen-instance", "--random", "5", "--seed", "-1"])
+        assert err.value.code == 2
+        assert "at least 0" in capsys.readouterr().err
 
     def test_graph_sampling(self, tmp_path):
         edges = tmp_path / "toy.txt"
@@ -303,7 +325,7 @@ class TestOrderAndScheduleSelectors:
     @pytest.mark.parametrize("bad", [
         {"n": [0]}, {"n": [6, 100000]}, {"s": [0.5]}, {"s": [float("nan")]}, {"instances": 0},
         {"workers": 0}, {"mechanism": ["alloc:distorted"]}, {"mechanisms": ["sealed:nonsense"]},
-        {"seed": "x"}, {"seed": 1.5}, {"seed": True},
+        {"seed": "x"}, {"seed": 1.5}, {"seed": True}, {"seed": -1},
     ])
     def test_experiment_rejects_bad_settings_before_running(self, tmp_path, monkeypatch, capsys, bad):
         from procure import harness

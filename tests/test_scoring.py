@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,13 +11,14 @@ from procure.scoring import (
     RULE_NAMES,
     STOCHASTIC_BATCH,
     RandomSeed,
+    ScoringRule,
     UnsupportedRuleError,
-    _as_scorer,
     make_rule,
-    validate_assumptions,
 )
+from procure import verification
 from procure.selection import run_meta
 from procure.valuation import AdditiveOracle, NoisyOracle
+from procure.verification import ASSUMPTIONS, _as_scorer, run_suite, validate_assumptions
 from conftest import random_oracle
 
 ALL_RULES = ("greedy-margin", "greedy-rate", "distorted", "stochastic-distorted", "roi", "cost-scaled")
@@ -181,27 +183,42 @@ class TestOnlinePrice:
             make_rule("distorted", 1).posted_price(oracle.marginal(0, ()))
 
 
+def refuted(report, assumption):
+    """True iff ``report`` holds a counterexample to ``assumption``."""
+    return any(f.startswith(f"{assumption}: ") for f in report.failures)
+
+
 class TestValidateAssumptions:
     @pytest.mark.parametrize("rule_name", ALL_RULES)
     def test_all_shipped_rules_pass(self, rule_name):
         oracle, _ = random_oracle(23, 4, 8)
         rule = make_rule(rule_name, oracle.n)
         report = validate_assumptions(rule, oracle, trials=150, seed=5)
-        assert report.passed, [c.counterexample for c in report.checks if not c.passed]
+        assert report.passed and report.checks > 0, report.failures
 
     def test_noisy_rule_passes_against_its_own_oracle(self):
         base, _ = random_oracle(29, 4, 8)
         noisy = NoisyOracle(base, 0.1, seed=1)
         rule = make_rule("noisy-distorted", base.n, noise_epsilon=0.1)
         report = validate_assumptions(rule, noisy, trials=150, seed=5)
-        assert report.passed, [c.counterexample for c in report.checks if not c.passed]
+        assert report.passed and report.checks > 0, report.failures
 
-    @pytest.mark.parametrize("cap", [1, 3])
-    def test_capped_rule_scores_only_rounds_up_to_its_cap(self, cap):
-        oracle, _ = random_oracle(41, 6, 6)
-        rule = make_rule("distorted", oracle.n, cardinality=cap)
-        report = validate_assumptions(rule, oracle, trials=100, seed=5)
-        assert report.passed, [c.counterexample for c in report.checks if not c.passed]
+    def test_suite_covers_every_rule_on_its_suite_oracle(self, monkeypatch):
+        """The ``assumptions`` suite checks all seven rules, the noisy one on
+        its ``NoisyOracle``."""
+        seen = []
+        real = verification.validate_assumptions
+
+        def recording(rule, oracle, trials, seed):
+            seen.append((rule.kind, type(oracle)))
+            return real(rule, oracle, trials, seed)
+
+        monkeypatch.setattr(verification, "validate_assumptions", recording)
+        report = run_suite("assumptions", 3, 11)
+        assert report.passed and report.checks > 0, report.failures
+        assert [kind for kind, _ in seen] == [name for name in RULE_NAMES for _ in range(3)]
+        assert {oracle for kind, oracle in seen if kind == "noisy-distorted"} == {NoisyOracle}
+        assert NoisyOracle not in {oracle for kind, oracle in seen if kind != "noisy-distorted"}
 
     @pytest.mark.parametrize("rule_name", ["distorted", "stochastic-distorted", "noisy-distorted"])
     @pytest.mark.parametrize("horizon", [3, 9])
@@ -218,7 +235,9 @@ class TestValidateAssumptions:
             return oracle.marginal(i, tentative) + bids[i]
 
         report = validate_assumptions(bad_rule, oracle, trials=50, seed=5)
-        assert not report.checks[0].passed
+        assert refuted(report, ASSUMPTIONS[0]) and report.name == "bad_rule"
+        # each check stops at its first counterexample
+        assert len(report.failures) == len({f.split(": ")[0] for f in report.failures})
 
     def test_bossy_fixture_fails_independence(self):
         oracle, _ = random_oracle(37, 3, 6)
@@ -227,7 +246,7 @@ class TestValidateAssumptions:
             return oracle.marginal(i, tentative) - bids[i] - 0.01 * sum(bids)
 
         report = validate_assumptions(bossy_rule, oracle, trials=50, seed=5)
-        assert not report.checks[2].passed
+        assert refuted(report, ASSUMPTIONS[2]) and not refuted(report, ASSUMPTIONS[0])
 
     def test_negativity_above_marginal_direct(self):
         oracle = AdditiveOracle([3.0])
@@ -366,7 +385,6 @@ def float_bits(values):
 RULE_CASES = {name: (name, {}) for name in RULE_NAMES}
 RULE_CASES["noisy-distorted"] = ("noisy-distorted", {"noise_epsilon": 0.1})
 RULE_CASES["noisy-distorted-eps0"] = ("noisy-distorted", {"noise_epsilon": 0.0})
-RULE_CASES["distorted-cap3"] = ("distorted", {"cardinality": 3})
 GRID_M = [-1.5, -0.0, 0.0, 5e-324, 0.3, 1.0, 2.5, 1e300]
 GRID_B = [0.0, 5e-324, 0.3, 1.0, 2.5, 1e300, math.inf]
 TARGETS = [NOT_SAMPLED, -1.0, 0.0, 0.7, math.inf]
@@ -379,14 +397,14 @@ def case_rule(case):
 
 def rounds_to_check(rule):
     """First, middle and last round of a run."""
-    return (1, (1 + rule.rounds) // 2, rule.rounds)
+    return (1, (1 + rule.horizon) // 2, rule.horizon)
 
 
 @pytest.mark.parametrize("case", RULE_CASES)
 def test_array_scores_equal_scalar_scores_elementwise(case):
     """``scores`` is ``score_from_marginal`` element by element, and both are the
     rule's closed form, edges included: greedy-rate at m <= 0, roi at bid 0 and
-    bid +inf, the noisy x*b, the capped multiplier."""
+    bid +inf, the noisy x*b."""
     rule = case_rule(case)
     m = np.array([x for x in GRID_M for _ in GRID_B])
     bids = np.array([b for _ in GRID_M for b in GRID_B])
@@ -421,13 +439,14 @@ class TestRuleParameters:
         with pytest.raises(ValueError, match="noise epsilon"):
             make_rule("noisy-distorted", 6, noise_epsilon=eps)
 
-    @pytest.mark.parametrize("cap", [0, -2])
-    def test_cardinality_below_one_rejected(self, cap):
-        with pytest.raises(ValueError, match="cardinality"):
-            make_rule("distorted", 6, cardinality=cap)
-
     def test_coefficients_keep_the_public_values(self):
         rule = make_rule("noisy-distorted", 6, noise_epsilon=0.1)
         assert rule.x == 1.0 + 2.0 * 0.1 * 6 + 0.1
         assert rule.multiplier(2) == (1.0 - 1.0 / 6) ** 4
-        assert make_rule("distorted", 6, cardinality=2).multiplier(1) == 0.5
+
+    def test_every_rule_runs_n_rounds(self):
+        """No rule carries a round cap: the fields are the rule, its horizon
+        n and the noise level."""
+        assert [f.name for f in dataclasses.fields(ScoringRule)] == ["kind", "horizon", "noise_epsilon"]
+        with pytest.raises(TypeError):
+            make_rule("distorted", 6, cardinality=2)

@@ -147,7 +147,7 @@ def test_stochastic_run_draws_each_batch_once(monkeypatch):
     monkeypatch.setattr(scoring.np.random, "default_rng", counting_rng)
     out = run_sealed_bid(rule, oracle, costs, seed=RandomSeed(8))
     assert (out.winners, out.payments) == (expected.winners, expected.payments)
-    assert 0 < len(draws) == len(set(draws)) <= rule.rounds
+    assert 0 < len(draws) == len(set(draws)) <= oracle.n
 
 
 class TestLazyEquivalence:
@@ -462,7 +462,7 @@ def _from_round_one(rule, oracle, bids, seed, i, k):
     provider = _marginal_provider(rule, oracle)
     others = [ell for ell in range(n) if ell != i]
     best, before = bids[i], -math.inf
-    for j, batch, comp_id, comp_score in _greedy_rounds(rule, provider, bids, seed, others, n):
+    for j, batch, comp_id, comp_score in _greedy_rounds(rule, provider, bids, seed, others):
         if batch is not None and i not in batch:
             continue
         m_i = provider.marginal(i)

@@ -264,14 +264,6 @@ def test_sealed_outputs_match_recorded_values(rule_name, n, seed):
     assert oracle.query_count == queries
 
 
-def test_cardinality_variant_caps_admissions():
-    oracle = AdditiveOracle([5.0, 4.0, 3.0, 2.0])
-    rule = make_rule("distorted", 4, cardinality=2)
-    trace = run_meta(rule, oracle, [0.1] * 4)
-    assert len(trace.winners) <= 2
-    assert len(trace.tentative_sets) == 5  # padded to n
-
-
 def test_distorted_admissions_skip_rounds():
     # multiplier 1/2 in round 1 keeps both scores negative; round 2 admits
     trace = run_meta(make_rule("distorted", 2), AdditiveOracle([1.0, 1.0]), [0.6, 0.6])
@@ -281,13 +273,13 @@ def test_distorted_admissions_skip_rounds():
 
 
 @settings(max_examples=150, deadline=None)
-@given(edge_case_instances(n_min=1, n_max=8), st.booleans())
-def test_tentative_sets_derived_from_admission_order(instance, capped):
+@given(edge_case_instances(n_min=1, n_max=8))
+def test_tentative_sets_derived_from_admission_order(instance):
     """S_0 .. S_n from the admission order, also when admissions skip
-    rounds (distorted) or stop at a cardinality cap."""
+    rounds (distorted)."""
     instance, costs = instance
     n = instance.n_sets
-    rule = make_rule("distorted", n, cardinality=max(1, n // 2) if capped else None)
+    rule = make_rule("distorted", n)
     trace = run_meta(rule, CoverageOracle(instance), costs)
     sets = trace.tentative_sets
     assert len(sets) == n + 1
@@ -304,13 +296,13 @@ def test_tentative_sets_derived_from_admission_order(instance, capped):
 # ---------------------------------------------------------------------------
 
 
-def _assert_rounds_match(rule_name, instance, costs, capped=False, seed=3):
+def _assert_rounds_match(rule_name, instance, costs, seed=3):
     """Array and scalar rounds yield the same tuples and charge the same queries."""
     runs = []
     for engine in (_greedy_rounds, _scalar_rounds):
-        rule, oracle = rule_and_oracle(rule_name, instance, capped)
+        rule, oracle = rule_and_oracle(rule_name, instance)
         provider = _marginal_provider(rule, oracle)
-        rounds = list(engine(rule, provider, list(costs), RandomSeed(seed), range(oracle.n), rule.rounds))
+        rounds = list(engine(rule, provider, list(costs), RandomSeed(seed), range(oracle.n)))
         runs.append((rounds, oracle.query_count))
     assert runs[0] == runs[1]
     for _, _, i, score in runs[0][0]:
@@ -318,18 +310,17 @@ def _assert_rounds_match(rule_name, instance, costs, capped=False, seed=3):
         assert type(score) is float
 
 
-def _assert_mechanisms_match(rule_name, instance, costs, capped=False, seed=3):
+def _assert_mechanisms_match(rule_name, instance, costs, seed=3):
     """Traces, payments and query counts of the sealed-bid mechanisms, naive
     and lazy, with and without the array round."""
     outcomes = []
     for cutoff in (ARRAY_ROUND_MIN, math.inf):
         with patch.object(selection, "ARRAY_ROUND_MIN", cutoff):
-            rule, oracle = rule_and_oracle(rule_name, instance, capped)
+            rule, oracle = rule_and_oracle(rule_name, instance)
             trace = run_meta(rule, oracle, costs, RandomSeed(seed))
             got = [trace.order, trace.chosen_at, trace.scores_at_admission, oracle.query_count]
-            if not capped:
-                rule, oracle = rule_and_oracle(rule_name, instance)
-                got += [run_sealed_bid(rule, oracle, costs, RandomSeed(seed)).payments, oracle.query_count]
+            rule, oracle = rule_and_oracle(rule_name, instance)
+            got += [run_sealed_bid(rule, oracle, costs, RandomSeed(seed)).payments, oracle.query_count]
             if rule.diminishing_return:  # the lazy heap's seed is an array round too
                 rule, oracle = rule_and_oracle(rule_name, instance)
                 lazy = run_sealed_bid_lazy(rule, oracle, costs)
@@ -338,26 +329,22 @@ def _assert_mechanisms_match(rule_name, instance, costs, capped=False, seed=3):
     assert outcomes[0] == outcomes[1]
 
 
-ARRAY_CASES = [(name, False) for name in RULE_NAMES] + [("distorted", True)]
-
-
 @settings(max_examples=40, deadline=None)
-@given(edge_case_instances(n_min=ARRAY_ROUND_MIN, n_max=ARRAY_ROUND_MIN + 24), st.sampled_from(ARRAY_CASES))
-def test_array_rounds_match_scalar_on_edge_cases(instance, case):
+@given(edge_case_instances(n_min=ARRAY_ROUND_MIN, n_max=ARRAY_ROUND_MIN + 24), st.sampled_from(RULE_NAMES))
+def test_array_rounds_match_scalar_on_edge_cases(instance, rule_name):
     """Duplicate covers give exact score ties and zero marginals above the cutoff."""
     instance, costs = instance
-    rule_name, capped = case
-    _assert_rounds_match(rule_name, instance, costs, capped)
-    _assert_mechanisms_match(rule_name, instance, costs, capped)
+    _assert_rounds_match(rule_name, instance, costs)
+    _assert_mechanisms_match(rule_name, instance, costs)
 
 
-@pytest.mark.parametrize("rule_name, capped", ARRAY_CASES)
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
 @pytest.mark.parametrize("n", [40, 120, 200])
-def test_array_rounds_match_scalar_on_float_instances(n, rule_name, capped):
+def test_array_rounds_match_scalar_on_float_instances(n, rule_name):
     instance, costs = random_instance(n, n + 1)
-    _assert_rounds_match(rule_name, instance, costs, capped)
+    _assert_rounds_match(rule_name, instance, costs)
     if n < 200:  # scalar payments at n = 200 take seconds per distorted rule
-        _assert_mechanisms_match(rule_name, instance, costs, capped)
+        _assert_mechanisms_match(rule_name, instance, costs)
 
 
 def test_noisy_provider_copy_keeps_the_running_minima():
