@@ -106,15 +106,19 @@ def _int_at_least(low: int):
 
 
 def _cmd_gen_instance(args) -> int:
-    if args.random is not None:
-        instance, costs = random_instance(args.random, args.seed)
-    else:
-        if not args.graph:
-            print("gen-instance needs --random N or --graph FILE with --n and --s", file=sys.stderr)
-            return 2
-        graph = _load_graph(args.graph, args.seed)
-        cfg = ExperimentConfig(n=args.n, s=args.s, instances=1, seed=args.seed)
-        instance, costs = build_instance(graph, cfg, args.index)
+    if args.random is None and not args.graph:
+        print("gen-instance needs --random N or --graph FILE with --n and --s", file=sys.stderr)
+        return 2
+    try:
+        if args.random is not None:
+            instance, costs = random_instance(args.random, args.seed)
+        else:
+            graph = _load_graph(args.graph, args.seed)
+            cfg = ExperimentConfig(n=args.n, s=args.s, instances=1, seed=args.seed)
+            instance, costs = build_instance(graph, cfg, args.index)
+    except ValueError as exc:  # a setting the generator rejects
+        print(exc, file=sys.stderr)
+        return 2
     doc = {"instance": instance.to_json(), "costs": list(costs)}
     text = json.dumps(doc, indent=2)
     if args.output:

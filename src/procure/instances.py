@@ -5,6 +5,13 @@ source nodes become coverable sets, target nodes become vertices.  Vertex
 values and base costs come from node degrees, and a per-instance multiplier
 kappa drawn uniformly from [s, s^2] scales the costs, which is what sweeps
 the fraction of active sellers.
+
+A graph keeps one array view of itself, built on first use: every cover's
+targets in one flat array with CSR offsets in ascending source-id order,
+and its ascending target ids with their float in-degrees.  ``build_instance``
+then samples and relabels with a few whole-array numpy calls instead of
+per-seller and per-vertex Python loops, and returns what the per-vertex
+construction returned, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -30,12 +39,38 @@ class EdgeListParseError(ValueError):
         self.line_no = line_no
 
 
+class _GraphArrays(NamedTuple):
+    """A ``BipartiteGraph`` as arrays: the k-th smallest source id covers
+    ``targets[offsets[k]:offsets[k + 1]]``."""
+
+    offsets: np.ndarray  # CSR offsets into ``targets``, one more than there are sources
+    targets: np.ndarray  # every source's cover, in source then cover order
+    target_ids: np.ndarray  # ascending target ids
+    in_degree: np.ndarray  # float in-degree of each of ``target_ids``
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Deduplicated directed bipartite graph: sources cover targets."""
+    """Deduplicated directed bipartite graph: sources cover targets.
+
+    Treated as immutable: ``_arrays`` is built from the dicts once.
+    """
 
     source_covers: dict[int, tuple[int, ...]]
     target_in_degree: dict[int, int]
+
+    @cached_property
+    def _arrays(self) -> _GraphArrays:
+        covers = [cover for _, cover in sorted(self.source_covers.items())]
+        offsets = np.zeros(len(covers) + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, covers), dtype=np.intp, count=len(covers)), out=offsets[1:])
+        target_ids = sorted(self.target_in_degree)
+        return _GraphArrays(
+            offsets=offsets,
+            targets=np.fromiter(chain.from_iterable(covers), dtype=np.int64, count=int(offsets[-1])),
+            target_ids=np.array(target_ids, dtype=np.int64),
+            in_degree=np.array([float(self.target_in_degree[t]) for t in target_ids], dtype=float),
+        )
 
     @property
     def n_sources(self) -> int:
@@ -44,9 +79,6 @@ class BipartiteGraph:
     @property
     def n_targets(self) -> int:
         return len(self.target_in_degree)
-
-    def source_out_degree(self, source: int) -> int:
-        return len(self.source_covers[source])
 
 
 def parse_edge_list(stream: TextIO | str | Iterable[str]) -> BipartiteGraph:
@@ -68,6 +100,8 @@ def parse_edge_list(stream: TextIO | str | Iterable[str]) -> BipartiteGraph:
             raise EdgeListParseError(line_no, stripped, "fields must be integers") from None
         if src < 0 or dst < 0:
             raise EdgeListParseError(line_no, stripped, "node ids must be nonnegative")
+        if src >= 2**63 or dst >= 2**63:  # the graph's arrays hold ids as int64
+            raise EdgeListParseError(line_no, stripped, "node ids must be below 2**63")
         covers.setdefault(src, set()).add(dst)
         in_degree.setdefault(dst, set()).add(src)
     return BipartiteGraph(
@@ -106,20 +140,34 @@ def build_instance(
     Vertex value = the target node's in-degree in the full graph; a set's
     base cost = its out-degree; costs are the base scaled by one draw of
     kappa ~ U[s, s^2] shared by the whole instance.  Deterministic in
-    (cfg.seed, index).
+    (cfg.seed, index).  Sampling positions in the ascending source ids and
+    sorting them is the same draw as sampling the ids themselves.  A cover
+    target missing from ``target_in_degree`` raises ``KeyError``.
     """
-    sources = sorted(graph.source_covers)
-    if cfg.n > len(sources):
-        raise ValueError(f"cannot sample {cfg.n} of {len(sources)} set nodes")
+    if cfg.n > graph.n_sources:
+        raise ValueError(f"cannot sample {cfg.n} of {graph.n_sources} set nodes")
+    g = graph._arrays
     rng = np.random.default_rng(stable_hash64(cfg.seed, index))
-    sampled = sorted(int(s) for s in rng.choice(sources, size=cfg.n, replace=False))
+    picked = np.sort(rng.choice(graph.n_sources, size=cfg.n, replace=False))
     kappa = float(rng.uniform(cfg.s, cfg.s * cfg.s))
 
-    touched = sorted({t for s in sampled for t in graph.source_covers[s]})
-    vertex_index = {t: pos for pos, t in enumerate(touched)}
-    covers = tuple(tuple(vertex_index[t] for t in graph.source_covers[s]) for s in sampled)
-    values = tuple(float(graph.target_in_degree[t]) for t in touched)
-    costs = tuple(kappa * graph.source_out_degree(s) for s in sampled)
+    starts = g.offsets[picked]
+    out_degree = g.offsets[picked + 1] - starts
+    bounds = np.zeros(cfg.n + 1, dtype=np.intp)
+    np.cumsum(out_degree, out=bounds[1:])
+    flat = g.targets[np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], out_degree)]
+    touched, vertex = np.unique(flat, return_inverse=True)
+    at = np.searchsorted(g.target_ids, touched)
+    known = at < len(g.target_ids)
+    known[known] = g.target_ids[at[known]] == touched[known]
+    if not known.all():
+        raise KeyError(int(touched[~known][0]))
+
+    # one int object per vertex, which every cover holding it shares
+    vertex, cuts = np.arange(len(touched)).astype(object)[vertex].tolist(), bounds.tolist()
+    covers = tuple(tuple(vertex[a:b]) for a, b in zip(cuts, cuts[1:]))
+    values = tuple(g.in_degree[at].tolist())
+    costs = tuple((kappa * out_degree).tolist())
     return CoverageInstance(covers=covers, vertex_values=values), costs
 
 

@@ -10,16 +10,25 @@ Oracles count how many value/marginal queries they served so benchmark
 harnesses can compare algorithms by oracle usage.  The counter is the one
 piece of mutable observability state on an otherwise frozen object.
 
+The coverage oracle works on canonical covers: sorted and duplicate-free.
+``CoverageInstance`` records in its validation pass whether every cover is
+already strictly ascending, as ``build_instance`` and ``random_instance``
+make them; the oracle then reuses the instance's covers, and otherwise
+canonicalizes a copy of each.
+
 A scratch also answers a whole round at once: ``marginals(idx)`` returns
 the marginals of many sellers as an array and charges one query per index.
 The coverage scratch keeps its own marginal vector for all n sellers.  The
 first ``marginals`` call builds it whole from a padded (width x n) matrix of
 cover vertex indices that the oracle builds on first array use (a sentinel
-entry points at a 0.0 value).  After one admission or removal, the next call
-recomputes only the sellers whose cover holds a vertex that became covered
-or uncovered, found through a vertex-to-sellers index that the oracle also
-builds on first use; after two changes without a read it builds the vector
-whole again.
+entry points at a 0.0 value), with one fancy-index assignment of the chained
+covers rather than one slice per seller.  After one admission or removal,
+the next call recomputes only the sellers whose cover holds a vertex that
+became covered or uncovered, found through a vertex-to-sellers index that
+the oracle also builds on first use (a plain loop: the index is one tuple
+per vertex, and making those tuples costs an array build more than the
+loop saves); after two changes without a read it builds the vector whole
+again.
 
 Summation order: every float reduction here adds left to right.  The hot
 coverage kernels (the oracle's value and marginal, the scratch's scalar
@@ -39,7 +48,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -222,19 +232,29 @@ class CoverageInstance:
     """A max-coverage valuation: seller i covers a list of vertices.
 
     f(S) is the total value of vertices covered by at least one seller in S.
+    ``canonical`` records, from the validation pass, whether every cover is
+    strictly ascending (sorted and duplicate-free), the form the oracle
+    works on.
     """
 
     covers: tuple[tuple[int, ...], ...]
     vertex_values: tuple[float, ...]
+    canonical: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nv = len(self.vertex_values)
+        canonical = True
         for i, cov in enumerate(self.covers):
+            prev = -1
             for v in cov:
                 if not 0 <= v < nv:
                     raise ValueError(f"set {i} references unknown vertex {v}")
+                if v <= prev:
+                    canonical = False
+                prev = v
         if not all(0.0 <= val < math.inf for val in self.vertex_values):  # False for NaN
             raise ValueError("vertex values must be finite and nonnegative")
+        object.__setattr__(self, "canonical", canonical)
 
     @property
     def n_sets(self) -> int:
@@ -261,7 +281,10 @@ class CoverageOracle(ValuationOracle):
     def __init__(self, instance: CoverageInstance):
         super().__init__(instance.n_sets)
         self.instance = instance
-        self.covers = tuple(tuple(sorted(set(c))) for c in instance.covers)
+        if instance.canonical:
+            self.covers = instance.covers
+        else:
+            self.covers = tuple(tuple(sorted(set(c))) for c in instance.covers)
         self.vertex_values = instance.vertex_values
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._holders: tuple[tuple[int, ...], ...] | None = None
@@ -295,16 +318,19 @@ class CoverageOracle(ValuationOracle):
 
         Row j holds every seller's j-th cover vertex in cover order; shorter
         covers are padded with the index of a sentinel 0.0 appended to the
-        values.
+        values.  One fancy-index assignment places every cover vertex.
         """
         if self._arrays is None:
-            nv = len(self.vertex_values)
-            width = max(map(len, self.covers), default=0)
-            matrix = np.full((self.n, width), nv, dtype=np.intp)
-            for i, cov in enumerate(self.covers):
-                matrix[i, : len(cov)] = cov
+            lengths = np.fromiter(map(len, self.covers), dtype=np.intp, count=self.n)
+            total = int(lengths.sum())
+            vertices = np.fromiter(chain.from_iterable(self.covers), dtype=np.intp, count=total)
+            sellers = np.repeat(np.arange(self.n), lengths)
+            positions = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            width = int(lengths.max(initial=0))
+            matrix = np.full((width, self.n), len(self.vertex_values), dtype=np.intp)
+            matrix[positions, sellers] = vertices
             values = np.array(self.vertex_values + (0.0,), dtype=float)
-            self._arrays = (np.ascontiguousarray(matrix.T), values)
+            self._arrays = (matrix, values)
         return self._arrays
 
     def _vertex_holders(self) -> tuple[tuple[int, ...], ...]:

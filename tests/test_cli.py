@@ -178,6 +178,27 @@ class TestGenInstance:
         assert doc["instance"]["n_sets"] == 2
 
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--random", "0"], "need at least one set"),
+            (["--graph", "GRAPH", "--n", "0"], "sample size must be at least 1"),
+            (["--graph", "GRAPH", "--s", "0.5"], "cost-scale base must be at least 1"),
+            (["--graph", "GRAPH", "--n", "100000"], "cannot sample 100000 of 3 set nodes"),
+        ],
+    )
+    def test_bad_setting_is_usage_error(self, tmp_path, capsys, args, message):
+        """A setting the generator rejects prints its message and exits 2, with no traceback."""
+        edges = tmp_path / "toy.txt"
+        edges.write_text("0 9\n1 9\n2 8\n")
+        out = tmp_path / "inst.json"
+        args = [str(edges) if a == "GRAPH" else a for a in args]
+        assert run_cli(["gen-instance", *args, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message and captured.out == ""
+        assert not out.exists()
+
+
 class TestOrderAndScheduleSelectors:
     def test_named_orders(self, tmp_path):
         assert order_factory("identity")(3) == (0, 1, 2)

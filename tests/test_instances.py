@@ -16,7 +16,7 @@ from procure.instances import (
     random_instance,
     synthetic_bipartite_graph,
 )
-from procure.valuation import CoverageInstance, CoverageOracle
+from procure.valuation import CoverageInstance, CoverageOracle, stable_hash64
 
 
 class TestParseEdgeList:
@@ -41,6 +41,13 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListParseError) as err:
             parse_edge_list("1 2\noops\n")
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("line", [f"{2**63} 1\n", f"1 {2**64}\n"])
+    def test_ids_past_int64_rejected(self, line):
+        with pytest.raises(EdgeListParseError, match="below 2\\*\\*63"):
+            parse_edge_list("1 2\n" + line)
+        graph = parse_edge_list(f"{2**63 - 1} {2**63 - 1}\n")
+        assert build_instance(graph, ExperimentConfig(n=1, s=1), 0)[0].covers == ((0,),)
 
     def test_three_fields_rejected(self):
         with pytest.raises(EdgeListParseError):
@@ -67,7 +74,7 @@ class TestBuildInstance:
         instance, costs = build_instance(graph, ExperimentConfig(n=4, s=1), 0)
         # kappa == 1 exactly, so each cost equals the sampled set's out-degree
         assert sorted(costs) == sorted(
-            float(graph.source_out_degree(s)) for s in graph.source_covers
+            float(len(cover)) for cover in graph.source_covers.values()
         )
 
     def test_vertex_values_are_in_degrees(self):
@@ -110,6 +117,94 @@ class TestBuildInstance:
         assert len(empty) == 1
         assert costs[empty[0]] == 0.0
         assert oracle.marginal(empty[0], ()) == 0.0
+
+
+def _per_vertex_build(graph, cfg, index):
+    """The per-vertex construction that ``build_instance`` replaced: sample
+    the source ids themselves, relabel targets through a dict, and read
+    degrees one node at a time.  Returns (covers, values, costs)."""
+    sources = sorted(graph.source_covers)
+    rng = np.random.default_rng(stable_hash64(cfg.seed, index))
+    sampled = sorted(int(s) for s in rng.choice(sources, size=cfg.n, replace=False))
+    kappa = float(rng.uniform(cfg.s, cfg.s * cfg.s))
+    touched = sorted({t for s in sampled for t in graph.source_covers[s]})
+    vertex_index = {t: pos for pos, t in enumerate(touched)}
+    covers = tuple(tuple(vertex_index[t] for t in graph.source_covers[s]) for s in sampled)
+    values = tuple(float(graph.target_in_degree[t]) for t in touched)
+    costs = tuple(kappa * len(graph.source_covers[s]) for s in sampled)
+    return covers, values, costs
+
+
+def _sparse_edge_list(seed: int) -> str:
+    """A SNAP-style edge list whose source and target ids are sparse and
+    non-contiguous, with repeated edges and comment lines."""
+    rng = np.random.default_rng(seed)
+    sources = rng.choice(10**6, size=40, replace=False) * 7 + 3
+    targets = rng.choice(10**7, size=60, replace=False) * 13 + 5
+    lines = ["# FromNodeId\tToNodeId"]
+    for _ in range(200):
+        lines.append(f"{rng.choice(sources)}\t{rng.choice(targets)}")
+    return "\n".join(lines) + "\n"
+
+
+#: Directly built graphs: one has a source with no targets, the other
+#: covers that are unsorted or repeat a target.
+_DIRECT_GRAPHS = {
+    "zero-out-degree": BipartiteGraph(
+        source_covers={4: (), 9: (30, 10), 2: (10,), 7: (20, 30, 40)},
+        target_in_degree={10: 2, 20: 1, 30: 2, 40: 1},
+    ),
+    "unsorted-duplicates": BipartiteGraph(
+        source_covers={5: (9, 2, 9), 1: (5, 2), 8: (2,), 3: (5, 5, 9, 2)},
+        target_in_degree={2: 4, 5: 2, 9: 2},
+    ),
+}
+
+
+def _differential_cases():
+    synthetic = synthetic_bipartite_graph(1500, 600, seed=0)
+    for n in (1, 100, 1500):
+        for s in (1.0, 4.0):
+            yield pytest.param(synthetic, n, s, id=f"synthetic-n{n}-s{s:g}")
+    for seed in range(3):
+        graph = parse_edge_list(_sparse_edge_list(seed))
+        for n in (1, graph.n_sources // 2, graph.n_sources):
+            yield pytest.param(graph, n, 2.5, id=f"sparse{seed}-n{n}")
+    for name, graph in _DIRECT_GRAPHS.items():
+        for n in range(1, graph.n_sources + 1):
+            yield pytest.param(graph, n, 3.0, id=f"{name}-n{n}")
+
+
+@pytest.mark.parametrize("graph, n, s", list(_differential_cases()))
+def test_build_instance_equals_per_vertex_build(graph, n, s):
+    """Same covers, and vertex values and costs with the same bits."""
+    for index in range(3):
+        cfg = ExperimentConfig(n=n, s=s, seed=5)
+        instance, costs = build_instance(graph, cfg, index)
+        covers, values, ref_costs = _per_vertex_build(graph, cfg, index)
+        assert instance.covers == covers
+        assert [v.hex() for v in instance.vertex_values] == [v.hex() for v in values]
+        assert [c.hex() for c in costs] == [c.hex() for c in ref_costs]
+        assert all(type(v) is int for cov in instance.covers for v in cov)
+        assert all(type(x) is float for x in instance.vertex_values + costs)
+
+
+@pytest.mark.parametrize(
+    "in_degree",
+    [{1: 1, 2: 1, 5: 9}, {1: 1, 2: 1}, {}],
+    ids=["between-known-ids", "past-the-last-id", "no-targets"],
+)
+def test_cover_target_without_a_degree_raises_key_error(in_degree):
+    """Target 4 (and with no targets at all, every target) has no
+    in-degree: the build raises the per-vertex build's ``KeyError`` for the
+    smallest such id instead of reading a neighbouring target's degree."""
+    graph = BipartiteGraph(source_covers={0: (1, 4), 1: (2,)}, target_in_degree=in_degree)
+    cfg = ExperimentConfig(n=2, s=1)
+    with pytest.raises(KeyError) as reference:
+        _per_vertex_build(graph, cfg, 0)
+    with pytest.raises(KeyError) as err:
+        build_instance(graph, cfg, 0)
+    assert err.value.args == reference.value.args
 
 
 class TestActiveFraction:

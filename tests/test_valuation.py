@@ -336,6 +336,95 @@ def test_two_changes_without_a_read_drop_the_vector():
     assert oracle._holders is not None
 
 
+def _loop_cover_arrays(oracle):
+    """The per-seller construction of the cover matrix: one slice
+    assignment per seller, then a transposed copy."""
+    nv = len(oracle.vertex_values)
+    width = max(map(len, oracle.covers), default=0)
+    matrix = np.full((oracle.n, width), nv, dtype=np.intp)
+    for i, cov in enumerate(oracle.covers):
+        matrix[i, : len(cov)] = cov
+    return np.ascontiguousarray(matrix.T), np.array(oracle.vertex_values + (0.0,), dtype=float)
+
+
+#: Edge cases of the kernels: no vertex in any cover (width 0), no seller,
+#: one empty cover among others, and covers that are unsorted or repeat a vertex.
+KERNEL_INSTANCES = {
+    "all-empty": CoverageInstance(covers=((), (), ()), vertex_values=(1.0, 2.0)),
+    "no-sellers": CoverageInstance(covers=(), vertex_values=(1.0,)),
+    "one-empty": CoverageInstance(covers=((0, 2), (), (1, 2, 3)), vertex_values=(0.5, 1.0, 2.0, 0.1)),
+    "non-canonical": CoverageInstance(
+        covers=((3, 1, 3), (2, 0), (), (1, 1), (0, 1, 2, 3)), vertex_values=(0.1, 0.3, 0.7, 1 / 3)
+    ),
+}
+
+
+def _kernel_oracles():
+    yield from KERNEL_INSTANCES.values()
+    yield from (random_instance(n, seed)[0] for n in (1, 5, ARRAY_ROUND_MIN + 9) for seed in range(2))
+    yield from (instance for instance, _ in synthetic_instances(2))
+
+
+@pytest.mark.parametrize("instance", list(_kernel_oracles()))
+def test_cover_kernels_match_loop_built_references(instance):
+    """The cover matrix equals the per-seller build (shape, dtype, layout,
+    entries), and each vertex's holders are exactly the sellers whose
+    canonical cover holds it, ascending."""
+    oracle = CoverageOracle(instance)
+    matrix, values = oracle._cover_arrays()
+    ref_matrix, ref_values = _loop_cover_arrays(oracle)
+    assert matrix.dtype == ref_matrix.dtype and matrix.shape == ref_matrix.shape
+    assert matrix.flags.c_contiguous
+    assert np.array_equal(matrix, ref_matrix)
+    assert [v.hex() for v in values.tolist()] == [v.hex() for v in ref_values.tolist()]
+    assert oracle._vertex_holders() == tuple(
+        tuple(i for i, cov in enumerate(instance.covers) if v in cov) for v in range(len(instance.vertex_values))
+    )
+
+
+def test_canonical_covers_are_reused_and_others_canonicalized():
+    """The validation pass flags whether every cover is strictly ascending;
+    the oracle then works on the instance's own covers, else on sorted,
+    duplicate-free copies."""
+    assert KERNEL_INSTANCES["one-empty"].canonical and KERNEL_INSTANCES["all-empty"].canonical
+    oracle = CoverageOracle(KERNEL_INSTANCES["one-empty"])
+    assert oracle.covers is KERNEL_INSTANCES["one-empty"].covers
+    messy = KERNEL_INSTANCES["non-canonical"]
+    assert not messy.canonical
+    assert CoverageOracle(messy).covers == ((1, 3), (0, 2), (), (1,), (0, 1, 2, 3))
+    for covers in [((1, 0),), ((0, 0),), ((0,), (2, 1))]:
+        assert not CoverageInstance(covers=covers, vertex_values=(1.0, 1.0, 1.0)).canonical
+    # the flag takes no part in equality, hashing or the repr
+    twin = CoverageInstance(covers=messy.covers, vertex_values=messy.vertex_values)
+    assert twin == messy and hash(twin) == hash(messy) and "canonical" not in repr(twin)
+
+
+def test_oracle_over_non_canonical_covers_answers_as_canonical_ones():
+    """value, marginal, and scalar and array scratch marginals over unsorted
+    or repeating covers give the bits of the same oracle over the
+    canonicalized covers; values also match the set-based definition up
+    to rounding."""
+    messy = KERNEL_INSTANCES["non-canonical"]
+    clean = CoverageInstance(covers=tuple(tuple(sorted(set(c))) for c in messy.covers), vertex_values=messy.vertex_values)
+    assert clean.canonical
+    a, b = CoverageOracle(messy), CoverageOracle(clean)
+    n, values = a.n, messy.vertex_values
+    for r in range(n + 1):
+        for s in itertools.combinations(range(n), r):
+            covered = set().union(*(messy.covers[j] for j in s))
+            assert a.value(s).hex() == b.value(s).hex()
+            assert a.value(s) == pytest.approx(math.fsum(values[v] for v in covered))
+            outside = [i for i in range(n) if i not in s]
+            expected = [b.marginal(i, s).hex() for i in outside]
+            assert [a.marginal(i, s).hex() for i in outside] == expected
+            scratch = a.scratch()
+            for j in s:
+                scratch.add(j)
+            assert [scratch.marginal(i).hex() for i in outside] == expected
+            got = scratch.marginals(np.array(outside, dtype=np.intp)).tolist()
+            assert [m.hex() for m in got] == expected
+
+
 class TestAdversarialFamily:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_exhaustive_case_definition(self, L):
