@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import harness, verification
 from .instances import ExperimentConfig, build_instance, parse_edge_list, random_instance, synthetic_bipartite_graph
+from .valuation import SEED_RANGE
 
 WIKI_VOTE_URL = "https://snap.stanford.edu/data/wiki-Vote.txt.gz"
 
@@ -54,8 +55,8 @@ def _cmd_experiment(args) -> int:
         unknown = sorted(set(config) - set(EXPERIMENT_KEYS) - {"dataset", "output", "seed"})
         if unknown:
             raise harness.ConfigError(f"unknown config keys {unknown}")
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise harness.ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_RANGE.stop:
+            raise harness.ConfigError(f"seed must be an integer in [0, 2**63), got {seed!r}")
         records = harness.experiment_records(_load_graph(dataset, seed), seed=seed, trace_sink=trace_sink, **settings)
     except harness.ConfigError as exc:
         print(exc, file=sys.stderr)
@@ -93,16 +94,23 @@ def _cmd_lowerbound(args) -> int:
     return 1 if any(verification.lowerbound_failures(res) for res in reports) else 0
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``, else a usage error (exit 2)."""
+def _int_at_least(low: int, below: int | None = None):
+    """An argparse type: an integer no smaller than ``low`` (and smaller than
+    ``below``, if given), else a usage error (exit 2)."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its message for a non-integer
     return parse
+
+
+#: numpy refuses negative seeds, and ``stable_hash64`` packs seeds as signed 64-bit ints.
+_seed = _int_at_least(0, SEED_RANGE.stop)
 
 
 def _cmd_gen_instance(args) -> int:
@@ -151,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a mechanism x rule x instance matrix to CSV")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--dataset", help="SNAP edge list path or 'synthetic'")
-    p.add_argument("--seed", type=_int_at_least(0), default=None)  # numpy refuses negative seeds
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--output", help="CSV output path")
     p.add_argument("--no-timing", action="store_true", help="blank the wall-time column for byte-stable output")
     p.add_argument("--trace", action="store_true")
@@ -161,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("suite", choices=sorted(verification.SUITES))
     p.add_argument("--trials", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=_int_at_least(0), default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("lowerbound", help="adversarial family under both demand oracles, one JSON line per L")
@@ -175,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_gen_instance)
 

@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .selection import _check_bids
-from .valuation import CoverageInstance, CoverageOracle, ValuationOracle, stable_hash64
+from .valuation import CoverageInstance, CoverageOracle, ValuationOracle, checked_seed, stable_hash64
 
 #: Mean out-degree and target-popularity Zipf exponent of ``synthetic_bipartite_graph``.
 MEAN_OUT_DEGREE = 4.0
@@ -128,6 +128,7 @@ class ExperimentConfig:
             raise ValueError("cost-scale base must be at least 1")
         if self.instances < 1:
             raise ValueError("instance count must be at least 1")
+        checked_seed(self.seed)
 
 
 def build_instance(

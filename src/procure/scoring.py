@@ -35,12 +35,11 @@ gate and, for the noisy rule, the trajectory minimum of the marginals.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .valuation import ValuationOracle, stable_hash64
+from .valuation import ValuationOracle, checked_seed, stable_hash64
 
 RULE_NAMES = (
     "greedy-margin",
@@ -87,10 +86,7 @@ class RandomSeed:
     _batches: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # operator.index keeps numpy integers and refuses floats, which int() truncates.
-        if isinstance(self.seed, bool):
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "seed", checked_seed(self.seed))
 
     def round_batch(self, k: int, n: int) -> tuple[int, ...]:
         """The distinct sellers of ``STOCHASTIC_BATCH`` uniform draws for round k, ascending."""

@@ -132,18 +132,33 @@ class _TrajectoryMinMarginals:
     per-candidate minimum every round reproduces that trajectory minimum.
     On a coverage oracle the current marginal is that minimum, bit for bit
     (a left-to-right sum over fewer nonnegative terms is never larger).
+
+    The minima are one float64 array: array reads go through numpy, and
+    scalar reads through a memoryview of the same buffer, which reads and
+    writes Python floats without a numpy scalar.  Like a scratch, the
+    provider answers ``marginal`` (checked, one query) and ``_marginal``
+    (unchecked, uncharged, for ``_best_of``).
     """
 
     def __init__(self, scratch, minima: np.ndarray | None = None):
         self.scratch = scratch
+        self.oracle = scratch.oracle
         self._min = np.full(scratch.oracle.n, math.inf) if minima is None else minima
+        self._scalar_min = memoryview(self._min)
 
     def marginal(self, i: int) -> float:
-        cur = self.scratch.marginal(i)
-        if cur < self._min[i]:
-            self._min[i] = cur
+        if i in self.scratch:
+            raise ValueError(f"seller {i} already in the set")
+        self.oracle._queries += 1
+        return self._marginal(i)
+
+    def _marginal(self, i: int) -> float:
+        cur = self.scratch._marginal(i)
+        low = self._scalar_min[i]
+        if cur < low:
+            self._scalar_min[i] = cur
             return cur
-        return float(self._min[i])
+        return low
 
     def marginals(self, idx: np.ndarray) -> np.ndarray:
         best = np.minimum(self._min[idx], self.scratch.marginals(idx))
@@ -165,8 +180,14 @@ def _marginal_provider(rule: ScoringRule, oracle: ValuationOracle):
 
 
 def _best_of(rule: ScoringRule, provider, bids, scored, k: int) -> tuple:
-    """(argmax, score) over ``scored`` one marginal at a time; the first maximum wins."""
-    marginal, score_of = provider.marginal, rule.score_from_marginal
+    """(argmax, score) over ``scored`` one marginal at a time; the first maximum wins.
+
+    No scored candidate is in the set, so, like an array round's
+    ``marginals``, the round charges its ``len(scored)`` queries at once and
+    reads through the provider's unchecked ``_marginal``.
+    """
+    provider.oracle._queries += len(scored)
+    marginal, score_of = provider._marginal, rule.score_from_marginal
     best_i = None
     best_score = NOT_SAMPLED
     for i in scored:
@@ -260,9 +281,11 @@ def _lazy_greedy(rule: ScoringRule, provider, bids, heap: list, limit: int) -> I
     fresh, which breaks the re-score cycle that exact score ties would
     otherwise cause.  Which seller is admitted, and its score, depend only
     on the fresh scores, so any queue of valid upper bounds gives the same
-    admissions.
+    admissions.  A queued seller is never in the set, so each re-score
+    charges its query and reads through the provider's unchecked
+    ``_marginal``.
     """
-    marginal, score_of = provider.marginal, rule.score_from_marginal
+    oracle, marginal, score_of = provider.oracle, provider._marginal, rule.score_from_marginal
     heappop, heappush = heapq.heappop, heapq.heappush
     for admitted in range(limit):
         while heap:
@@ -270,6 +293,7 @@ def _lazy_greedy(rule: ScoringRule, provider, bids, heap: list, limit: int) -> I
             if stamp == admitted:
                 score = -neg
                 break
+            oracle._queries += 1
             score = score_of(marginal(i), bids[i], 1)
             runner_up = -heap[0][0] if heap else NOT_SAMPLED
             if (score > 0.0 and score > runner_up) or runner_up < 0.0:

@@ -61,6 +61,19 @@ class TestExperiment:
         assert err.value.code == 2
         assert "at least 0" in capsys.readouterr().err and not out.exists()
 
+    def test_seed_past_int64_is_usage_error(self, tmp_path, capsys):
+        """A config seed of 2**63 used to exit 1 with a struct.error at the first cell."""
+        out = tmp_path / "big.csv"
+        config = {"dataset": "synthetic", "n": [4], "s": [1], "instances": 1, "seed": 2**63,
+                  "mechanisms": ["alloc:distorted"], "output": str(out)}
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(["experiment", "--config", str(cfg)]) == 2
+        assert "2**63" in capsys.readouterr().err and not out.exists()
+        with pytest.raises(SystemExit) as err:
+            run_cli(["experiment", "--config", str(cfg), "--seed", str(2**63)])
+        assert err.value.code == 2 and not out.exists()
+
     def test_vcg_skipped_beyond_cap(self, tmp_path):
         out = tmp_path / "skip.csv"
         config = {
@@ -114,6 +127,13 @@ class TestVerify:
         assert err.value.code == 2
         assert "at least 0" in capsys.readouterr().err
 
+    def test_seed_past_int64_is_usage_error(self, capsys):
+        """It used to exit 1 with a struct.error from the seed's hash."""
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", "ic", "--trials", "1", "--seed", str(2**63)])
+        assert err.value.code == 2
+        assert "must be below" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_is_usage_error(self, capsys, trials):
         with pytest.raises(SystemExit) as err:
@@ -165,6 +185,13 @@ class TestGenInstance:
             run_cli(["gen-instance", "--random", "5", "--seed", "-1"])
         assert err.value.code == 2
         assert "at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", [["--random", "5"], ["--graph", "unread.txt"]])
+    def test_seed_past_int64_is_usage_error(self, capsys, source):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["gen-instance", *source, "--seed", str(2**63)])
+        assert err.value.code == 2
+        assert "must be below" in capsys.readouterr().err
 
     def test_graph_sampling(self, tmp_path):
         edges = tmp_path / "toy.txt"
@@ -346,7 +373,7 @@ class TestOrderAndScheduleSelectors:
     @pytest.mark.parametrize("bad", [
         {"n": [0]}, {"n": [6, 100000]}, {"s": [0.5]}, {"s": [float("nan")]}, {"instances": 0},
         {"workers": 0}, {"mechanism": ["alloc:distorted"]}, {"mechanisms": ["sealed:nonsense"]},
-        {"seed": "x"}, {"seed": 1.5}, {"seed": True}, {"seed": -1},
+        {"seed": "x"}, {"seed": 1.5}, {"seed": True}, {"seed": -1}, {"seed": 2**63},
     ])
     def test_experiment_rejects_bad_settings_before_running(self, tmp_path, monkeypatch, capsys, bad):
         from procure import harness

@@ -65,6 +65,12 @@ def test_experiment_config_rejects_non_finite_cost_scale(s):
         ExperimentConfig(n=5, s=s)
 
 
+def test_experiment_config_rejects_a_seed_past_int64():
+    """It used to construct and fail at the first instance with a struct.error."""
+    with pytest.raises(ValueError, match="64-bit"):
+        ExperimentConfig(n=5, s=1, seed=2**63)
+
+
 class TestBuildInstance:
     def _graph(self):
         return parse_edge_list("0 10\n0 11\n1 11\n2 12\n2 10\n2 13\n3 14\n")

@@ -315,6 +315,18 @@ def test_seed_must_be_an_integer(seed):
         run_meta(make_rule("stochastic-distorted", 3), AdditiveOracle([1.0, 2.0, 3.0]), [0.5] * 3, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+def test_seed_outside_int64_rejected_at_construction(seed):
+    """Such a seed used to construct and fail at the first draw with a struct.error."""
+    with pytest.raises(ValueError, match="64-bit"):
+        RandomSeed(seed)
+
+
+def test_int64_edge_seeds_draw():
+    assert len(RandomSeed(2**63 - 1).round_batch(1, 5)) >= 1
+    assert len(RandomSeed(-(2**63)).round_batch(1, 5)) >= 1
+
+
 def test_numpy_integer_seed_is_kept():
     seed = RandomSeed(np.int64(7))
     assert type(seed.seed) is int and seed == RandomSeed(7)

@@ -1,6 +1,7 @@
 import math
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,7 @@ from procure.scoring import RULE_NAMES, RandomSeed, UnsupportedRuleError, make_r
 from procure.sealed_bid import run_sealed_bid, run_sealed_bid_lazy
 from procure.selection import ARRAY_ROUND_MIN, _greedy_rounds, _marginal_provider, _scalar_rounds, run_meta, run_meta_lazy
 from procure.valuation import AdditiveOracle, CoverageOracle, NoisyOracle
-from conftest import edge_case_instances, random_oracle, rule_and_oracle
+from conftest import NON_DYADIC_VALUES, edge_case_instances, random_oracle, rule_and_oracle
 
 DIMINISHING = ("greedy-margin", "greedy-rate", "roi", "cost-scaled")
 
@@ -359,3 +360,51 @@ def test_noisy_provider_copy_keeps_the_running_minima():
     assert all(m <= f for m, f in zip((twin.marginal(i) for i in range(1, base.n)), first))
     twin.add(1)
     assert provider.scratch.members == (0,) and twin.scratch.members == (0, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_case_instances(n_min=1, n_max=8, value_grid=NON_DYADIC_VALUES), st.sampled_from(RULE_NAMES))
+def test_scalar_pass_charges_scored_candidates_and_admissions(instance, rule_name):
+    """A scalar pass charges exactly sum_k |scored_k| plus one query per
+    admission, on the coverage scratch and on the noisy rule's provider."""
+    instance, costs = instance
+    rule, oracle = rule_and_oracle(rule_name, instance)
+    remaining = list(range(oracle.n))
+    expected = 0
+    for _, batch, i, score in _scalar_rounds(rule, _marginal_provider(rule, oracle), costs, RandomSeed(2), remaining.copy()):
+        expected += len(remaining) if batch is None else sum(j in remaining for j in batch)
+        if i is not None and score > 0.0:
+            expected += 1
+            remaining.remove(i)
+    assert oracle.query_count == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edge_case_instances(n_min=2, n_max=8, value_grid=NON_DYADIC_VALUES),
+    st.lists(st.sampled_from(["scalar", "unchecked", "array", "add"]), min_size=1, max_size=30),
+)
+def test_trajectory_minima_equal_after_mixed_reads(instance, steps):
+    """Scalar reads (checked or not) and array reads of the noisy rule's
+    provider return the same floats and leave the same minima as a provider
+    read only through ``marginal``."""
+    instance, _ = instance
+    rule, oracle = rule_and_oracle("noisy-distorted", instance)
+    mixed, scalar = _marginal_provider(rule, oracle), _marginal_provider(rule, oracle)
+    for step in steps:
+        outside = [i for i in range(oracle.n) if i not in mixed.scratch]
+        if not outside:
+            break
+        if step == "add":
+            mixed.add(outside[0])
+            scalar.add(outside[0])
+            continue
+        want = [scalar.marginal(i) for i in outside]
+        if step == "array":
+            got = mixed.marginals(np.array(outside, dtype=np.intp)).tolist()
+        else:
+            read = mixed.marginal if step == "scalar" else mixed._marginal
+            got = [read(i) for i in outside]
+            assert all(type(m) is float for m in got)
+        assert [m.hex() for m in got] == [m.hex() for m in want]
+        assert mixed._min.tobytes() == scalar._min.tobytes()

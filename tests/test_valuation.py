@@ -1,12 +1,15 @@
 import itertools
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from procure import valuation
 from procure.valuation import (
+    NOISY_MEMO_MAX_INTS,
     AdditiveOracle,
     AdversarialFamilyOracle,
     CoverageInstance,
@@ -15,8 +18,10 @@ from procure.valuation import (
     sum_in_order,
 )
 from procure.instances import random_instance
+from procure.sealed_bid import run_sealed_bid, sealed_bid_runner, verify_ic
+from procure.scoring import RandomSeed
 from procure.selection import ARRAY_ROUND_MIN
-from conftest import random_oracle, synthetic_instances
+from conftest import edge_case_instances, random_oracle, rule_and_oracle, synthetic_instances
 
 
 class TestCoverage:
@@ -490,6 +495,66 @@ class TestNoisyOracle:
     def test_epsilon_range_validated(self, coverage_pair):
         with pytest.raises(ValueError):
             NoisyOracle(coverage_pair, 1.0)
+
+    @pytest.mark.parametrize("seed", [1.7, 2.0, True, "3"])
+    def test_seed_must_be_an_integer(self, coverage_pair, seed):
+        """A float was truncated (1.7 ran as seed 1) and a bool ran as 0 or 1."""
+        with pytest.raises(TypeError):
+            NoisyOracle(coverage_pair, 0.1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+    def test_seed_outside_int64_rejected_at_construction(self, coverage_pair, seed):
+        """Such a seed used to construct and fail at the first query with a struct.error."""
+        with pytest.raises(ValueError, match="64-bit"):
+            NoisyOracle(coverage_pair, 0.1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, -(2**63), np.int64(5)])
+    def test_seed_range_edges_and_numpy_integers_hash(self, coverage_pair, seed):
+        noisy = NoisyOracle(coverage_pair, 0.1, seed=seed)
+        assert type(noisy.seed) is int
+        assert 0.9 * 6.0 <= noisy.value((0, 1)) <= 1.1 * 6.0
+
+
+def _bits(oracle, n):
+    """F and every marginal over all subsets of n sellers, as float.hex()."""
+    out = []
+    for size in range(n + 1):
+        for s in itertools.combinations(range(n), size):
+            out.append(oracle.value(s).hex())
+            out += [oracle.marginal(i, s).hex() for i in range(n) if i not in s]
+    return out
+
+
+def _check_memo(oracle, bound):
+    stored = sum(map(len, oracle._memo))
+    assert stored == oracle._memo_ints <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_case_instances(n_min=1, n_max=6), st.sampled_from([3, 10, NOISY_MEMO_MAX_INTS]))
+def test_noisy_memo_keeps_every_bit(instance, bound):
+    """One oracle shared across runs (its memo filled, and under a small
+    bound cleared again and again) answers bit for bit as a fresh oracle
+    does: values and marginals, sealed-bid outcomes, IC reports and query
+    counts; its stored key length never passes the bound."""
+    instance, costs = instance
+    n = instance.n_sets
+    with patch.object(valuation, "NOISY_MEMO_MAX_INTS", bound):
+        rule, shared = rule_and_oracle("noisy-distorted", instance)
+        runner = sealed_bid_runner(rule)
+        for _ in range(2):  # the second pass starts from the first's memo
+            _, fresh = rule_and_oracle("noisy-distorted", instance)
+            assert _bits(shared, n) == _bits(fresh, n)
+            _check_memo(shared, bound)
+            runs = []
+            for oracle in (shared, fresh):
+                oracle.reset_query_count()
+                outcome = run_sealed_bid(rule, oracle, costs, seed=RandomSeed(5))
+                ic = verify_ic(runner, oracle, costs, grid=4, seed=RandomSeed(5))
+                runs.append((outcome.winners, [p.hex() for p in outcome.payments], outcome.value.hex(),
+                             outcome.trace.chosen_at, ic, oracle.query_count))
+            assert runs[0] == runs[1]
+            _check_memo(shared, bound)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
