@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .selection import _check_bids
-from .valuation import CoverageInstance, CoverageOracle, ValuationOracle, checked_seed, stable_hash64
+from .valuation import SEED_RANGE, CoverageInstance, CoverageOracle, ValuationOracle, checked_seed, stable_hash64
 
 #: Mean out-degree and target-popularity Zipf exponent of ``synthetic_bipartite_graph``.
 MEAN_OUT_DEGREE = 4.0
@@ -143,8 +143,11 @@ def build_instance(
     kappa ~ U[s, s^2] shared by the whole instance.  Deterministic in
     (cfg.seed, index).  Sampling positions in the ascending source ids and
     sorting them is the same draw as sampling the ids themselves.  A cover
-    target missing from ``target_in_degree`` raises ``KeyError``.
+    target missing from ``target_in_degree`` raises ``KeyError``, and an
+    index outside [0, 2**63), which the hash cannot pack, ``ValueError``.
     """
+    if not 0 <= index < SEED_RANGE.stop:
+        raise ValueError(f"instance index must be in [0, 2**63), got {index}")
     if cfg.n > graph.n_sources:
         raise ValueError(f"cannot sample {cfg.n} of {graph.n_sources} set nodes")
     g = graph._arrays

@@ -188,6 +188,19 @@ class ScoringRule:
             at_zero = np.where(m > 0.0, math.inf, -1.0)
             return np.where(bids == 0.0, at_zero, np.where(bids == math.inf, -1.0, (m - bids) / bids))
 
+    def retirement_floors(self, bids) -> list[float]:
+        """beta * b per bid: m <= beta * b iff ``score_from_marginal(m, b, n)`` <= 0.
+
+        At round n every alpha is 1, so an affine score is m - beta * b,
+        whose rounded sign is the sign of m - beta * b; both ratio rules
+        have beta 1, and their scores are positive iff m > b (including
+        zero and infinite bids, and m <= 0).  So a seller whose marginal
+        is at most its floor scores no more than 0 in any round while its
+        marginal does not grow.
+        """
+        beta = self._beta
+        return [beta * b for b in bids]
+
     def threshold_from_marginal(self, m: float, target: float, k: int, wins_tie: bool = False) -> float:
         """sup{ z >= 0 : score(z) > target }, 0 when the set is empty.
 

@@ -15,10 +15,12 @@ of their suprema exceeds b_i.  So when the allocation yields i at round k,
 the mechanism copies the provider (and, lazily, the heap), continues the
 greedy from round k over the remaining sellers other than i, and drops the
 copies once i is paid: extra memory is O(n + vertices), never one state
-per winner.  The lazy continuation also stops early: i's marginal only
-shrinks along it, and i's positive threshold is nondecreasing in that
-marginal, so once the threshold is no greater than the running payment no
-later round can raise the payment.
+per winner.  Both continuations also stop early: i's marginal only shrinks
+along them, and i's positive threshold is nondecreasing in that marginal
+(and, for the naive one, in alpha), so once the threshold is no greater
+than the running payment no later round can raise the payment.  The naive
+continuation stops so only where its pass prunes dead sellers (see
+``selection``).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .selection import (
     _lazy_greedy,
     _lazy_heap,
     _marginal_provider,
+    _prunes,
     _stale_copy,
 )
 from .valuation import ValuationOracle, sum_in_order, welfare
@@ -103,17 +106,33 @@ def _critical_payment(
     For a winner the critical bid is at least its own report (it won at
     that report), so the running maximum starts there; this absorbs the
     downward ulp the analytic inversion can introduce at exact score ties.
+
+    Exact early exit, where the pass prunes (``selection._prunes``): every
+    later round k' contributes at most i's positive threshold there, which
+    is max(0, alpha_k' m' / beta) for the affine rules and max(0, m') for
+    the ratio rules, nondecreasing in both alpha and the marginal.  alpha
+    never exceeds alpha_n = 1 and i's marginal m' never exceeds today's
+    m_i (the provider's marginals never grow), so the round-k' term is at
+    most ``threshold_from_marginal(m_i, 0.0, n)``.  Once that bound is no
+    greater than the running payment, no later round can raise it, and
+    the payment is final.  The pass's jump to round n is the same bound
+    read at the last set.
     """
     best = bids[i]
+    n = len(bids)
+    exits_early = _prunes(rule, provider)
+    threshold = rule.threshold_from_marginal
     for j, batch, comp_id, comp_score in _greedy_rounds(rule, provider, bids, seed, others, start=k):
         if batch is not None and i not in batch:
             continue
         m_i = provider.marginal(i)
-        z = rule.threshold_from_marginal(m_i, 0.0, j)
+        z = threshold(m_i, 0.0, j)
         if comp_id is not None:
-            z = min(z, rule.threshold_from_marginal(m_i, comp_score, j, wins_tie=i < comp_id))
+            z = min(z, threshold(m_i, comp_score, j, wins_tie=i < comp_id))
         if z > best:
             best = z
+        if exits_early and threshold(m_i, 0.0, n) <= best:
+            break
     return best
 
 

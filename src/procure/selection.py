@@ -31,6 +31,33 @@ first read (a payment continuation copies the allocation's), so the
 cut-off stays at 32.  The lazy heap's seed scores every candidate once, so
 it is an array round too; its re-scores stay scalar reads, a few per
 admission.
+
+Dead sellers leave the meta loop.  A seller is dead once a read of its
+marginal m gives m <= beta * b (``ScoringRule.retirement_floors``; beta is
+2 for cost-scaled, x for the noisy rule and 1 otherwise), which is exactly
+"its score at round n, where alpha is 1, is not positive", for all six
+deterministic rules, ratio rules, zero and +inf bids included.  alpha_k
+never exceeds 1 and, on a provider whose marginals never grow, m never
+rises again, so a dead seller is never admitted.  It never binds a payment
+either: as the argmax it scores at most 0, so its argmax threshold is at
+least the winner's positive threshold and the ``min`` in
+``sealed_bid._critical_payment`` keeps the same float.  So a pass drops
+the dead from its candidates after each round (in an array round, one mask
+``m > floors``, taken only when the round read at a new set or admitted,
+since a later read at the same set repeats it), and when none is left it
+yields
+``(n, None, None, NOT_SAMPLED)`` and ends: the set no longer changes and
+alpha never decreases, so round n's positive threshold bounds every round
+it skips.  A round-free rule gets there right after its first round without
+an admission.  Winners, admission rounds, scores, payments and traces keep
+their bits; only the query count falls.
+
+Which passes prune is a class-level fact of the provider
+(``marginals_shrink``): the coverage, additive and adversarial-family
+oracles' scratches, and ``_TrajectoryMinMarginals`` (a running minimum),
+do; a bare ``NoisyScratch`` and the scratch of any other
+``ValuationOracle`` subclass do not.  A stochastic pass never prunes: a
+winner's rounds there depend on its batch.
 """
 
 from __future__ import annotations
@@ -138,7 +165,12 @@ class _TrajectoryMinMarginals:
     writes Python floats without a numpy scalar.  Like a scratch, the
     provider answers ``marginal`` (checked, one query) and ``_marginal``
     (unchecked, uncharged, for ``_best_of``).
+
+    A running minimum never grows, whatever the oracle, so the provider's
+    marginals shrink even on a ``NoisyOracle``.
     """
+
+    marginals_shrink = True
 
     def __init__(self, scratch, minima: np.ndarray | None = None):
         self.scratch = scratch
@@ -179,40 +211,62 @@ def _marginal_provider(rule: ScoringRule, oracle: ValuationOracle):
     return _TrajectoryMinMarginals(scratch) if rule.kind == "noisy-distorted" else scratch
 
 
-def _best_of(rule: ScoringRule, provider, bids, scored, k: int) -> tuple:
-    """(argmax, score) over ``scored`` one marginal at a time; the first maximum wins.
+def _prunes(rule: ScoringRule, provider) -> bool:
+    """Whether a pass retires dead sellers and jumps to round n: only where
+    the provider's marginals never grow and no stochastic batch gates i's
+    rounds."""
+    return provider.marginals_shrink and not rule.randomized
+
+
+def _best_of(rule: ScoringRule, provider, bids, scored, k: int, floors) -> tuple:
+    """(argmax, score, dead) over ``scored`` one marginal at a time; the first maximum wins.
 
     No scored candidate is in the set, so, like an array round's
     ``marginals``, the round charges its ``len(scored)`` queries at once and
-    reads through the provider's unchecked ``_marginal``.
+    reads through the provider's unchecked ``_marginal``.  ``dead`` lists
+    the scored sellers whose marginal is at most their floor
+    (``ScoringRule.retirement_floors``); with ``floors`` None it stays empty.
     """
     provider.oracle._queries += len(scored)
     marginal, score_of = provider._marginal, rule.score_from_marginal
     best_i = None
     best_score = NOT_SAMPLED
+    dead = []
     for i in scored:
-        sc = score_of(marginal(i), bids[i], k)
+        m = marginal(i)
+        sc = score_of(m, bids[i], k)
         if best_i is None or sc > best_score:
             best_i, best_score = i, sc
-    return best_i, best_score
+        if floors is not None and m <= floors[i]:
+            dead.append(i)
+    return best_i, best_score, dead
 
 
 def _scalar_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, start: int = 1) -> Iterator[tuple]:
     """The meta loop scored one candidate at a time: small and stochastic passes, and the reference.
 
     A stochastic round scores its ascending batch's remaining members, so
-    the first maximum is still the lexicographically-first argmax.
+    the first maximum is still the lexicographically-first argmax.  Where
+    the pass prunes (``_prunes``), a round's dead sellers leave
+    ``remaining`` once the caller resumes, and once none is left the pass
+    yields round n and ends.
     """
     n = len(bids)
+    floors = rule.retirement_floors(bids) if _prunes(rule, provider) else None
     remaining = dict.fromkeys(candidates)  # ascending, with O(1) lookup and removal
     for k in range(start, n + 1):
+        if not remaining and floors is not None:
+            yield n, None, None, NOT_SAMPLED
+            return
         batch = seed.round_batch(k, n) if rule.randomized else None
         scored = remaining if batch is None else [i for i in batch if i in remaining]
-        best_i, best_score = _best_of(rule, provider, bids, scored, k)
+        best_i, best_score, dead = _best_of(rule, provider, bids, scored, k, floors)
         yield k, batch, best_i, best_score
         if best_i is not None and best_score > 0.0:
             provider.add(best_i)
             del remaining[best_i]
+        for i in dead:
+            del remaining[i]
 
 
 def _greedy_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidates, start: int = 1) -> Iterator[tuple]:
@@ -225,29 +279,48 @@ def _greedy_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidat
     lexicographically-first argmax.  A pass with ``start`` > 1 resumes a
     run whose provider holds the set of its first ``start - 1`` rounds.
 
+    Where ``_prunes`` holds, a seller whose marginal read is at most its
+    retirement floor is dead: its score is not positive now or in any later
+    round, so it leaves the candidates after the round.  When none is left,
+    the pass yields ``(n, None, None, NOT_SAMPLED)`` for the rounds that
+    remain and ends (see the module docstring).
+
     A round with at least ``ARRAY_ROUND_MIN`` scored candidates reads their
-    marginals with one ``provider.marginals`` call and scores them with
-    ``rule.scores``; smaller rounds, and passes that start smaller, use the
-    scalar loop.  Both yield the same tuples, as Python ints and floats.  A
-    stochastic round scores at most ``STOCHASTIC_BATCH`` = 3 < ``ARRAY_ROUND_MIN``
-    candidates, so a randomized rule's whole pass takes the scalar loop.
+    marginals with one ``provider.marginals`` call, scores them with
+    ``rule.scores`` and retires the dead with one mask; smaller rounds, and
+    passes that start smaller, use the scalar loop.  Both yield the same
+    tuples, as Python ints and floats.  A stochastic round scores at most
+    ``STOCHASTIC_BATCH`` = 3 < ``ARRAY_ROUND_MIN`` candidates, so a
+    randomized rule's whole pass takes the scalar loop.
     """
     if rule.randomized or len(candidates) < ARRAY_ROUND_MIN:
         yield from _scalar_rounds(rule, provider, bids, seed, candidates, start)
         return
-    bid_array = np.array(bids, dtype=float)
     remaining = np.array(candidates, dtype=np.intp)
+    # The remaining candidates' bids and floors, filtered with them.
+    own_bids = np.array(bids, dtype=float)[remaining]
+    if _prunes(rule, provider):
+        floors = np.array(rule.retirement_floors(bids))[remaining]
+    else:  # a floor of -inf retires nobody
+        floors = np.full(len(remaining), -math.inf)
+    fresh = True  # the round reads at a set no earlier round of the pass read at
     for k in range(start, len(bids) + 1):
         if len(remaining) < ARRAY_ROUND_MIN:
-            best_i, best_score = _best_of(rule, provider, bids, remaining.tolist(), k)
-        else:
-            scores = rule.scores(provider.marginals(remaining), bid_array[remaining], k)
-            j = int(np.argmax(scores))
-            best_i, best_score = int(remaining[j]), float(scores[j])
+            yield from _scalar_rounds(rule, provider, bids, seed, remaining.tolist(), k)
+            return
+        m = provider.marginals(remaining)
+        scores = rule.scores(m, own_bids, k)
+        j = int(np.argmax(scores))
+        best_i, best_score = int(remaining[j]), float(scores[j])
         yield k, None, best_i, best_score
-        if best_i is not None and best_score > 0.0:
-            provider.add(best_i)
-            remaining = remaining[remaining != best_i]
+        admitted = best_score > 0.0
+        if fresh or admitted:  # a later read at the same set repeats this one, which retired its dead
+            keep = m > floors
+            if admitted:
+                provider.add(best_i)
+                keep[j] = False
+            remaining, own_bids, floors = remaining[keep], own_bids[keep], floors[keep]
+        fresh = admitted
 
 
 def _lazy_heap(rule: ScoringRule, provider, bids, candidates) -> list[tuple[float, int, int]]:

@@ -117,7 +117,14 @@ class ValuationOracle:
     Subclasses implement ``_value`` on canonical tuples; ``marginal`` has a
     generic two-evaluation fallback that subclasses override when they can
     do better.
+
+    ``marginals_shrink`` is a fact of the class: every computed f(i | S) is
+    at most f(i | T) for T a subset of S, as floats (submodularity, with
+    sums whose rounding keeps that order).  The meta loop retires sellers
+    only on such an oracle, so a subclass claims it explicitly.
     """
+
+    marginals_shrink = False
 
     def __init__(self, n: int):
         if n < 0:
@@ -187,6 +194,11 @@ class OracleScratch:
     def __init__(self, oracle: ValuationOracle):
         self.oracle = oracle
         self._members: set[int] = set()
+
+    @property
+    def marginals_shrink(self) -> bool:
+        """Whether a read never grows as the set grows: the oracle's class fact."""
+        return self.oracle.marginals_shrink
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -301,7 +313,14 @@ class CoverageInstance:
 
 
 class CoverageOracle(ValuationOracle):
-    """Coverage valuation with incremental marginal support."""
+    """Coverage valuation with incremental marginal support.
+
+    A marginal sums the values of i's uncovered vertices left to right in
+    cover order; a larger set leaves a subsequence of those nonnegative
+    terms, whose left-to-right sum is never larger, so marginals shrink.
+    """
+
+    marginals_shrink = True
 
     def __init__(self, instance: CoverageInstance):
         super().__init__(instance.n_sets)
@@ -462,6 +481,8 @@ class CoverageScratch(OracleScratch):
 class AdditiveOracle(ValuationOracle):
     """Modular function f(S) = sum of per-seller weights."""
 
+    marginals_shrink = True  # f(i | S) is the weight of i whatever S is
+
     def __init__(self, weights: Sequence[float]):
         if not all(0.0 <= w < math.inf for w in weights):
             raise ValueError("weights must be finite and nonnegative")
@@ -488,8 +509,10 @@ class AdversarialFamilyOracle(ValuationOracle):
 
     The companion bid profile is 1/L for unit sellers and L - 2 for the two
     special sellers.  Values are small integers, so the generic marginal
-    f(S + i) - f(S) is exact.
+    f(S + i) - f(S) is exact, and f is submodular, so marginals shrink.
     """
+
+    marginals_shrink = True
 
     def __init__(self, L: int):
         if L < 1:

@@ -212,6 +212,9 @@ class TestGenInstance:
             (["--graph", "GRAPH", "--n", "0"], "sample size must be at least 1"),
             (["--graph", "GRAPH", "--s", "0.5"], "cost-scale base must be at least 1"),
             (["--graph", "GRAPH", "--n", "100000"], "cannot sample 100000 of 3 set nodes"),
+            (["--graph", "GRAPH", "--n", "2", "--index", str(2**63)],
+             f"instance index must be in [0, 2**63), got {2**63}"),
+            (["--graph", "GRAPH", "--n", "2", "--index", "-1"], "instance index must be in [0, 2**63), got -1"),
         ],
     )
     def test_bad_setting_is_usage_error(self, tmp_path, capsys, args, message):

@@ -429,6 +429,23 @@ def test_array_scores_equal_scalar_scores_elementwise(case):
 
 
 @pytest.mark.parametrize("case", RULE_CASES)
+def test_retirement_floor_marks_a_score_not_positive_in_every_round(case):
+    """m <= beta * b iff the round-n score is not positive, on the grid and
+    an ulp either side of each floor; such a seller scores no more than 0
+    in any round at the same marginal, which is what lets the meta loop
+    retire it."""
+    rule = case_rule(case)
+    n = rule.horizon
+    for b, floor in zip(GRID_B, rule.retirement_floors(GRID_B)):
+        near = (floor, math.nextafter(floor, math.inf), math.nextafter(floor, -math.inf))
+        for m in [x for x in GRID_M + list(near) if math.isfinite(x)]:
+            dead = m <= floor
+            assert dead == (not rule.score_from_marginal(m, b, n) > 0.0), (m, b)
+            if dead:
+                assert all(not rule.score_from_marginal(m, b, k) > 0.0 for k in range(1, n + 1)), (m, b)
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
 def test_thresholds_and_posted_prices_equal_closed_forms(case):
     rule = case_rule(case)
     for k in rounds_to_check(rule):
