@@ -252,6 +252,14 @@ class ConfigError(ValueError):
     """An experiment setting that fails its check before the first cell."""
 
 
+def _one_n_only(what: str, spec: str, prefix: str, ns: Sequence[int]) -> None:
+    """A ``file:`` arrival order or ``scripted:`` schedule is one permutation,
+    so it serves a single n; several n fail here rather than on a length."""
+    if spec.startswith(prefix) and len(ns) > 1:
+        raise ValueError(f"the {what} {spec!r} is one permutation and cannot serve several n {list(ns)}; "
+                         "run one n per experiment")
+
+
 def experiment_records(
     graph: BipartiteGraph,
     n_values: Sequence[int] = (100,),
@@ -279,8 +287,9 @@ def experiment_records(
     with n at most the graph's source count; ``workers`` >= 1; the arrival
     order (a file is read here, once) when a ``posted:`` mechanism runs; and
     ``da_schedule`` (for every n) and ``epsilon`` when a ``da:`` mechanism
-    runs below the cap.  The cells and pool workers all read the one plan
-    built from the checked settings.
+    runs below the cap.  A ``file:`` order or ``scripted:`` schedule is one
+    permutation, so with several n it fails with that cause.  The cells and
+    pool workers all read the one plan built from the checked settings.
     """
     try:
         specs = [MechanismSpec.parse(m) for m in mechanisms]
@@ -296,6 +305,7 @@ def experiment_records(
             raise ValueError(f"worker count must be at least 1, got {workers}")
         make_order = make_schedule = None
         if arrival_order is not None and any(s.name == "posted" for s in specs):
+            _one_n_only("arrival order", arrival_order, "file:", ns)
             make_order = order_factory(arrival_order)
             if not arrival_order.startswith("worst-of:"):  # a search needs an instance; it yields a permutation
                 for n in ns:
@@ -305,6 +315,7 @@ def experiment_records(
             if epsilon is not None:
                 epsilon = float(epsilon)
                 _check_step(epsilon)
+            _one_n_only("schedule", da_schedule, "scripted:", da_ns)
             make_schedule = schedule_factory(da_schedule)
             for n in da_ns:
                 make_schedule(n)

@@ -21,6 +21,25 @@ along them, and i's positive threshold is nondecreasing in that marginal
 than the running payment no later round can raise the payment.  The naive
 continuation stops so only where its pass prunes dead sellers (see
 ``selection``).
+
+A naive run that pays every winner of a deterministic rule on a plain
+coverage scratch with at least ``ARRAY_ROUND_MIN`` sellers advances all its
+continuations in lockstep (``_Lockstep``): per round index, one array round
+scores every open continuation's live candidates, takes each one's first
+maximum and threshold, retires its dead, admits its argmax and re-sums only
+the marginals that admission can change.  The per-round values are the
+same floats as in ``_critical_payment``: candidates stay ascending within a
+continuation, so its first maximum is the lexicographic argmax;
+``ScoringRule.thresholds`` is ``threshold_from_marginal`` element-wise; and
+each re-sum adds the seller's cover values left to right, as the coverage
+scratch does, rather than subtracting what was covered.  It charges the
+queries the continuations would, so ``oracle_queries`` keeps its counts.
+The other runs pay one winner at a time with ``_critical_payment``, the
+reference: ``focus`` runs, stochastic runs, the noisy rule's running
+minimum, other oracles, and runs with fewer sellers, where the per-winner
+passes are faster (distorted on the synthetic graph (1500, 600), s = 1, on
+a 2-vCPU Xeon VM: 1.96 against 2.49 ms a run at n = 24, 4.34 against 4.14
+ms at n = 32).
 """
 
 from __future__ import annotations
@@ -33,6 +52,7 @@ import numpy as np
 
 from .scoring import RandomSeed, ScoringRule, UnsupportedRuleError, _validate_rule, as_random_seed
 from .selection import (
+    ARRAY_ROUND_MIN,
     SelectionTrace,
     _check_bids,
     _greedy_rounds,
@@ -42,7 +62,7 @@ from .selection import (
     _prunes,
     _stale_copy,
 )
-from .valuation import ValuationOracle, sum_in_order, welfare
+from .valuation import CoverageScratch, ValuationOracle, sum_in_order, welfare
 
 
 class CapacityError(ValueError):
@@ -136,6 +156,168 @@ def _critical_payment(
     return best
 
 
+class _Lockstep:
+    """Every naive continuation of one coverage run, advanced one round index at a time.
+
+    A continuation is a row: winner i, its running payment, its own marginal
+    m_i, its covered-vertex mask (row ``id`` of ``covered``, where id counts
+    the rows opened before it) and its live candidates.  The live candidates
+    of all open rows are one flat list of pairs, grouped by row in opening
+    order and ascending within a row, each with its key id * n + seller and
+    its marginal; ``counts`` holds each row's share.  ``open`` starts a row
+    at the allocation's checkpoint: the set S_{k-1} and its marginal vector,
+    and every seller not yet admitted but i.  ``_round`` then advances every
+    open row by one round with one pass over the pairs, and does for each
+    row what ``_critical_payment`` does, float for float and query for
+    query; see ``run_sealed_bid``.
+    """
+
+    def __init__(self, rule: ScoringRule, scratch, bids: Sequence[float]):
+        oracle = scratch.oracle
+        self.rule, self.scratch, self.oracle, self.n = rule, scratch, oracle, oracle.n
+        self.bids = np.array(bids)
+        self.floors = np.array(rule.retirement_floors(bids))
+        self.cover_rows = oracle._cover_rows()
+        offsets, self.sharers = oracle._neighbours()
+        self.share_begin, self.share_len = offsets[:-1], np.diff(offsets)
+        self.payments: dict[int, float] = {}
+        self.round = 0  # the last round every open row has run
+        self.unadmitted = np.ones(self.n, dtype=bool)
+        self.allocated = np.zeros(len(oracle.vertex_values) + 1, dtype=bool)  # covered at S_{k-1}, and the sentinel
+        self.covered = np.zeros((8, len(self.allocated)), dtype=bool)
+        self.opened = 0
+        self.fresh = False  # whether a row reads at a set no earlier round of it read at
+        # The open rows.
+        self.ids = np.zeros(0, dtype=np.intp)
+        self.winner = np.zeros(0, dtype=np.intp)
+        self.best = np.zeros(0)  # the running payment
+        self.own = np.zeros(0)  # m_i
+        self.counts = np.zeros(0, dtype=np.intp)
+        # Their live candidates.
+        self.key = np.zeros(0, dtype=np.intp)
+        self.seller = np.zeros(0, dtype=np.intp)
+        self.m = np.zeros(0)
+
+    def open(self, i: int, k: int) -> None:
+        """Start winner i's continuation at round k; the scratch is at S_{k-1}."""
+        self.run_to(k - 1)
+        vector = self.scratch._marginal_vector()
+        self.unadmitted[i] = False
+        others = np.flatnonzero(self.unadmitted)
+        if not len(others):  # the pass yields round n at once
+            self.oracle._queries += 1
+            self.payments[i] = max(self.bids[i].item(), self.rule.threshold_from_marginal(vector[i].item(), 0.0, self.n))
+        else:
+            row = self.opened
+            self.opened += 1
+            if row == len(self.covered):
+                self.covered = np.concatenate((self.covered, np.zeros_like(self.covered)))
+            self.covered[row] = self.allocated
+            self.ids = np.concatenate((self.ids, (row,)))
+            self.winner = np.concatenate((self.winner, (i,)))
+            self.best = np.concatenate((self.best, self.bids[i : i + 1]))
+            self.own = np.concatenate((self.own, vector[i : i + 1]))
+            self.counts = np.concatenate((self.counts, (len(others),)))
+            self.key = np.concatenate((self.key, row * self.n + others))
+            self.seller = np.concatenate((self.seller, others))
+            self.m = np.concatenate((self.m, vector[others]))
+            self.fresh = True
+        self.allocated[self.cover_rows[i]] = True
+
+    def run_to(self, last: int) -> None:
+        """Runs every open row through round ``last``."""
+        for j in range(self.round + 1, last + 1):
+            if not len(self.counts):
+                break
+            self._round(j)
+        self.round = max(self.round, last)
+
+    def finish(self) -> dict[int, float]:
+        """Each winner's payment, once every row has run to its end."""
+        self.run_to(self.n)
+        return self.payments
+
+    def _round(self, j: int) -> None:
+        """Round j of every open row: ``_critical_payment``'s loop body, then
+        the admission and retirements of ``_greedy_rounds``."""
+        rule, n, oracle = self.rule, self.n, self.oracle
+        counts, seller, m, own = self.counts, self.seller, self.m, self.own
+        oracle._queries += len(m) + len(counts)  # every pair's score, and each row's m_i
+        scores = rule.scores(m, self.bids[seller], j)
+        starts = np.cumsum(counts) - counts
+        top = np.maximum.reduceat(scores, starts)
+        at_top = np.flatnonzero(scores == np.repeat(top, counts))
+        first = at_top[np.searchsorted(at_top, starts)]  # each row's first maximum: its argmax
+        rival = seller[first]
+        z = np.minimum(rule.thresholds(own, 0.0, j), rule.thresholds(own, top, j, self.winner < rival))
+        best = self.best = np.where(z > self.best, z, self.best)
+        done = rule.thresholds(own, 0.0, n) <= best  # the early exit: the payment is final
+        admit = top > 0.0
+        admit[done] = False
+        admits = np.flatnonzero(admit)
+        oracle._queries += len(admits)
+        if j == n:
+            self._close(np.ones(len(counts), dtype=bool))
+            return
+        ending = done.any()
+        if not (self.fresh or len(admits) or ending):
+            return  # every row reads at a set an earlier round read at, which retired its dead
+        keep = m > self.floors[seller]  # the dead retire
+        keep[first[admits]] = False
+        if ending:
+            keep &= np.repeat(~done, counts)
+        self.counts = counts = np.add.reduceat(keep, starts, dtype=np.intp)
+        self.key, self.seller, self.m = self.key[keep], seller[keep], m[keep]
+        self.fresh = len(admits) > 0
+        if self.fresh:
+            self._admit(admits, rival[admits])
+        ended = counts == 0
+        if ended.any():
+            last = ended & ~done  # no candidate is left: the pass yields round n
+            oracle._queries += int(np.count_nonzero(last))
+            z = rule.thresholds(self.own[last], 0.0, n)
+            self.best[last] = np.where(z > self.best[last], z, self.best[last])
+            self._close(ended)
+
+    def _admit(self, rows: np.ndarray, admitted: np.ndarray) -> None:
+        """Covers each row's admitted seller and re-sums the marginals it can
+        change: the row's pairs whose seller shares a vertex with it, and m_i."""
+        ids = self.ids[rows]
+        self.covered[ids[:, None], self.cover_rows[admitted]] = True
+        lengths = self.share_len[admitted]
+        ends = np.cumsum(lengths)
+        at = np.arange(ends[-1]) + np.repeat(self.share_begin[admitted] + lengths - ends, lengths)
+        owner = np.repeat(ids, lengths)
+        wanted = owner * self.n + self.sharers[at]
+        key = self.key
+        hit = np.minimum(np.searchsorted(key, wanted), len(key) - 1)
+        found = key[hit] == wanted if len(key) else np.zeros(len(wanted), dtype=bool)
+        hit, owner = hit[found], owner[found]
+        sums = self.oracle._masked_marginals(
+            self.covered, np.concatenate((owner, ids)), np.concatenate((self.seller[hit], self.winner[rows]))
+        )
+        self.m[hit] = sums[: len(hit)]
+        self.own[rows] = sums[len(hit) :]
+
+    def _close(self, ended: np.ndarray) -> None:
+        self.payments.update(zip(self.winner[ended].tolist(), self.best[ended].tolist()))
+        live = ~ended
+        self.ids, self.winner, self.best = self.ids[live], self.winner[live], self.best[live]
+        self.own, self.counts = self.own[live], self.counts[live]
+
+
+def _lockstep_eligible(rule: ScoringRule, provider, focus: int | None) -> bool:
+    """Whether ``run_sealed_bid`` pays through ``_Lockstep``: every winner is
+    paid, the rule draws nothing, the provider is a plain coverage scratch
+    and the run has at least ``ARRAY_ROUND_MIN`` sellers."""
+    return (
+        focus is None
+        and not rule.randomized
+        and type(provider) is CoverageScratch
+        and provider.oracle.n >= ARRAY_ROUND_MIN
+    )
+
+
 def run_sealed_bid(
     rule: ScoringRule,
     oracle: ValuationOracle,
@@ -146,26 +328,33 @@ def run_sealed_bid(
 ) -> AuctionOutcome:
     """Allocate via the meta loop and pay every winner its critical bid.
 
-    Each winner is paid when the allocation admits it, from a copy of the
-    allocation's provider; the same seed drives the allocation and every
-    resumed pass.  ``focus`` restricts the payment computation to one
-    seller, for callers that only need that seller's outcome (incentive
-    checks).
+    Each winner is paid from the allocation's checkpoint at its admission,
+    with the same seed as the allocation.  ``focus`` restricts the payment
+    computation to one seller, for callers that only need that seller's
+    outcome (incentive checks).  Runs that ``_lockstep_eligible`` admits
+    pay every winner at once through ``_Lockstep``; the others pay each
+    winner with ``_critical_payment`` on a copy of the provider.
     """
     n = oracle.n
     _validate_rule(rule, oracle)
     bids = _check_bids(bids, n)
     seed = as_random_seed(seed)
     provider = _marginal_provider(rule, oracle)
+    lockstep = _Lockstep(rule, provider, bids) if _lockstep_eligible(rule, provider, focus) else None
     trace = SelectionTrace(n)
     payments = [0.0] * n
     for k, _, i, score in _greedy_rounds(rule, provider, bids, seed, range(n)):
         if i is None or not score > 0.0:
             continue
         trace.admit(i, k, score)
-        if focus is None or i == focus:
+        if lockstep is not None:
+            lockstep.open(i, k)
+        elif focus is None or i == focus:
             others = [ell for ell in range(n) if ell not in trace.chosen_at]
             payments[i] = _critical_payment(rule, provider.copy(), bids, seed, i, k, others)
+    if lockstep is not None:
+        for i, paid in lockstep.finish().items():
+            payments[i] = paid
     return AuctionOutcome(trace.winners, tuple(payments), value=oracle.value(trace.winners), trace=trace)
 
 

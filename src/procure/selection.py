@@ -11,9 +11,13 @@ payments of ``sealed_bid``: at each winner's admission the sealed-bid
 mechanism copies the provider (``copy()``) and, on the lazy path, the heap
 with every entry stamped stale, then resumes the loop from that checkpoint
 over the other remaining sellers (``_greedy_rounds(start=k)``, or
-``_lazy_greedy`` on the copied heap).  The provider is the oracle's own
-scratch; the noisy rule reads it through ``_TrajectoryMinMarginals``, a
-running minimum of its marginals, scalar or array alike.
+``_lazy_greedy`` on the copied heap); a naive run of a deterministic rule
+on a coverage oracle with at least ``ARRAY_ROUND_MIN`` sellers instead
+advances all those continuations together, one array round per round
+index, with the same rounds float for float (``sealed_bid._Lockstep``).
+The provider is the oracle's own scratch; the noisy rule reads it through
+``_TrajectoryMinMarginals``, a running minimum of its marginals, scalar or
+array alike.
 
 The meta loop's round is an array round: one ``provider.marginals`` call
 (on coverage, a gather from the scratch's marginal vector), one

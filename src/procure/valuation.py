@@ -42,7 +42,10 @@ array kernel adds the masked vertex values column by column in cover
 order, which is the same order; adding 0.0 for a covered vertex is exact,
 so scalar and array marginals agree bit for bit.  The partial rebuild
 recomputes each seller with the scalar kernel rather than subtracting the
-flipped values, so it keeps those bits too.
+flipped values, so it keeps those bits too, and so does the oracle's
+``_masked_marginals`` (many marginals against per-row covered masks, for
+the lockstep payments), which accumulates each seller's cover values left
+to right from a leading 0.0.
 Python >= 3.12 ``sum()`` compensates rounding and numpy's ``sum`` is
 pairwise, so neither is used for values that reach an output.
 """
@@ -332,6 +335,8 @@ class CoverageOracle(ValuationOracle):
         self.vertex_values = instance.vertex_values
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._holders: tuple[tuple[int, ...], ...] | None = None
+        self._rows: np.ndarray | None = None
+        self._shared: tuple[np.ndarray, np.ndarray] | None = None
 
     def _value(self, s: tuple[int, ...]) -> float:
         covered: set[int] = set()
@@ -387,6 +392,48 @@ class CoverageOracle(ValuationOracle):
             self._holders = tuple(map(tuple, holders))
         return self._holders
 
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR offsets and sellers: the sellers whose cover shares a vertex
+        with seller i (i included, when its cover is not empty) are
+        ``sellers[offsets[i]:offsets[i + 1]]``, ascending; built once."""
+        if self._shared is None:
+            matrix, values = self._cover_arrays()
+            holds = matrix < len(values) - 1  # not the sentinel
+            vertices, sellers = matrix[holds], np.nonzero(holds)[1]
+            by_vertex = np.argsort(vertices, kind="stable")
+            degree = np.bincount(vertices, minlength=len(values))
+            first = np.cumsum(degree) - degree  # of each vertex's holders in ``by_vertex``
+            # Each (seller, vertex) incidence meets every holder of the vertex.
+            reps = degree[vertices]
+            ends = np.cumsum(reps)
+            at = np.arange(reps.sum()) - np.repeat(ends - reps - first[vertices], reps)
+            pairs = np.unique(np.repeat(sellers, reps) * self.n + sellers[by_vertex[at]])
+            offsets = np.searchsorted(pairs, np.arange(self.n + 1) * self.n)
+            self._shared = (offsets, pairs % self.n)
+        return self._shared
+
+    def _masked_marginals(self, covered: np.ndarray, rows: np.ndarray, sellers: np.ndarray) -> np.ndarray:
+        """The marginal of ``sellers[t]`` where the vertices ``covered[rows[t]]``
+        are covered, for each t; charges no query.
+
+        ``covered`` is a bool array with one column per vertex and one for
+        the sentinel.  Each sum starts at 0.0 and adds the seller's vertex
+        values in cover order, 0.0 for a covered vertex, as the whole-vector
+        build does, so it keeps the scalar kernel's bits: ``np.add.accumulate``
+        adds strictly left to right, over a sentinel column placed first.
+        """
+        vertices = self._cover_rows()[sellers]
+        terms = np.where(covered[rows[:, None], vertices], 0.0, self._cover_arrays()[1][vertices])
+        return np.add.accumulate(terms, axis=1)[:, -1]
+
+    def _cover_rows(self) -> np.ndarray:
+        """(n x width + 1) cover vertex indices, one row per seller: the
+        sentinel first, then the columns of ``_cover_arrays``; built once."""
+        if self._rows is None:
+            matrix, values = self._cover_arrays()
+            self._rows = np.vstack([np.full(self.n, len(values) - 1, dtype=np.intp), matrix]).T.copy()
+        return self._rows
+
 
 class CoverageScratch(OracleScratch):
     """Coverage counts per vertex; marginal queries cost O(|cover(i)|).
@@ -418,6 +465,11 @@ class CoverageScratch(OracleScratch):
 
     def marginals(self, idx: np.ndarray) -> np.ndarray:
         self.oracle._queries += len(idx)
+        return self._marginal_vector()[idx]
+
+    def _marginal_vector(self) -> np.ndarray:
+        """Every seller's marginal at the set, built or brought up to date;
+        charges no query."""
         if self._vector is None:
             matrix, values = self.oracle._cover_arrays()
             live = values.copy()
@@ -435,7 +487,7 @@ class CoverageScratch(OracleScratch):
             for i in stale:
                 vector[i] = self._marginal(i)
             self._flipped = None
-        return self._vector[idx]
+        return self._vector
 
     def copy(self) -> "CoverageScratch":
         """Copies the counts, and the marginal vector with its pending flips:

@@ -266,6 +266,28 @@ class TestOrderAndScheduleSelectors:
         assert capsys.readouterr().err.strip()
         assert not (tmp_path / "da.csv").exists()
 
+    @pytest.mark.parametrize("setting, mechanism", [
+        ("arrival_order", "posted:cost-scaled"),
+        ("da_schedule", "da:cost-scaled"),
+    ])
+    def test_one_permutation_file_with_several_n_names_the_cause(self, tmp_path, monkeypatch, capsys, setting, mechanism):
+        from procure import harness
+
+        perm = tmp_path / "perm.txt"
+        perm.write_text("\n".join(str(i) for i in (5, 3, 1, 0, 2, 4)) + "\n")
+        prefix = "file:" if setting == "arrival_order" else "scripted:"
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the configuration was checked")
+
+        monkeypatch.setattr(harness, "_instance_records", no_cell)
+        config = self._da_config(tmp_path, n=[6, 8], mechanisms=[mechanism], **{setting: f"{prefix}{perm}"})
+        assert run_cli(["experiment", "--config", str(config)]) == 2
+        message = capsys.readouterr().err
+        assert "one permutation" in message and "several n [6, 8]" in message
+        assert "must be a permutation" not in message and "is not a permutation" not in message
+        assert not (tmp_path / "da.csv").exists()
+
     def test_experiment_checks_the_arrival_order_only_when_a_posted_run_uses_it(self, tmp_path):
         config = self._da_config(tmp_path, mechanisms=["alloc:greedy-margin"], arrival_order="worst-of:0")
         assert run_cli(["experiment", "--config", str(config)]) == 0

@@ -429,6 +429,25 @@ def test_array_scores_equal_scalar_scores_elementwise(case):
 
 
 @pytest.mark.parametrize("case", RULE_CASES)
+def test_array_thresholds_equal_scalar_thresholds_elementwise(case):
+    """``thresholds`` is ``threshold_from_marginal`` element by element, with
+    array or scalar targets and tie flags: NOT_SAMPLED and +inf targets, zero,
+    negative and huge marginals, and targets that are themselves scores."""
+    rule = case_rule(case)
+    targets = TARGETS + [-0.0, -2.0, 0.3, 2.5, 1e300, -1e300]
+    cells = [(m, t, w) for m in GRID_M for t in targets for w in (False, True)]
+    m, t, w = (np.array(column) for column in zip(*cells))
+    for k in rounds_to_check(rule):
+        got = rule.thresholds(m, t, k, w)
+        want = [rule.threshold_from_marginal(x, target, k, wins_tie) for x, target, wins_tie in cells]
+        assert got.dtype == np.float64
+        assert float_bits(got) == float_bits(want)
+        for target in (0.0, NOT_SAMPLED, math.inf):
+            scalar = [rule.threshold_from_marginal(x, target, k) for x in GRID_M]
+            assert float_bits(rule.thresholds(np.array(GRID_M), target, k)) == float_bits(scalar)
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
 def test_retirement_floor_marks_a_score_not_positive_in_every_round(case):
     """m <= beta * b iff the round-n score is not positive, on the grid and
     an ulp either side of each floor; such a seller scores no more than 0

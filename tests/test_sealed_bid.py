@@ -1,8 +1,10 @@
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+from procure import sealed_bid
 from procure.scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, UnsupportedRuleError, make_rule
 from procure.sealed_bid import (
     AuctionOutcome,
@@ -17,7 +19,7 @@ from procure.sealed_bid import (
     verify_nas,
 )
 from procure.instances import random_instance
-from procure.selection import _greedy_rounds, _marginal_provider, run_meta
+from procure.selection import ARRAY_ROUND_MIN, _greedy_rounds, _marginal_provider, run_meta
 from procure.verification import critical_bid_bisection
 from procure.valuation import (
     AdditiveOracle,
@@ -28,6 +30,7 @@ from procure.valuation import (
     sum_in_order,
 )
 from conftest import (
+    DYADIC_COSTS,
     NON_DYADIC_COSTS,
     NON_DYADIC_VALUES,
     brute_force_opt,
@@ -529,3 +532,105 @@ def test_from_round_one_reference_counts_the_known_ulp_case():
     assert _resumed_against_reference("greedy-margin", instance, ULP_COSTS) == [
         (4, 0.3, math.nextafter(0.3, math.inf))
     ]
+
+
+# ---------------------------------------------------------------------------
+# The lockstep payments against one continuation per winner
+# ---------------------------------------------------------------------------
+
+
+def _sealed_bits(rule_name, instance, costs, lockstep: bool):
+    """A naive sealed run with the payment engine forced; its winners,
+    admission rounds, payments as float.hex() and oracle queries."""
+    oracle = CoverageOracle(instance)
+    with patch.object(sealed_bid, "_lockstep_eligible", return_value=lockstep):
+        out = run_sealed_bid(make_rule(rule_name, oracle.n), oracle, costs, seed=RandomSeed(2))
+    return out.winners, out.trace.chosen_at, [p.hex() for p in out.payments], oracle.query_count
+
+
+WITH_INF_COSTS = DYADIC_COSTS + (math.inf,)
+# Seller 0 covers the one vertex and 35 sellers cover nothing, at bids 0 and +inf.
+ONE_COVER_AMONG_EMPTY = (CoverageInstance(((0,),) + ((),) * 35, (1.0,)), [0.5] + [math.inf, 0.0] * 17 + [0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        edge_case_instances(n_min=2, n_max=48, cost_grid=WITH_INF_COSTS),
+        edge_case_instances(n_min=2, n_max=48, value_grid=NON_DYADIC_VALUES, cost_grid=NON_DYADIC_COSTS + (math.inf,)),
+    ),
+    st.sampled_from(DETERMINISTIC),
+)
+@example((CoverageInstance(ULP_COVERS, ULP_VALUES), ULP_COSTS), "greedy-margin")
+@example(ONE_COVER_AMONG_EMPTY, "greedy-rate")
+@example(ONE_COVER_AMONG_EMPTY, "roi")
+def test_lockstep_matches_per_winner_payments_on_edge_cases(instance, rule_name):
+    """Exact score ties (covers from a pool of at most four), zero marginals
+    (ratio rules score them -inf or -1 and pass ``wins_tie``), zero and +inf
+    bids, on both sides of ``ARRAY_ROUND_MIN``: every bit and query agrees.
+    In the examples every candidate of the one continuation scores -inf
+    (greedy-rate) or -1 (roi), so its argmax is its first candidate."""
+    instance, costs = instance
+    event(f"n {'>=' if len(costs) >= ARRAY_ROUND_MIN else '<'} ARRAY_ROUND_MIN")
+    assert _sealed_bits(rule_name, instance, costs, True) == _sealed_bits(rule_name, instance, costs, False)
+
+
+@pytest.mark.parametrize("rule_name", DETERMINISTIC)
+def test_lockstep_matches_per_winner_payments_on_random_instances(rule_name):
+    for n in (20, 32, 45, 64, 100):
+        for seed in range(3):
+            instance, costs = random_instance(n, 100 * n + seed)
+            assert _sealed_bits(rule_name, instance, costs, True) == _sealed_bits(rule_name, instance, costs, False)
+
+
+def _engines_used(monkeypatch, run) -> tuple[int, int, int]:
+    """(winners, continuations opened in lockstep, per-winner payments) of ``run()``."""
+    used = {"lockstep": 0, "per_winner": 0}
+
+    class SpyLockstep(sealed_bid._Lockstep):
+        def open(self, i, k):
+            used["lockstep"] += 1
+            super().open(i, k)
+
+    per_winner = sealed_bid._critical_payment
+
+    def spy_critical_payment(*args):
+        used["per_winner"] += 1
+        return per_winner(*args)
+
+    monkeypatch.setattr(sealed_bid, "_Lockstep", SpyLockstep)
+    monkeypatch.setattr(sealed_bid, "_critical_payment", spy_critical_payment)
+    outcome = run()
+    return len(outcome.winners), used["lockstep"], used["per_winner"]
+
+
+def test_eligible_runs_take_the_lockstep_engine(monkeypatch):
+    for rule_name in DETERMINISTIC:
+        instance, costs = random_instance(ARRAY_ROUND_MIN + 8, 3)
+        rule, oracle = make_rule(rule_name, instance.n_sets), CoverageOracle(instance)
+        winners, lockstep, per_winner = _engines_used(monkeypatch, lambda: run_sealed_bid(rule, oracle, costs))
+        assert winners > 0 and (lockstep, per_winner) == (winners, 0), rule_name
+
+
+@pytest.mark.parametrize("case", ["focus", "stochastic", "noisy", "noisy-oracle", "additive", "small"])
+def test_other_runs_pay_one_winner_at_a_time(monkeypatch, case):
+    n = ARRAY_ROUND_MIN - 1 if case == "small" else ARRAY_ROUND_MIN + 8
+    instance, costs = random_instance(n, 3)
+    oracle = CoverageOracle(instance)
+    rule = make_rule("distorted", n)
+    focus = None
+    if case == "focus":
+        focus = run_meta(rule, CoverageOracle(instance), costs).winners[0]
+    elif case == "stochastic":
+        rule = make_rule("stochastic-distorted", n)
+    elif case.startswith("noisy"):
+        rule = make_rule("noisy-distorted", n, noise_epsilon=0.01)
+        if case == "noisy-oracle":
+            oracle = NoisyOracle(oracle, 0.01, seed=1)
+    elif case == "additive":
+        oracle = AdditiveOracle([oracle.marginal(i, ()) for i in range(n)])
+    winners, lockstep, per_winner = _engines_used(
+        monkeypatch, lambda: run_sealed_bid(rule, oracle, costs, seed=RandomSeed(4), focus=focus)
+    )
+    assert winners > 0 and lockstep == 0
+    assert per_winner == (1 if case == "focus" else winners)

@@ -374,7 +374,10 @@ def _kernel_oracles():
 def test_cover_kernels_match_loop_built_references(instance):
     """The cover matrix equals the per-seller build (shape, dtype, layout,
     entries), and each vertex's holders are exactly the sellers whose
-    canonical cover holds it, ascending."""
+    canonical cover holds it, ascending.  Each seller's neighbours are the
+    sellers whose cover meets its own, ascending, and the masked marginals
+    are the scalar kernel's left-to-right sums over the uncovered vertices,
+    bit for bit."""
     oracle = CoverageOracle(instance)
     matrix, values = oracle._cover_arrays()
     ref_matrix, ref_values = _loop_cover_arrays(oracle)
@@ -385,6 +388,18 @@ def test_cover_kernels_match_loop_built_references(instance):
     assert oracle._vertex_holders() == tuple(
         tuple(i for i, cov in enumerate(instance.covers) if v in cov) for v in range(len(instance.vertex_values))
     )
+    offsets, sharers = oracle._neighbours()
+    covers = [set(cov) for cov in oracle.covers]
+    assert [sharers[offsets[i] : offsets[i + 1]].tolist() for i in range(oracle.n)] == [
+        [j for j in range(oracle.n) if covers[i] & covers[j]] for i in range(oracle.n)
+    ]
+    covered = np.random.default_rng(oracle.n).random((3, len(values))) < 0.5
+    rows, sellers = np.repeat(np.arange(3), oracle.n), np.tile(np.arange(oracle.n), 3)
+    want = [
+        sum_in_order(instance.vertex_values[v] for v in oracle.covers[i] if not covered[r, v])
+        for r, i in zip(rows.tolist(), sellers.tolist())
+    ]
+    assert [m.hex() for m in oracle._masked_marginals(covered, rows, sellers).tolist()] == [m.hex() for m in want]
 
 
 def test_canonical_covers_are_reused_and_others_canonicalized():
