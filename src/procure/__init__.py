@@ -24,13 +24,12 @@ from .scoring import (
     UnsupportedRuleError,
     make_rule,
 )
-from .selection import SelectionTrace, run_meta, run_meta_lazy
+from .selection import SelectionTrace, run_meta
 from .sealed_bid import (
     AuctionOutcome,
     CapacityError,
     exact_opt,
     run_sealed_bid,
-    run_sealed_bid_lazy,
     run_vcg,
     sealed_bid_runner,
     verify_ic,

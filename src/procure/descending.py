@@ -281,7 +281,9 @@ def run_descending(
     """Price-descent loop: decrement one undemanded seller per tick.
 
     Terminates because prices strictly decrease and sellers drop once
-    priced below their bids; a generous tick cap guards against a
+    priced below their bids, before the first demand call for a seller
+    whose bid is above its starting price, so no demand oracle can keep a
+    seller paid below its bid; a generous tick cap guards against a
     non-compliant demand/schedule pair.  The demand oracle and the schedule
     see the same frozenset of active sellers, rebuilt only when one drops.
 
@@ -295,13 +297,15 @@ def run_descending(
     n = oracle.n
     bids = _check_bids(bids, n)
     prices = [oracle.marginal(i, ()) for i in range(n)]
-    active = frozenset(range(n))
+    cap = sum(math.ceil(p / epsilon) + 1 for p in prices) + n + 1
+    # A seller priced below its bid from the start leaves before the first demand call.
+    active = frozenset(i for i in range(n) if not prices[i] < bids[i])
+    prices = [p if i in active else 0.0 for i, p in enumerate(prices)]
     demand.begin_run()
     admission_marginal = getattr(demand, "admission_marginal", None)
     if not getattr(schedule, "picks_from_sets", False):
         admission_marginal = None
 
-    cap = sum(math.ceil(p / epsilon) + 1 for p in prices) + n + 1
     ticks = 0
     prev: int | None = None
     while True:

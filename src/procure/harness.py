@@ -21,12 +21,11 @@ from .descending import CostScaledDemand, ExactDemand, _check_step, run_descendi
 from .instances import BipartiteGraph, ExperimentConfig, active_fraction, build_instance
 from .online import order_factory, order_random, run_posted_price
 from .scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, make_rule
-from .selection import run_meta, run_meta_lazy
+from .selection import run_meta
 from .sealed_bid import (
     AuctionOutcome,
     exact_opt,
     run_sealed_bid,
-    run_sealed_bid_lazy,
     run_vcg,
 )
 from .valuation import CoverageInstance, CoverageOracle, stable_hash64, welfare
@@ -167,8 +166,7 @@ def run_mechanism(
 
     if spec.name == "alloc":
         rule = make_rule(spec.rule, n)
-        runner = run_meta_lazy if rule.diminishing_return else run_meta
-        trace = runner(rule, oracle, costs, seed=RandomSeed(seed))
+        trace = run_meta(rule, oracle, costs, seed=RandomSeed(seed))
         outcome = AuctionOutcome(trace.winners, (0.0,) * n, value=oracle.value(trace.winners), trace=trace)
     elif spec.name == "vcg":
         outcome = run_vcg(oracle, costs, cap=vcg_cap)
@@ -177,8 +175,7 @@ def run_mechanism(
         outcome = AuctionOutcome(winners, (0.0,) * n, value=oracle.value(winners))
     elif spec.name == "sealed":
         rule = make_rule(spec.rule, n)
-        runner = run_sealed_bid_lazy if rule.diminishing_return else run_sealed_bid
-        outcome = runner(rule, oracle, costs, seed=RandomSeed(seed))
+        outcome = run_sealed_bid(rule, oracle, costs, seed=RandomSeed(seed))
     elif spec.name == "posted":
         rule = make_rule(spec.rule, n)
         if make_order is None:

@@ -232,35 +232,25 @@ class ScoringRule:
             return math.inf
         return max(0.0, ((self._alpha[k] if self._alpha else 1.0) * m - target) / self._beta)
 
-    def thresholds(self, m: np.ndarray, target, k: int, wins_tie=False) -> np.ndarray:
-        """``threshold_from_marginal`` element-wise over arrays, the same float for each.
+    def thresholds(self, m: np.ndarray, target, k: int) -> np.ndarray:
+        """``threshold_from_marginal`` element-wise over arrays, for the affine rules.
 
-        ``target`` and ``wins_tie`` may be arrays or scalars.  max(0, x) is
+        ``target`` may be an array or a scalar; ``wins_tie`` never changes
+        an affine threshold, so it takes none.  max(0, x) is
         ``x > 0 ? x : 0``, which, like the builtin, gives +0.0 for x = -0.0
-        and NaN.  For the affine rules the formula alone gives both special
-        targets' values (-inf makes x = +inf; +inf makes x = -inf, or NaN
-        when m is +inf), and a unit coefficient is skipped, as in
-        ``scores``.  For the ratio rules each case of the scalar form is
-        one mask, applied from the last to the first, so the first that
-        holds wins.
+        and NaN.  The formula alone gives both special targets' values
+        (-inf makes x = +inf; +inf makes x = -inf, or NaN when m is +inf),
+        and a unit coefficient is skipped, as in ``scores``.  Only the
+        lockstep payments call it, and only for round-indexed rules, which
+        are all affine.
         """
-        if self._affine:
-            alpha = self._alpha[k] if self._alpha else 1.0
-            x = (m if alpha == 1.0 else alpha * m) - target
-            if self._beta != 1.0:
-                x = x / self._beta
-            return np.where(x > 0.0, x, 0.0)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if self.kind == "greedy-rate":
-                x = m - m * target
-                z = np.where(target == NOT_SAMPLED, math.inf, np.where(x > 0.0, x, 0.0))
-                z = np.where(m <= 0.0, np.where((target == NOT_SAMPLED) & wins_tie, math.inf, 0.0), z)
-            else:  # roi
-                x = m / (1.0 + target)
-                z = np.where(target <= -1.0, math.inf, np.where(x > 0.0, x, 0.0))
-                beats = (target < -1.0) | ((target == -1.0) & wins_tie)
-                z = np.where(m <= 0.0, np.where(beats, math.inf, 0.0), z)
-            return np.where(target == math.inf, 0.0, z)
+        if not self._affine:
+            raise UnsupportedRuleError(f"rule {self.kind!r} has no affine threshold")
+        alpha = self._alpha[k] if self._alpha else 1.0
+        x = (m if alpha == 1.0 else alpha * m) - target
+        if self._beta != 1.0:
+            x = x / self._beta
+        return np.where(x > 0.0, x, 0.0)
 
     def posted_price(self, m: float) -> float:
         """Bid at which the online score of a seller with marginal m crosses zero.

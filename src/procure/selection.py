@@ -1,21 +1,24 @@
-"""The greedy selection engine: the meta loop and its lazy variant.
+"""The greedy selection engine: the meta loop, run naively or lazily.
 
 ``_greedy_rounds`` scores every remaining candidate each round and admits
 the lexicographically-first argmax while its score is strictly positive;
-``_lazy_greedy`` keeps a max-heap of stale scores for diminishing-return
-rules and re-scores only the top until its fresh score provably dominates.
-Both yield before they admit, so the caller sees the provider (and the
-lazy heap) at the set the round was scored on.  The allocation
-(``run_meta``, ``run_meta_lazy``) consumes them, and so do the critical-bid
-payments of ``sealed_bid``: at each winner's admission the sealed-bid
-mechanism copies the provider (``copy()``) and, on the lazy path, the heap
-with every entry stamped stale, then resumes the loop from that checkpoint
-over the other remaining sellers (``_greedy_rounds(start=k)``, or
-``_lazy_greedy`` on the copied heap); a naive run of a deterministic rule
-on a coverage oracle with at least ``ARRAY_ROUND_MIN`` sellers instead
-advances all those continuations together, one array round per round
-index, with the same rounds float for float (``sealed_bid._Lockstep``).
-The provider is the oracle's own scratch; the noisy rule reads it through
+``_lazy_rounds`` keeps a max-heap of stale scores and re-scores only the
+top until its fresh score provably dominates (Minoux 1978), which is exact
+for a diminishing-return rule on a provider whose marginals never grow
+(``_lazy_exact``).  Both yield the same (k, batch, argmax, score) tuples,
+and yield before they admit, so the caller sees the provider (and the lazy
+heap) at the set the round was scored on.  ``run_meta`` and
+``sealed_bid.run_sealed_bid`` take the lazy engine exactly where it is
+exact (``_allocation``), and so do the critical-bid payments: at each
+winner's admission the sealed-bid mechanism copies the provider
+(``copy()``) and, on the lazy engine, the heap with every entry stamped
+stale, then resumes the same engine from that checkpoint over the other
+remaining sellers (``_greedy_rounds(start=k)``, or ``_lazy_rounds`` on the
+copied heap); a naive run of a round-indexed deterministic rule on a
+coverage oracle with at least ``ARRAY_ROUND_MIN`` sellers instead advances
+all those continuations together, one array round per round index, with
+the same rounds float for float (``sealed_bid._Lockstep``).  The provider
+is the oracle's own scratch; the noisy rule reads it through
 ``_TrajectoryMinMarginals``, a running minimum of its marginals, scalar or
 array alike.
 
@@ -49,18 +52,19 @@ least the winner's positive threshold and the ``min`` in
 the dead from its candidates after each round (in an array round, one mask
 ``m > floors``, taken only when the round read at a new set or admitted,
 since a later read at the same set repeats it), and when none is left it
-yields
-``(n, None, None, NOT_SAMPLED)`` and ends: the set no longer changes and
-alpha never decreases, so round n's positive threshold bounds every round
-it skips.  A round-free rule gets there right after its first round without
-an admission.  Winners, admission rounds, scores, payments and traces keep
-their bits; only the query count falls.
+yields ``(n, None, None, NOT_SAMPLED)`` and ends: the set no longer changes
+and alpha never decreases, so round n's positive threshold bounds every
+round it skips.  A round-free rule gets there right after its first round
+without an admission, and the lazy engine yields the same tuple once its
+heap holds no positive score.  Winners, admission rounds, scores, payments
+and traces keep their bits; only the query count falls.
 
-Which passes prune is a class-level fact of the provider
-(``marginals_shrink``): the coverage, additive and adversarial-family
-oracles' scratches, and ``_TrajectoryMinMarginals`` (a running minimum),
-do; a bare ``NoisyScratch`` and the scratch of any other
-``ValuationOracle`` subclass do not.  A stochastic pass never prunes: a
+Which passes prune, and where a diminishing-return rule runs lazily, is a
+class-level fact of the provider (``marginals_shrink``): the coverage,
+additive and adversarial-family oracles' scratches, and
+``_TrajectoryMinMarginals`` (a running minimum), do; a bare
+``NoisyScratch`` and the scratch of any other ``ValuationOracle``
+subclass do not.  A stochastic pass never prunes: a
 winner's rounds there depend on its batch.
 """
 
@@ -78,7 +82,6 @@ from .scoring import (
     NOT_SAMPLED,
     RandomSeed,
     ScoringRule,
-    UnsupportedRuleError,
     _validate_rule,
     as_random_seed,
 )
@@ -344,27 +347,32 @@ def _stale_copy(heap: list[tuple[float, int, int]]) -> list[tuple[float, int, in
     return [(neg, i, STALE) for neg, i, _ in heap]
 
 
-def _lazy_greedy(rule: ScoringRule, provider, bids, heap: list, limit: int) -> Iterator[tuple[int, float]]:
-    """Lazy greedy (Minoux 1978): yields (seller, score) per admission, then admits.
+def _lazy_rounds(rule: ScoringRule, provider, bids, heap: list, start: int = 1) -> Iterator[tuple]:
+    """Lazy greedy (Minoux 1978) as meta-loop rounds: yields (k, None, argmax, score) per admission.
 
-    Stops after ``limit`` admissions or at the first best fresh score that
-    is not positive.  Diminishing-return scores only shrink as the set grows
-    and ignore the round index, so a stale score bounds the fresh one.
+    Exact only where ``_lazy_exact`` holds: diminishing-return scores only
+    shrink as the set grows and ignore the round index, so a stale score
+    bounds the fresh one, and admissions fall in consecutive rounds from
+    ``start``.  Once no queued seller has a positive fresh score, no later
+    round admits (the set, and so every score, stays), and the pass yields
+    ``(n, None, None, NOT_SAMPLED)`` and ends: the naive pruned pass's jump
+    to round n.
 
     ``heap`` (from ``_lazy_heap``, or a ``_stale_copy`` of a checkpoint) is
     consumed in place, so at each yield the caller holds the queue as it
-    stands at the provider's set.  Its entries carry the admission count at
-    which they were scored; an entry popped with a current stamp is already
-    fresh, which breaks the re-score cycle that exact score ties would
-    otherwise cause.  Which seller is admitted, and its score, depend only
-    on the fresh scores, so any queue of valid upper bounds gives the same
-    admissions.  A queued seller is never in the set, so each re-score
-    charges its query and reads through the provider's unchecked
-    ``_marginal``.
+    stands at the provider's set, without the argmax.  Its entries carry
+    the admission count at which they were scored; an entry popped with a
+    current stamp is already fresh, which breaks the re-score cycle that
+    exact score ties would otherwise cause.  Which seller is admitted, and
+    its score, depend only on the fresh scores, so any queue of valid upper
+    bounds gives the same admissions.  A queued seller is never in the set,
+    so each re-score charges its query and reads through the provider's
+    unchecked ``_marginal``.
     """
+    n = len(bids)
     oracle, marginal, score_of = provider.oracle, provider._marginal, rule.score_from_marginal
     heappop, heappush = heapq.heappop, heapq.heappush
-    for admitted in range(limit):
+    for admitted, k in enumerate(range(start, n + 1)):
         while heap:
             neg, i, stamp = heappop(heap)
             if stamp == admitted:
@@ -377,11 +385,38 @@ def _lazy_greedy(rule: ScoringRule, provider, bids, heap: list, limit: int) -> I
                 break
             heappush(heap, (-score, i, admitted))
         else:
-            return
+            break
         if not score > 0.0:
-            return
-        yield i, score
+            break
+        yield k, None, i, score
         provider.add(i)
+    yield n, None, None, NOT_SAMPLED
+
+
+def _lazy_exact(rule: ScoringRule, provider) -> bool:
+    """Whether the lazy engine admits what the meta loop admits: a
+    diminishing-return rule on a provider whose marginals never grow."""
+    return rule.diminishing_return and provider.marginals_shrink
+
+
+def _allocation(rule: ScoringRule, oracle: ValuationOracle, bids, seed, lazy: bool | None) -> tuple:
+    """(bids, seed, provider, queue, rounds) of a checked run's allocation.
+
+    ``lazy`` None picks the engine by ``_lazy_exact``; True or False forces
+    it, for the reference checks that compare the two.  ``queue`` is the
+    lazy heap, consumed by ``rounds``, and None on the meta loop.
+    """
+    n = oracle.n
+    _validate_rule(rule, oracle)
+    bids = _check_bids(bids, n)
+    seed = as_random_seed(seed)
+    provider = _marginal_provider(rule, oracle)
+    if lazy is None:
+        lazy = _lazy_exact(rule, provider)
+    if not lazy:
+        return bids, seed, provider, None, _greedy_rounds(rule, provider, bids, seed, range(n))
+    heap = _lazy_heap(rule, provider, bids, range(n))
+    return bids, seed, provider, heap, _lazy_rounds(rule, provider, bids, heap)
 
 
 def run_meta(
@@ -390,38 +425,17 @@ def run_meta(
     bids,
     seed: RandomSeed | int | None = None,
 ) -> SelectionTrace:
-    """One full run of the meta selection algorithm, over n = ``oracle.n`` rounds."""
-    n = oracle.n
-    _validate_rule(rule, oracle)
-    bids = _check_bids(bids, n)
-    provider = _marginal_provider(rule, oracle)
-    trace = SelectionTrace(n)
-    for k, _, i, score in _greedy_rounds(rule, provider, bids, as_random_seed(seed), range(n)):
+    """One full run of the meta selection algorithm, over n = ``oracle.n`` rounds.
+
+    Lazy where that is exact (``_lazy_exact``); the meta loop otherwise.
+    """
+    return _run_meta(rule, oracle, bids, seed)
+
+
+def _run_meta(rule: ScoringRule, oracle: ValuationOracle, bids, seed=None, lazy: bool | None = None) -> SelectionTrace:
+    """``run_meta`` with the engine chosen by ``lazy`` as in ``_allocation``."""
+    trace = SelectionTrace(oracle.n)
+    for k, _, i, score in _allocation(rule, oracle, bids, seed, lazy)[-1]:
         if i is not None and score > 0.0:
             trace.admit(i, k, score)
-    return trace
-
-
-def run_meta_lazy(
-    rule: ScoringRule,
-    oracle: ValuationOracle,
-    bids,
-    seed: RandomSeed | int | None = None,
-) -> SelectionTrace:
-    """Lazy-queue implementation; requires a diminishing-return rule.
-
-    Produces the same winner set and admission rounds as ``run_meta``:
-    because these rules' scores only shrink as the tentative set grows and
-    ignore the round index, admissions happen in consecutive rounds and the
-    loop may stop at the first round whose best fresh score is not positive.
-    """
-    if not rule.diminishing_return:
-        raise UnsupportedRuleError(f"rule {rule.kind!r} has no diminishing-return structure")
-    n = oracle.n
-    bids = _check_bids(bids, n)
-    scratch = oracle.scratch()
-    heap = _lazy_heap(rule, scratch, bids, range(n))
-    trace = SelectionTrace(n)
-    for k, (i, score) in enumerate(_lazy_greedy(rule, scratch, bids, heap, n), start=1):
-        trace.admit(i, k, score)
     return trace

@@ -40,16 +40,16 @@ from .scoring import (
 )
 from .sealed_bid import (
     AuctionOutcome,
+    _run_sealed_bid,
     exact_opt,
     run_sealed_bid,
-    run_sealed_bid_lazy,
     run_vcg,
     sealed_bid_runner,
     verify_ic,
     verify_ir,
     verify_nas,
 )
-from .selection import run_meta, run_meta_lazy
+from .selection import _run_meta, run_meta
 from .valuation import (
     CoverageOracle,
     NoisyOracle,
@@ -406,8 +406,8 @@ def lazy_equivalence_suite(trials: int = 500, seed: int = 0) -> SuiteReport:
         oracle, costs = sample_instance(rng, 30)
         for rule_name in ONLINE_CAPABLE_RULES:
             rule = make_rule(rule_name, oracle.n)
-            naive = run_sealed_bid(rule, oracle, costs)
-            lazy = run_sealed_bid_lazy(rule, oracle, costs)
+            naive = _run_sealed_bid(rule, oracle, costs, lazy=False)
+            lazy = _run_sealed_bid(rule, oracle, costs, lazy=True)
             if not report.check(naive.winners == lazy.winners,
                                 f"{rule_name} trial {t}: winners {naive.winners} != {lazy.winners}"):
                 continue
@@ -428,11 +428,11 @@ def lazy_query_advantage(seed: int = 0) -> dict:
     rule = make_rule(rule_name, n)
 
     oracle = CoverageOracle(instance)
-    run_meta(rule, oracle, costs)
+    _run_meta(rule, oracle, costs, lazy=False)
     naive_queries = oracle.query_count
 
     oracle = CoverageOracle(instance)
-    run_meta_lazy(rule, oracle, costs)
+    _run_meta(rule, oracle, costs, lazy=True)
     lazy_queries = oracle.query_count
     return {"n": n, "rule": rule_name, "naive_queries": naive_queries, "lazy_queries": lazy_queries}
 
@@ -579,13 +579,13 @@ def descending_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
 
 def critical_bid_bisection(rule: ScoringRule, oracle: ValuationOracle, bids, i: int) -> float:
     """Largest bid at which seller i still wins, to within 1e-8, found on the
-    allocation alone (run unseeded)."""
+    naive engine's allocation alone (run unseeded)."""
     bids = [float(b) for b in bids]
 
     def wins(b: float) -> bool:
         probe = bids.copy()
         probe[i] = b
-        return i in run_meta(rule, oracle, probe).winners
+        return i in _run_meta(rule, oracle, probe, lazy=False).winners
 
     hi = 2.0 * oracle.marginal(i, ()) + 1.0
     if wins(hi):

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from procure.instances import ExperimentConfig, build_instance, random_instance, synthetic_bipartite_graph
 from procure.scoring import make_rule
+from procure.sealed_bid import _run_sealed_bid
+from procure.selection import _run_meta
 from procure.valuation import CoverageInstance, CoverageOracle, NoisyOracle
 
 #: Dyadic grids: sums and differences of their values are mostly exact.
@@ -46,6 +48,23 @@ def edge_case_instances(
     covers = tuple(tuple(sorted(draw(st.sampled_from(pool)))) for _ in range(n))
     costs = draw(st.lists(st.sampled_from(cost_grid), min_size=n, max_size=n))
     return CoverageInstance(covers, tuple(values)), costs
+
+
+# The two engines by name; ``run_meta`` and ``run_sealed_bid`` pick one themselves.
+def naive_meta(rule, oracle, bids, seed=None):
+    return _run_meta(rule, oracle, bids, seed, lazy=False)
+
+
+def lazy_meta(rule, oracle, bids, seed=None):
+    return _run_meta(rule, oracle, bids, seed, lazy=True)
+
+
+def naive_sealed(rule, oracle, bids, seed=None, **kwargs):
+    return _run_sealed_bid(rule, oracle, bids, seed, lazy=False, **kwargs)
+
+
+def lazy_sealed(rule, oracle, bids, seed=None, **kwargs):
+    return _run_sealed_bid(rule, oracle, bids, seed, lazy=True, **kwargs)
 
 
 def rule_and_oracle(rule_name, instance):

@@ -19,7 +19,7 @@ from procure.descending import (
 )
 from procure.online import order_random
 from procure.scoring import UnsupportedRuleError, make_rule
-from procure.sealed_bid import exact_opt
+from procure.sealed_bid import exact_opt, verify_ir
 from procure.instances import ExperimentConfig, build_instance, random_instance, synthetic_bipartite_graph
 from procure.valuation import AdditiveOracle, AdversarialFamilyOracle, CoverageInstance, CoverageOracle
 from procure.verification import lowerbound_report
@@ -192,6 +192,23 @@ class TestRunDescending:
         with pytest.raises(ValueError):
             run_descending(oracle, BAD_BIDS[case], CostScaledDemand(oracle), LexicographicSchedule(), 0.5)
 
+    def test_seller_bidding_above_its_starting_price_leaves_before_any_demand(self):
+        """A demand oracle that demands every active seller ends the clock at
+        tick 0; seller 0, whose bid 5 is above its starting price 1, must
+        already be gone, not win at a price below its bid."""
+
+        class DemandAll:
+            def begin_run(self):
+                pass
+
+            def __call__(self, active, prices, prev):
+                return active
+
+        oracle = AdditiveOracle([1.0, 2.0])
+        out = run_descending(oracle, [5.0, 1.0], DemandAll(), LexicographicSchedule(), 0.25)
+        assert (out.winners, out.payments, out.ticks) == ((1,), (0.0, 2.0), 0)
+        assert verify_ir(out, [5.0, 1.0], tol=0.0)
+
     def test_lexicographic_pick_is_smallest_undemanded(self):
         assert LexicographicSchedule().pick(frozenset({4, 1, 7, 2}), frozenset({1}), []) == 2
 
@@ -234,7 +251,9 @@ def _reference_clock(oracle, bids, schedule, epsilon):
     """Per-tick cost-scaled clock with a from-scratch marginal on every tick."""
     n = oracle.n
     prices = [oracle.marginal(i, ()) for i in range(n)]
-    active, tentative, ticks, prev = set(range(n)), [], 0, None
+    active = {i for i in range(n) if not prices[i] < bids[i]}  # a bid above the starting price leaves at once
+    prices = [p if i in active else 0.0 for i, p in enumerate(prices)]
+    tentative, ticks, prev = [], 0, None
     while True:
         if prev in active and oracle.marginal(prev, tentative) > 2.0 * prices[prev]:
             tentative.append(prev)

@@ -397,6 +397,7 @@ def float_bits(values):
 RULE_CASES = {name: (name, {}) for name in RULE_NAMES}
 RULE_CASES["noisy-distorted"] = ("noisy-distorted", {"noise_epsilon": 0.1})
 RULE_CASES["noisy-distorted-eps0"] = ("noisy-distorted", {"noise_epsilon": 0.0})
+RATIO_RULES = ("greedy-rate", "roi")
 GRID_M = [-1.5, -0.0, 0.0, 5e-324, 0.3, 1.0, 2.5, 1e300]
 GRID_B = [0.0, 5e-324, 0.3, 1.0, 2.5, 1e300, math.inf]
 TARGETS = [NOT_SAMPLED, -1.0, 0.0, 0.7, math.inf]
@@ -428,23 +429,30 @@ def test_array_scores_equal_scalar_scores_elementwise(case):
         assert float_bits(got) == float_bits(scalar) == float_bits(want)
 
 
-@pytest.mark.parametrize("case", RULE_CASES)
+@pytest.mark.parametrize("case", [case for case in RULE_CASES if case not in RATIO_RULES])
 def test_array_thresholds_equal_scalar_thresholds_elementwise(case):
-    """``thresholds`` is ``threshold_from_marginal`` element by element, with
-    array or scalar targets and tie flags: NOT_SAMPLED and +inf targets, zero,
-    negative and huge marginals, and targets that are themselves scores."""
+    """``thresholds`` is ``threshold_from_marginal`` element by element for
+    the affine rules, whichever tie flag the scalar form gets, with array or
+    scalar targets: NOT_SAMPLED and +inf targets, zero, negative and huge
+    marginals, and targets that are themselves scores."""
     rule = case_rule(case)
     targets = TARGETS + [-0.0, -2.0, 0.3, 2.5, 1e300, -1e300]
     cells = [(m, t, w) for m in GRID_M for t in targets for w in (False, True)]
-    m, t, w = (np.array(column) for column in zip(*cells))
+    m, t, _ = (np.array(column) for column in zip(*cells))
     for k in rounds_to_check(rule):
-        got = rule.thresholds(m, t, k, w)
+        got = rule.thresholds(m, t, k)
         want = [rule.threshold_from_marginal(x, target, k, wins_tie) for x, target, wins_tie in cells]
         assert got.dtype == np.float64
         assert float_bits(got) == float_bits(want)
         for target in (0.0, NOT_SAMPLED, math.inf):
             scalar = [rule.threshold_from_marginal(x, target, k) for x in GRID_M]
             assert float_bits(rule.thresholds(np.array(GRID_M), target, k)) == float_bits(scalar)
+
+
+@pytest.mark.parametrize("case", RATIO_RULES)
+def test_array_thresholds_reject_ratio_rules(case):
+    with pytest.raises(UnsupportedRuleError):
+        case_rule(case).thresholds(np.array(GRID_M), 0.0, 1)
 
 
 @pytest.mark.parametrize("case", RULE_CASES)

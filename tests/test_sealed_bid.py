@@ -5,13 +5,12 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from procure import sealed_bid
-from procure.scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, UnsupportedRuleError, make_rule
+from procure.scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, make_rule
 from procure.sealed_bid import (
     AuctionOutcome,
     CapacityError,
     exact_opt,
     run_sealed_bid,
-    run_sealed_bid_lazy,
     run_vcg,
     sealed_bid_runner,
     verify_ic,
@@ -35,6 +34,10 @@ from conftest import (
     NON_DYADIC_VALUES,
     brute_force_opt,
     edge_case_instances,
+    lazy_meta,
+    lazy_sealed,
+    naive_meta,
+    naive_sealed,
     random_oracle,
     rule_and_oracle,
 )
@@ -61,7 +64,7 @@ class TestSealedBidExamples:
         assert out.winners == ()
         assert out.payments == (0.0, 0.0)
 
-    @pytest.mark.parametrize("mechanism", (run_sealed_bid, run_sealed_bid_lazy))
+    @pytest.mark.parametrize("mechanism", (naive_sealed, lazy_sealed))
     def test_nan_bid_rejected_by_both_engines(self, coverage_pair, mechanism):
         with pytest.raises(ValueError, match="NaN"):
             mechanism(make_rule("greedy-margin", 2), coverage_pair, [math.nan, 1.0])
@@ -153,32 +156,75 @@ def test_stochastic_run_draws_each_batch_once(monkeypatch):
     assert 0 < len(draws) == len(set(draws)) <= oracle.n
 
 
+@pytest.mark.parametrize("focus", [-1, 6, 99, 1.5, "0"])
+@pytest.mark.parametrize("mechanism", (run_sealed_bid, naive_sealed, lazy_sealed))
+def test_bad_focus_rejected_by_both_engines(mechanism, focus):
+    instance, costs = random_instance(6, 1)
+    with pytest.raises(ValueError, match="focus"):
+        mechanism(make_rule("greedy-margin", 6), CoverageOracle(instance), costs, focus=focus)
+
+
+def _allocation_and_payments(run_meta_with, run_sealed_with, rule, make_oracle, costs):
+    """(admissions, allocation queries, payments as float.hex(), sealed-run queries)."""
+    oracle = make_oracle()
+    trace = run_meta_with(rule, oracle, costs)
+    admissions = [(i, k, trace.scores_at_admission[i].hex()) for i, k in trace.chosen_at.items()]
+    sealed_oracle = make_oracle()
+    out = run_sealed_with(rule, sealed_oracle, costs)
+    assert [(i, k) for i, k, _ in admissions] == list(out.trace.chosen_at.items())
+    return admissions, oracle.query_count, [p.hex() for p in out.payments], sealed_oracle.query_count
+
+
+@pytest.mark.parametrize("rule_name", ONLINE_CAPABLE_RULES)
+@pytest.mark.parametrize("n", [12, 40])
+def test_entry_points_run_diminishing_rules_lazily(rule_name, n):
+    """On coverage, ``run_meta`` and ``run_sealed_bid`` charge the lazy
+    engine's queries and give the naive engine's winners, admission rounds,
+    scores and payments, bit for bit."""
+    instance, costs = random_instance(n, 7 * n)
+    rule = make_rule(rule_name, n)
+    make_oracle = lambda: CoverageOracle(instance)  # noqa: E731
+    public = _allocation_and_payments(run_meta, run_sealed_bid, rule, make_oracle, costs)
+    naive = _allocation_and_payments(naive_meta, naive_sealed, rule, make_oracle, costs)
+    lazy = _allocation_and_payments(lazy_meta, lazy_sealed, rule, make_oracle, costs)
+    assert public == lazy
+    assert (public[0], public[2]) == (naive[0], naive[2]) and public[0]
+    assert public[1] < naive[1] and public[3] < naive[3]
+
+
+def test_entry_points_keep_the_naive_engine_on_a_noisy_oracle():
+    """A bare noisy scratch's marginals can grow, so lazy greedy would not be
+    exact: greedy-margin keeps the naive engine's outcome and query count."""
+    instance, costs = random_instance(40, 5)
+    rule = make_rule("greedy-margin", 40)
+    make_oracle = lambda: NoisyOracle(CoverageOracle(instance), 0.01, seed=2)  # noqa: E731
+    public = _allocation_and_payments(run_meta, run_sealed_bid, rule, make_oracle, costs)
+    assert public == _allocation_and_payments(naive_meta, naive_sealed, rule, make_oracle, costs)
+    assert public[0]
+
+
 class TestLazyEquivalence:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(("greedy-margin", "greedy-rate", "roi", "cost-scaled")))
     def test_outcomes_identical(self, seed, rule_name):
         oracle, costs = random_oracle(seed, 2, 12)
         rule = make_rule(rule_name, oracle.n)
-        naive = run_sealed_bid(rule, oracle, costs)
-        lazy = run_sealed_bid_lazy(rule, oracle, costs)
+        naive = naive_sealed(rule, oracle, costs)
+        lazy = lazy_sealed(rule, oracle, costs)
         assert naive.winners == lazy.winners
         assert naive.payments == lazy.payments
 
     def test_single_seller_matches(self):
         oracle = AdditiveOracle([10.0])
         rule = make_rule("cost-scaled", 1)
-        assert run_sealed_bid_lazy(rule, oracle, [3.0]).payments == (5.0,)
+        assert lazy_sealed(rule, oracle, [3.0]).payments == (5.0,)
 
     def test_zero_cost_winner_payment_bounds(self):
         oracle, _ = random_oracle(55, 3, 8)
         rule = make_rule("greedy-margin", oracle.n)
-        out = run_sealed_bid_lazy(rule, oracle, [0.0] * oracle.n)
+        out = lazy_sealed(rule, oracle, [0.0] * oracle.n)
         for i, k in out.trace.chosen_at.items():
             assert 0.0 <= out.payments[i] <= oracle.marginal(i, out.trace.tentative_sets[k - 1]) + 1e-9
-
-    def test_rejects_distorted(self, coverage_pair):
-        with pytest.raises(UnsupportedRuleError):
-            run_sealed_bid_lazy(make_rule("distorted", 2), coverage_pair, [1.0, 1.0])
 
     def test_tie_heavy_instances_stay_bit_identical(self):
         """Duplicated sellers, integer values and round bids force exact
@@ -203,8 +249,8 @@ class TestLazyEquivalence:
             bids = [float(b) for b in rng.choice([0.0, 0.5, 1.0, 1.0, 2.0], size=n)]
             for rule_name in ("greedy-margin", "greedy-rate", "roi", "cost-scaled"):
                 rule = make_rule(rule_name, n)
-                naive = run_sealed_bid(rule, oracle, bids)
-                lazy = run_sealed_bid_lazy(rule, oracle, bids)
+                naive = naive_sealed(rule, oracle, bids)
+                lazy = lazy_sealed(rule, oracle, bids)
                 assert naive.winners == lazy.winners
                 assert naive.payments == lazy.payments
                 assert verify_ir(naive, bids, tol=0.0)
@@ -400,8 +446,8 @@ def test_naive_and_lazy_mechanisms_agree_exactly(instance, rule_name):
     admission rounds and payments, compared with ==."""
     instance, costs = instance
     rule = make_rule(rule_name, instance.n_sets)
-    naive = run_sealed_bid(rule, CoverageOracle(instance), costs)
-    lazy = run_sealed_bid_lazy(rule, CoverageOracle(instance), costs)
+    naive = naive_sealed(rule, CoverageOracle(instance), costs)
+    lazy = lazy_sealed(rule, CoverageOracle(instance), costs)
     assert naive.winners == lazy.winners
     assert naive.trace.chosen_at == lazy.trace.chosen_at
     assert naive.payments == lazy.payments
@@ -420,8 +466,8 @@ def test_seller_tied_out_of_round_one_is_paid_the_float_supremum():
     and the naive and lazy payments agree."""
     instance = CoverageInstance(ULP_COVERS, ULP_VALUES)
     rule = make_rule("greedy-margin", instance.n_sets)
-    naive = run_sealed_bid(rule, CoverageOracle(instance), ULP_COSTS)
-    lazy = run_sealed_bid_lazy(rule, CoverageOracle(instance), ULP_COSTS)
+    naive = naive_sealed(rule, CoverageOracle(instance), ULP_COSTS)
+    lazy = lazy_sealed(rule, CoverageOracle(instance), ULP_COSTS)
     assert naive.trace.chosen_at == {2: 1, 4: 2}
     assert naive.payments[4] == 0.3
     assert naive.payments == lazy.payments
@@ -442,8 +488,8 @@ def test_naive_and_lazy_agree_exactly_on_non_dyadic_ties(instance, rule_name):
     engines must still pay the same floats."""
     instance, costs = instance
     rule = make_rule(rule_name, instance.n_sets)
-    naive = run_sealed_bid(rule, CoverageOracle(instance), costs)
-    lazy = run_sealed_bid_lazy(rule, CoverageOracle(instance), costs)
+    naive = naive_sealed(rule, CoverageOracle(instance), costs)
+    lazy = lazy_sealed(rule, CoverageOracle(instance), costs)
     assert naive.trace.chosen_at == lazy.trace.chosen_at
     assert naive.payments == lazy.payments
     assert verify_ir(naive, costs, tol=0.0)
@@ -485,9 +531,9 @@ def _resumed_against_reference(rule_name, instance, costs, seed=5) -> list[tuple
     excess is at most one ulp and is the only difference."""
     rule, oracle = rule_and_oracle(rule_name, instance)
     seed = RandomSeed(seed)
-    outcomes = [run_sealed_bid(rule, oracle, costs, seed)]
+    outcomes = [naive_sealed(rule, oracle, costs, seed)]
     if rule.diminishing_return:
-        outcomes.append(run_sealed_bid_lazy(rule, rule_and_oracle(rule_name, instance)[1], costs))
+        outcomes.append(lazy_sealed(rule, rule_and_oracle(rule_name, instance)[1], costs))
     excess = []
     for i, k in outcomes[0].trace.chosen_at.items():
         reference, before = _from_round_one(rule, rule_and_oracle(rule_name, instance)[1], costs, seed, i, k)
@@ -544,10 +590,13 @@ def _sealed_bits(rule_name, instance, costs, lockstep: bool):
     admission rounds, payments as float.hex() and oracle queries."""
     oracle = CoverageOracle(instance)
     with patch.object(sealed_bid, "_lockstep_eligible", return_value=lockstep):
-        out = run_sealed_bid(make_rule(rule_name, oracle.n), oracle, costs, seed=RandomSeed(2))
+        out = naive_sealed(make_rule(rule_name, oracle.n), oracle, costs, seed=RandomSeed(2))
     return out.winners, out.trace.chosen_at, [p.hex() for p in out.payments], oracle.query_count
 
 
+# The deterministic rules with an affine score, the only ones ``ScoringRule.thresholds``
+# prices; the lockstep engine runs distorted alone, and the others forced.
+AFFINE = ("greedy-margin", "distorted", "cost-scaled")
 WITH_INF_COSTS = DYADIC_COSTS + (math.inf,)
 # Seller 0 covers the one vertex and 35 sellers cover nothing, at bids 0 and +inf.
 ONE_COVER_AMONG_EMPTY = (CoverageInstance(((0,),) + ((),) * 35, (1.0,)), [0.5] + [math.inf, 0.0] * 17 + [0.0])
@@ -559,23 +608,22 @@ ONE_COVER_AMONG_EMPTY = (CoverageInstance(((0,),) + ((),) * 35, (1.0,)), [0.5] +
         edge_case_instances(n_min=2, n_max=48, cost_grid=WITH_INF_COSTS),
         edge_case_instances(n_min=2, n_max=48, value_grid=NON_DYADIC_VALUES, cost_grid=NON_DYADIC_COSTS + (math.inf,)),
     ),
-    st.sampled_from(DETERMINISTIC),
+    st.sampled_from(AFFINE),
 )
 @example((CoverageInstance(ULP_COVERS, ULP_VALUES), ULP_COSTS), "greedy-margin")
-@example(ONE_COVER_AMONG_EMPTY, "greedy-rate")
-@example(ONE_COVER_AMONG_EMPTY, "roi")
+@example(ONE_COVER_AMONG_EMPTY, "distorted")
 def test_lockstep_matches_per_winner_payments_on_edge_cases(instance, rule_name):
-    """Exact score ties (covers from a pool of at most four), zero marginals
-    (ratio rules score them -inf or -1 and pass ``wins_tie``), zero and +inf
-    bids, on both sides of ``ARRAY_ROUND_MIN``: every bit and query agrees.
-    In the examples every candidate of the one continuation scores -inf
-    (greedy-rate) or -1 (roi), so its argmax is its first candidate."""
+    """Exact score ties (covers from a pool of at most four), zero marginals,
+    zero and +inf bids, on both sides of ``ARRAY_ROUND_MIN``: every bit and
+    query agrees.  In the second example every candidate of the one
+    continuation covers nothing and scores 0 or -inf, so its argmax is its
+    first candidate at bid 0, which is not admitted."""
     instance, costs = instance
     event(f"n {'>=' if len(costs) >= ARRAY_ROUND_MIN else '<'} ARRAY_ROUND_MIN")
     assert _sealed_bits(rule_name, instance, costs, True) == _sealed_bits(rule_name, instance, costs, False)
 
 
-@pytest.mark.parametrize("rule_name", DETERMINISTIC)
+@pytest.mark.parametrize("rule_name", AFFINE)
 def test_lockstep_matches_per_winner_payments_on_random_instances(rule_name):
     for n in (20, 32, 45, 64, 100):
         for seed in range(3):
@@ -605,11 +653,14 @@ def _engines_used(monkeypatch, run) -> tuple[int, int, int]:
 
 
 def test_eligible_runs_take_the_lockstep_engine(monkeypatch):
+    """Only a round-indexed rule pays in lockstep; a diminishing-return rule
+    on the naive engine, which no public entry point runs, pays per winner."""
     for rule_name in DETERMINISTIC:
         instance, costs = random_instance(ARRAY_ROUND_MIN + 8, 3)
         rule, oracle = make_rule(rule_name, instance.n_sets), CoverageOracle(instance)
-        winners, lockstep, per_winner = _engines_used(monkeypatch, lambda: run_sealed_bid(rule, oracle, costs))
-        assert winners > 0 and (lockstep, per_winner) == (winners, 0), rule_name
+        winners, lockstep, per_winner = _engines_used(monkeypatch, lambda: naive_sealed(rule, oracle, costs))
+        expected = (winners, 0) if not rule.diminishing_return else (0, winners)
+        assert winners > 0 and (lockstep, per_winner) == expected, rule_name
 
 
 @pytest.mark.parametrize("case", ["focus", "stochastic", "noisy", "noisy-oracle", "additive", "small"])

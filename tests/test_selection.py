@@ -7,11 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from procure import selection
 from procure.instances import random_instance
-from procure.scoring import NOT_SAMPLED, RULE_NAMES, RandomSeed, UnsupportedRuleError, make_rule
-from procure.sealed_bid import run_sealed_bid, run_sealed_bid_lazy
-from procure.selection import ARRAY_ROUND_MIN, _greedy_rounds, _marginal_provider, _scalar_rounds, run_meta, run_meta_lazy
+from procure.scoring import NOT_SAMPLED, RULE_NAMES, RandomSeed, make_rule
+from procure.sealed_bid import run_sealed_bid
+from procure.selection import ARRAY_ROUND_MIN, _greedy_rounds, _marginal_provider, _scalar_rounds, run_meta
 from procure.valuation import AdditiveOracle, CoverageOracle, NoisyOracle
-from conftest import DYADIC_COSTS, NON_DYADIC_VALUES, edge_case_instances, random_oracle, rule_and_oracle
+from conftest import (
+    DYADIC_COSTS,
+    NON_DYADIC_VALUES,
+    edge_case_instances,
+    lazy_meta,
+    lazy_sealed,
+    naive_meta,
+    naive_sealed,
+    random_oracle,
+    rule_and_oracle,
+)
 
 DIMINISHING = ("greedy-margin", "greedy-rate", "roi", "cost-scaled")
 
@@ -61,9 +71,9 @@ class TestRunMeta:
     @pytest.mark.parametrize("rule_name", DIMINISHING)
     def test_infinite_bid_never_admitted_nor_blocking(self, coverage_pair, rule_name):
         rule = make_rule(rule_name, 2)
-        naive = run_meta(rule, coverage_pair, [math.inf, 1.0])
+        naive = naive_meta(rule, coverage_pair, [math.inf, 1.0])
         assert naive.winners == (1,)
-        assert run_meta_lazy(rule, coverage_pair, [math.inf, 1.0]).winners == naive.winners
+        assert lazy_meta(rule, coverage_pair, [math.inf, 1.0]).winners == naive.winners
 
     def test_horizon_mismatch_rejected(self, coverage_pair):
         with pytest.raises(ValueError):
@@ -91,28 +101,24 @@ def test_admitted_marginals_cover_bids_noisy():
 
 
 class TestLazy:
-    def test_rejects_round_indexed_rules(self, coverage_pair):
-        with pytest.raises(UnsupportedRuleError):
-            run_meta_lazy(make_rule("distorted", 2), coverage_pair, [1.0, 1.0])
-
     def test_single_seller_single_pop(self):
         oracle = AdditiveOracle([5.0])
-        trace = run_meta_lazy(make_rule("greedy-margin", 1), oracle, [1.0])
+        trace = lazy_meta(make_rule("greedy-margin", 1), oracle, [1.0])
         assert trace.winners == (0,)
         assert trace.chosen_at == {0: 1}
 
     def test_all_nonpositive_terminates_immediately(self):
         oracle = AdditiveOracle([1.0, 2.0])
-        trace = run_meta_lazy(make_rule("greedy-margin", 2), oracle, [5.0, 5.0])
+        trace = lazy_meta(make_rule("greedy-margin", 2), oracle, [5.0, 5.0])
         assert trace.winners == ()
 
     def test_exact_ties_terminate(self):
         # identical sellers with zero bids tie at every score
         oracle = AdditiveOracle([2.0, 2.0, 2.0])
         for name in DIMINISHING:
-            trace = run_meta_lazy(make_rule(name, 3), oracle, [0.0, 0.0, 0.0])
+            trace = lazy_meta(make_rule(name, 3), oracle, [0.0, 0.0, 0.0])
             assert trace.winners == (0, 1, 2)
-            naive = run_meta(make_rule(name, 3), oracle, [0.0, 0.0, 0.0])
+            naive = naive_meta(make_rule(name, 3), oracle, [0.0, 0.0, 0.0])
             assert trace.chosen_at == naive.chosen_at
 
     @settings(max_examples=120, deadline=None)
@@ -120,8 +126,8 @@ class TestLazy:
     def test_matches_naive(self, seed, rule_name):
         oracle, costs = random_oracle(seed, 2, 14)
         rule = make_rule(rule_name, oracle.n)
-        naive = run_meta(rule, oracle, costs)
-        lazy = run_meta_lazy(rule, oracle, costs)
+        naive = naive_meta(rule, oracle, costs)
+        lazy = lazy_meta(rule, oracle, costs)
         assert naive.winners == lazy.winners
         assert naive.chosen_at == lazy.chosen_at
 
@@ -130,8 +136,8 @@ class TestLazy:
             oracle, costs = random_oracle(seed + 7000, 30, 50)
             for rule_name in DIMINISHING:
                 rule = make_rule(rule_name, oracle.n)
-                naive = run_meta(rule, oracle, costs)
-                lazy = run_meta_lazy(rule, oracle, costs)
+                naive = naive_meta(rule, oracle, costs)
+                lazy = lazy_meta(rule, oracle, costs)
                 assert naive.winners == lazy.winners
                 assert naive.chosen_at == lazy.chosen_at
 
@@ -139,10 +145,10 @@ class TestLazy:
         oracle, costs = random_oracle(97, 40, 60)
         rule = make_rule("greedy-margin", oracle.n)
         base = CoverageOracle(oracle.instance)
-        run_meta(rule, base, costs)
+        naive_meta(rule, base, costs)
         naive_queries = base.query_count
         base2 = CoverageOracle(oracle.instance)
-        run_meta_lazy(rule, base2, costs)
+        lazy_meta(rule, base2, costs)
         assert base2.query_count < naive_queries
 
 
@@ -257,8 +263,7 @@ def test_sealed_outputs_match_recorded_values(rule_name, n, seed):
         rule, oracle = make_rule(rule_name, n, noise_epsilon=0.1), NoisyOracle(oracle, 0.1, seed)
     else:
         rule = make_rule(rule_name, n)
-    run = run_sealed_bid_lazy if rule_name == "greedy-rate" else run_sealed_bid
-    outcome = run(rule, oracle, costs, seed=RandomSeed(seed))
+    outcome = run_sealed_bid(rule, oracle, costs, seed=RandomSeed(seed))
     assert outcome.winners == tuple(sorted(chosen_at))
     assert outcome.trace.chosen_at == chosen_at
     assert {i: p.hex() for i, p in enumerate(outcome.payments) if i in chosen_at} == payments
@@ -319,13 +324,13 @@ def _assert_mechanisms_match(rule_name, instance, costs, seed=3):
     for cutoff in (ARRAY_ROUND_MIN, math.inf):
         with patch.object(selection, "ARRAY_ROUND_MIN", cutoff):
             rule, oracle = rule_and_oracle(rule_name, instance)
-            trace = run_meta(rule, oracle, costs, RandomSeed(seed))
+            trace = naive_meta(rule, oracle, costs, RandomSeed(seed))
             got = [trace.order, trace.chosen_at, trace.scores_at_admission, oracle.query_count]
             rule, oracle = rule_and_oracle(rule_name, instance)
-            got += [run_sealed_bid(rule, oracle, costs, RandomSeed(seed)).payments, oracle.query_count]
+            got += [naive_sealed(rule, oracle, costs, RandomSeed(seed)).payments, oracle.query_count]
             if rule.diminishing_return:  # the lazy heap's seed is an array round too
                 rule, oracle = rule_and_oracle(rule_name, instance)
-                lazy = run_sealed_bid_lazy(rule, oracle, costs)
+                lazy = lazy_sealed(rule, oracle, costs)
                 got += [lazy.trace.order, lazy.trace.scores_at_admission, lazy.payments, oracle.query_count]
         outcomes.append(got)
     assert outcomes[0] == outcomes[1]
@@ -493,7 +498,7 @@ EDGE_COSTS = DYADIC_COSTS + (math.inf,)
     st.sampled_from(DETERMINISTIC + ("greedy-margin on NoisyOracle",)),
 )
 def test_pruned_engines_match_a_plain_reference(instance, case):
-    """``run_meta`` and ``run_sealed_bid`` against ``_plain_sealed_bid`` bit
+    """The naive ``run_meta`` and ``run_sealed_bid`` against ``_plain_sealed_bid`` bit
     for bit, over exact ties, zero costs, +inf bids and zero marginals, on
     both sides of ``ARRAY_ROUND_MIN``.  The noisy rule runs on a
     ``NoisyOracle``, and so does greedy-margin in the last case, where the
@@ -511,12 +516,12 @@ def test_pruned_engines_match_a_plain_reference(instance, case):
     rule, reference_oracle = fresh()
     admissions, payments = _plain_sealed_bid(rule, reference_oracle, costs)
     rule, oracle = fresh()
-    trace = run_meta(rule, oracle, costs)
+    trace = naive_meta(rule, oracle, costs)
     if case == "greedy-margin on NoisyOracle":
         rounds = [k for _, k, _ in admissions]
         unpruned = sum(n - sum(r < k for r in rounds) for k in range(1, n + 1)) + len(rounds)
         assert oracle.query_count == unpruned
-    outcome = run_sealed_bid(rule, fresh()[1], costs)
+    outcome = naive_sealed(rule, fresh()[1], costs)
     for got in (trace, outcome.trace):
         assert [(i, k, got.scores_at_admission[i].hex()) for i, k in got.chosen_at.items()] == admissions
     assert [p.hex() for p in outcome.payments] == payments
