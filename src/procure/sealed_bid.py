@@ -21,6 +21,17 @@ early once i's positive threshold, nondecreasing in i's shrinking marginal
 and in alpha, is no greater than the running payment, wherever the pass
 prunes dead sellers (see ``selection``), which every lazy pass does.
 
+A lazy payment on a coverage scratch has two more exact exits (the proof
+is in ``_critical_payment``).  Winner i's blockers (``_blockers``) pair
+each still uncovered vertex of i's cover with each other seller that holds
+it; once no pair has an uncovered vertex and a live seller (``_blocked``),
+i's marginal m_i is final, and the payment is the larger of the running
+payment and ``threshold_from_marginal(m_i, 0.0, n)``.  The mechanism tests
+this at i's checkpoint, before it copies anything, so such a winner takes
+no continuation (624 of the 2,066 lazy winners of a perfbench
+sealed-payments cycle at seed 0), and a continuation tests it again after
+each of its admissions.
+
 A naive run that pays every winner of a round-indexed deterministic rule
 on a plain coverage scratch with at least ``ARRAY_ROUND_MIN`` sellers
 advances all its continuations in lockstep (``_Lockstep``): per round
@@ -46,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,7 +71,6 @@ from .selection import (
     _greedy_rounds,
     _lazy_rounds,
     _prunes,
-    _stale_copy,
 )
 from .valuation import CoverageScratch, ValuationOracle, sum_in_order, welfare
 
@@ -102,7 +113,46 @@ class AuctionOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _critical_payment(rule: ScoringRule, provider, rounds: Iterator[tuple], bids: Sequence[float], i: int) -> float:
+def _blockers(scratch: CoverageScratch, i: int) -> list[tuple[int, int]]:
+    """(vertex, seller) pairs that can still change i's marginal: each vertex
+    of i's cover that the scratch's set leaves uncovered, with each other
+    seller that holds it, ordered by seller."""
+    counts, holders = scratch._counts, scratch.oracle._vertex_holders()
+    pairs = [(v, w) for v in scratch.oracle.covers[i] if not counts[v] for w in holders[v] if w != i]
+    pairs.sort(key=itemgetter(1))
+    return pairs
+
+
+def _blocked(scratch: CoverageScratch, blockers: list[tuple[int, int]], floors: Sequence[float]) -> bool:
+    """Whether a blocker lives at the scratch's set, testing the last first.
+
+    A pair drops once its vertex is covered, and all of a seller's pairs
+    drop once a read of its marginal is at most its retirement floor: the
+    seller is dead, so no pass admits it.  Each read charges its query.
+    """
+    counts, marginal, oracle = scratch._counts, scratch._marginal, scratch.oracle
+    while blockers:
+        v, w = blockers[-1]
+        if counts[v]:
+            blockers.pop()
+            continue
+        oracle._queries += 1
+        if marginal(w) > floors[w]:
+            return True
+        while blockers and blockers[-1][1] == w:
+            blockers.pop()
+    return False
+
+
+def _critical_payment(
+    rule: ScoringRule,
+    provider,
+    rounds: Iterator[tuple],
+    bids: Sequence[float],
+    i: int,
+    blockers: list[tuple[int, int]] | None = None,
+    floors: Sequence[float] | None = None,
+) -> float:
     """max over rounds k' >= k of sup{ z : i argmax at round k' and score(z) > 0 }.
 
     ``rounds`` is winner i's continuation, on either engine: the rounds from
@@ -138,12 +188,28 @@ def _critical_payment(rule: ScoringRule, provider, rounds: Iterator[tuple], bids
     positive admits nobody, so every later round repeats it at the final
     set, and it contributes that set's positive threshold, which is what the
     jump reads.  These rules ignore the round index, so k and n price alike.
+
+    Frozen-marginal exit, on a lazy pass over a coverage scratch
+    (``blockers`` from ``_blockers`` at the checkpoint, which ``_blocked``
+    found alive there): i's marginal sums the values of its uncovered
+    vertices, and only the admission of another holder of one of them can
+    cover it.  Once ``_blocked`` finds no blocker left, no seller the pass
+    can still admit holds an uncovered vertex of i (a dead seller's
+    marginal never rises above its floor again, so it never scores
+    positive), so every later read of i's marginal sums the same terms in
+    the same order as today's: m_i is final, as a float.  Every later
+    round's term is then at most ``threshold_from_marginal(m_i, 0.0, n)``
+    (these rules ignore the round index), and the pass's jump to round n
+    contributes exactly that, so the payment is the larger of it and the
+    running payment.  The test runs after each admission of the pass; the
+    first round's set is the checkpoint's, where the blockers lived.
     """
     best = bids[i]
     n = len(bids)
     exits_early = _prunes(rule, provider)
     round_free = rule.diminishing_return  # its positive threshold at round j is the one at round n
     threshold = rule.threshold_from_marginal
+    admitted = False  # whether the pass has admitted since the checkpoint tested the blockers
     for j, batch, comp_id, comp_score in rounds:
         if batch is not None and i not in batch:
             continue
@@ -157,6 +223,10 @@ def _critical_payment(rule: ScoringRule, provider, rounds: Iterator[tuple], bids
             best = z
         if exits_early and (positive if round_free else threshold(m_i, 0.0, n)) <= best:
             break
+        if blockers is not None and comp_id is not None:
+            if admitted and not _blocked(provider, blockers, floors):
+                return positive  # above the running payment, and i's marginal is final
+            admitted = True
     return best
 
 
@@ -339,9 +409,12 @@ def run_sealed_bid(
     computation to one seller, for callers that only need that seller's
     outcome (incentive checks); it must be None or a seller index.  The
     allocation is lazy where that is exact (``selection._lazy_exact``), and
-    so is every continuation.  Runs that ``_lockstep_eligible`` admits pay
-    every winner at once through ``_Lockstep``; the others pay each winner
-    with ``_critical_payment`` on a copy of the provider.
+    so is every continuation; on a coverage oracle, a lazy winner whose
+    marginal no seller left to admit can change is paid with no
+    continuation (see the module docstring).  Runs that
+    ``_lockstep_eligible`` admits pay every winner at once through
+    ``_Lockstep``; the others pay each winner with ``_critical_payment`` on
+    a copy of the provider.
     """
     return _run_sealed_bid(rule, oracle, bids, seed, focus=focus)
 
@@ -359,8 +432,11 @@ def _run_sealed_bid(
     n = oracle.n
     if focus is not None and not (isinstance(focus, (int, np.integer)) and 0 <= focus < n):
         raise ValueError(f"focus must be None or a seller index in range({n}), got {focus!r}")
-    bids, seed, provider, heap, rounds = _allocation(rule, oracle, bids, seed, lazy)
+    # A focus run pays one winner: tracking every admission for its one continuation costs more than it saves.
+    bids, seed, provider, heap, changed, rounds = _allocation(rule, oracle, bids, seed, lazy, track=focus is None)
     lockstep = _Lockstep(rule, provider, bids) if _lockstep_eligible(rule, provider, focus) else None
+    frozen_exits = heap is not None and isinstance(provider, CoverageScratch)
+    floors = None  # the retirement floors, once a blocker test needs them
     trace = SelectionTrace(n)
     payments = [0.0] * n
     for k, _, i, score in rounds:
@@ -370,13 +446,20 @@ def _run_sealed_bid(
         if lockstep is not None:
             lockstep.open(i, k)
         elif focus is None or i == focus:
+            blockers = None
+            if frozen_exits:
+                floors = floors or rule.retirement_floors(bids)
+                blockers = _blockers(provider, i)
+                if not _blocked(provider, blockers, floors):  # m_i is final: see _critical_payment
+                    payments[i] = max(bids[i], rule.threshold_from_marginal(provider.marginal(i), 0.0, n))
+                    continue
             twin = provider.copy()
             if heap is None:
                 others = [ell for ell in range(n) if ell not in trace.chosen_at]
                 resumed = _greedy_rounds(rule, twin, bids, seed, others, start=k)
             else:
-                resumed = _lazy_rounds(rule, twin, bids, _stale_copy(heap), k)
-            payments[i] = _critical_payment(rule, twin, resumed, bids, i)
+                resumed = _lazy_rounds(rule, twin, bids, heap.copy(), k, None if changed is None else changed.copy())
+            payments[i] = _critical_payment(rule, twin, resumed, bids, i, blockers, floors)
     if lockstep is not None:
         for i, paid in lockstep.finish().items():
             payments[i] = paid

@@ -11,10 +11,10 @@ heap) at the set the round was scored on.  ``run_meta`` and
 ``sealed_bid.run_sealed_bid`` take the lazy engine exactly where it is
 exact (``_allocation``), and so do the critical-bid payments: at each
 winner's admission the sealed-bid mechanism copies the provider
-(``copy()``) and, on the lazy engine, the heap with every entry stamped
-stale, then resumes the same engine from that checkpoint over the other
-remaining sellers (``_greedy_rounds(start=k)``, or ``_lazy_rounds`` on the
-copied heap); a naive run of a round-indexed deterministic rule on a
+(``copy()``) and, on the lazy engine, the heap, then resumes the same
+engine from that checkpoint over the other remaining sellers
+(``_greedy_rounds(start=k)``, or ``_lazy_rounds`` on the copied heap); a
+naive run of a round-indexed deterministic rule on a
 coverage oracle with at least ``ARRAY_ROUND_MIN`` sellers instead advances
 all those continuations together, one array round per round index, with
 the same rounds float for float (``sealed_bid._Lockstep``).  The provider
@@ -38,6 +38,25 @@ first read (a payment continuation copies the allocation's), so the
 cut-off stays at 32.  The lazy heap's seed scores every candidate once, so
 it is an array round too; its re-scores stay scalar reads, a few per
 admission.
+
+A lazy heap entry is stamped with the round whose set scored it (the
+seed with round 1), and it is fresh in that round: round k scores at
+S_{k-1}, and lazy admissions fall in consecutive rounds.  So a payment
+continuation that resumes at round k from a plain copy of the heap keeps
+every entry the allocation re-scored in round k, at its own set.  Staleness
+is exact on a coverage scratch where the caller keeps ``changed``: each
+lazy admission at round k stamps ``changed[w] = k`` on every holder w of a
+vertex it newly covers (the vertices come from the scratch's own walk over
+the admitted cover, ``CoverageScratch.add_covering``), and an entry
+stamped r is fresh while ``changed[w] < r``, since w's marginal then sums
+the same terms in the same order, to the same float.  The sealed-bid
+mechanism keeps the list when it pays every winner, and each continuation
+takes a copy.  ``run_meta`` and a ``focus`` run keep none: with one pass,
+or one continuation, to serve, the bookkeeping costs more than the
+re-scores it saves (on a 2-vCPU Xeon VM, keeping it made perfbench
+alloc-sweep's lazy rules 4-6% slower, and property-check's diminishing
+rules, focus runs at n <= 10, about 5%).  Other providers use the stamps
+alone.
 
 Dead sellers leave the meta loop.  A seller is dead once a read of its
 marginal m gives m <= beta * b (``ScoringRule.retirement_floors``; beta is
@@ -85,14 +104,11 @@ from .scoring import (
     _validate_rule,
     as_random_seed,
 )
-from .valuation import ValuationOracle
+from .valuation import CoverageScratch, ValuationOracle
 
 #: Fewest scored candidates for which a meta-loop round uses the array
 #: kernel; below it numpy's per-call overhead exceeds the scalar loop.
 ARRAY_ROUND_MIN = 32
-
-#: Stamp of a lazy-heap entry that must be re-scored before it is trusted.
-STALE = -1
 
 
 @dataclass
@@ -331,23 +347,20 @@ def _greedy_rounds(rule: ScoringRule, provider, bids, seed: RandomSeed, candidat
 
 
 def _lazy_heap(rule: ScoringRule, provider, bids, candidates) -> list[tuple[float, int, int]]:
-    """The lazy greedy's queue: every candidate scored at the provider's set, stamp 0."""
+    """The lazy greedy's queue: every candidate scored at the provider's set, stamped round 1."""
     if len(candidates) < ARRAY_ROUND_MIN:
         seeds = [rule.score_from_marginal(provider.marginal(i), bids[i], 1) for i in candidates]
     else:  # the seed scores every candidate, like a meta-loop round
         idx = np.array(candidates, dtype=np.intp)
         seeds = rule.scores(provider.marginals(idx), np.array(bids, dtype=float)[idx], 1).tolist()
-    heap = [(-score, i, 0) for score, i in zip(seeds, candidates)]
+    heap = [(-score, i, 1) for score, i in zip(seeds, candidates)]
     heapq.heapify(heap)
     return heap
 
 
-def _stale_copy(heap: list[tuple[float, int, int]]) -> list[tuple[float, int, int]]:
-    """The queue with every entry stamped stale; (score, seller) keys keep it a heap."""
-    return [(neg, i, STALE) for neg, i, _ in heap]
-
-
-def _lazy_rounds(rule: ScoringRule, provider, bids, heap: list, start: int = 1) -> Iterator[tuple]:
+def _lazy_rounds(
+    rule: ScoringRule, provider, bids, heap: list, start: int = 1, changed: list[int] | None = None
+) -> Iterator[tuple]:
     """Lazy greedy (Minoux 1978) as meta-loop rounds: yields (k, None, argmax, score) per admission.
 
     Exact only where ``_lazy_exact`` holds: diminishing-return scores only
@@ -358,24 +371,31 @@ def _lazy_rounds(rule: ScoringRule, provider, bids, heap: list, start: int = 1) 
     ``(n, None, None, NOT_SAMPLED)`` and ends: the naive pruned pass's jump
     to round n.
 
-    ``heap`` (from ``_lazy_heap``, or a ``_stale_copy`` of a checkpoint) is
-    consumed in place, so at each yield the caller holds the queue as it
-    stands at the provider's set, without the argmax.  Its entries carry
-    the admission count at which they were scored; an entry popped with a
-    current stamp is already fresh, which breaks the re-score cycle that
-    exact score ties would otherwise cause.  Which seller is admitted, and
-    its score, depend only on the fresh scores, so any queue of valid upper
-    bounds gives the same admissions.  A queued seller is never in the set,
-    so each re-score charges its query and reads through the provider's
-    unchecked ``_marginal``.
+    ``heap`` (from ``_lazy_heap``, or a copy of a checkpoint's) is consumed
+    in place, so at each yield the caller holds the queue as it stands at
+    the provider's set, without the argmax.  Each entry carries the round
+    whose set scored it: round k scores at S_{k-1}, so an entry stamped k
+    is fresh in round k, and a continuation that resumes at round k from a
+    copy keeps those entries fresh.  A popped fresh entry breaks the
+    re-score cycle that exact score ties would otherwise cause.  With
+    ``changed`` (coverage scratches only), the pass also sets
+    ``changed[w] = k`` for every holder w of a vertex that round k's
+    admission newly covers, and an entry stamped r is fresh as soon as
+    ``changed[w] < r``: w's marginal then sums the same terms in the same
+    order as when it was scored, so it is the same float.  Which seller is
+    admitted, and its score, depend only on the fresh scores, so any queue
+    of valid upper bounds gives the same admissions.  A queued seller is
+    never in the set, so each re-score charges its query and reads through
+    the provider's unchecked ``_marginal``.
     """
     n = len(bids)
     oracle, marginal, score_of = provider.oracle, provider._marginal, rule.score_from_marginal
     heappop, heappush = heapq.heappop, heapq.heappush
-    for admitted, k in enumerate(range(start, n + 1)):
+    holders = None if changed is None else oracle._vertex_holders()
+    for k in range(start, n + 1):
         while heap:
             neg, i, stamp = heappop(heap)
-            if stamp == admitted:
+            if stamp == k or (changed is not None and changed[i] < stamp):
                 score = -neg
                 break
             oracle._queries += 1
@@ -383,13 +403,18 @@ def _lazy_rounds(rule: ScoringRule, provider, bids, heap: list, start: int = 1) 
             runner_up = -heap[0][0] if heap else NOT_SAMPLED
             if (score > 0.0 and score > runner_up) or runner_up < 0.0:
                 break
-            heappush(heap, (-score, i, admitted))
+            heappush(heap, (-score, i, k))
         else:
             break
         if not score > 0.0:
             break
         yield k, None, i, score
-        provider.add(i)
+        if changed is None:
+            provider.add(i)
+        else:
+            for v in provider.add_covering(i):
+                for w in holders[v]:
+                    changed[w] = k
     yield n, None, None, NOT_SAMPLED
 
 
@@ -399,12 +424,17 @@ def _lazy_exact(rule: ScoringRule, provider) -> bool:
     return rule.diminishing_return and provider.marginals_shrink
 
 
-def _allocation(rule: ScoringRule, oracle: ValuationOracle, bids, seed, lazy: bool | None) -> tuple:
-    """(bids, seed, provider, queue, rounds) of a checked run's allocation.
+def _allocation(
+    rule: ScoringRule, oracle: ValuationOracle, bids, seed, lazy: bool | None, track: bool = False
+) -> tuple:
+    """(bids, seed, provider, queue, changed, rounds) of a checked run's allocation.
 
     ``lazy`` None picks the engine by ``_lazy_exact``; True or False forces
     it, for the reference checks that compare the two.  ``queue`` is the
-    lazy heap, consumed by ``rounds``, and None on the meta loop.
+    lazy heap, consumed by ``rounds``, and None on the meta loop.  With
+    ``track`` set, a lazy run on a coverage scratch keeps ``changed``, the
+    last round whose admission changed each seller's marginal (see
+    ``_lazy_rounds``); otherwise ``changed`` is None.
     """
     n = oracle.n
     _validate_rule(rule, oracle)
@@ -414,9 +444,10 @@ def _allocation(rule: ScoringRule, oracle: ValuationOracle, bids, seed, lazy: bo
     if lazy is None:
         lazy = _lazy_exact(rule, provider)
     if not lazy:
-        return bids, seed, provider, None, _greedy_rounds(rule, provider, bids, seed, range(n))
+        return bids, seed, provider, None, None, _greedy_rounds(rule, provider, bids, seed, range(n))
     heap = _lazy_heap(rule, provider, bids, range(n))
-    return bids, seed, provider, heap, _lazy_rounds(rule, provider, bids, heap)
+    changed = [0] * n if track and isinstance(provider, CoverageScratch) else None
+    return bids, seed, provider, heap, changed, _lazy_rounds(rule, provider, bids, heap, 1, changed)
 
 
 def run_meta(

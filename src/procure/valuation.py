@@ -255,6 +255,17 @@ class OracleScratch:
     def _marginal(self, i: int) -> float:
         return self.oracle._marginal(i, self.members)
 
+    def add_covering(self, i: int) -> list[int]:
+        """Admits i as ``add`` does (one query) and returns the vertices it
+        newly covered, in cover order, from the same walk over its cover."""
+        if i in self._members:
+            raise ValueError(f"seller {i} already in the set")
+        self.oracle._queries += 1
+        self._members.add(i)
+        covered: list[int] = []
+        self._shift(i, 1, covered)
+        return covered
+
     def _apply_add(self, i: int) -> None:
         pass
 
@@ -505,17 +516,19 @@ class CoverageScratch(OracleScratch):
     def _apply_remove(self, i: int) -> None:
         self._shift(i, -1)
 
-    def _shift(self, i: int, step: int) -> None:
-        """Moves the counts of i's cover by ``step`` (+1 admits, -1 removes).
+    def _shift(self, i: int, step: int, log: list[int] | None = None) -> None:
+        """Moves the counts of i's cover by ``step`` (+1 admits, -1 removes)
+        and appends the vertices whose coverage flipped to ``log``, if given.
 
-        The first change after a read records the vertices whose coverage
-        flipped; a second one drops the vector, so the next read builds it
-        whole.
+        The first change after a read records those vertices (in ``log``
+        itself, when given); a second one drops the vector, so the next
+        read builds it whole.
         """
         if self._vector is not None and self._flipped is None:
-            log = self._flipped = []
+            if log is None:
+                log = []
+            self._flipped = log
         else:
-            log = None
             self._vector = self._flipped = None
         counts = self._counts
         flipped_at = 1 if step > 0 else 0

@@ -17,7 +17,7 @@ from procure.sealed_bid import (
     verify_ir,
     verify_nas,
 )
-from procure.instances import random_instance
+from procure.instances import ExperimentConfig, build_instance, random_instance, synthetic_bipartite_graph
 from procure.selection import ARRAY_ROUND_MIN, _greedy_rounds, _marginal_provider, run_meta
 from procure.verification import critical_bid_bisection
 from procure.valuation import (
@@ -25,6 +25,7 @@ from procure.valuation import (
     AdversarialFamilyOracle,
     CoverageInstance,
     CoverageOracle,
+    CoverageScratch,
     NoisyOracle,
     sum_in_order,
 )
@@ -43,6 +44,7 @@ from conftest import (
 )
 
 DETERMINISTIC = ("greedy-margin", "greedy-rate", "distorted", "roi", "cost-scaled")
+DIMINISHING = ("greedy-margin", "greedy-rate", "roi", "cost-scaled")
 
 
 class TestSealedBidExamples:
@@ -685,3 +687,95 @@ def test_other_runs_pay_one_winner_at_a_time(monkeypatch, case):
     )
     assert winners > 0 and lockstep == 0
     assert per_winner == (1 if case == "focus" else winners)
+
+
+# ---------------------------------------------------------------------------
+# Lazy payments: exact staleness and the frozen-marginal exits
+# ---------------------------------------------------------------------------
+
+
+def _lazy_payment_counts(monkeypatch) -> dict[str, int]:
+    """Counts continuations (``CoverageScratch.copy`` calls) and blocker
+    tests that found no blocker left, in checkpoints and in continuations."""
+    used = {"copies": 0, "frozen": 0}
+    copy, blocked = CoverageScratch.copy, sealed_bid._blocked
+
+    def spy_copy(self):
+        used["copies"] += 1
+        return copy(self)
+
+    def spy_blocked(*args):
+        live = blocked(*args)
+        used["frozen"] += not live
+        return live
+
+    monkeypatch.setattr(CoverageScratch, "copy", spy_copy)
+    monkeypatch.setattr(sealed_bid, "_blocked", spy_blocked)
+    return used
+
+
+@pytest.fixture(scope="module")
+def paper_graph():
+    return synthetic_bipartite_graph(1500, 600, seed=0)
+
+
+@pytest.mark.parametrize("rule_name", DIMINISHING)
+@pytest.mark.parametrize("n", [100, 200])
+def test_lazy_payments_match_naive_on_the_synthetic_graph(monkeypatch, paper_graph, rule_name, n):
+    """Both frozen-marginal exits fire, and the lazy engine still gives the
+    naive engine's winners, admission rounds, scores and payments, bit for bit."""
+    priced_outright = frozen_in_continuation = 0
+    for s in (1.0, 2.0, 4.0):
+        instance, costs = build_instance(paper_graph, ExperimentConfig(n=n, s=s, instances=1, seed=11), 0)
+        rule = make_rule(rule_name, n)
+        naive = naive_sealed(rule, CoverageOracle(instance), costs)
+        used = _lazy_payment_counts(monkeypatch)
+        lazy = lazy_sealed(rule, CoverageOracle(instance), costs)
+        monkeypatch.undo()
+        assert lazy.winners == naive.winners
+        assert lazy.trace.chosen_at == naive.trace.chosen_at
+        assert [v.hex() for v in lazy.trace.scores_at_admission.values()] == [
+            v.hex() for v in naive.trace.scores_at_admission.values()
+        ]
+        assert [p.hex() for p in lazy.payments] == [p.hex() for p in naive.payments]
+        for i in (lazy.winners[0], lazy.winners[-1]):  # a focus run keeps no staleness list
+            assert lazy_sealed(rule, CoverageOracle(instance), costs, focus=i).payments[i] == lazy.payments[i]
+        outright = len(lazy.winners) - used["copies"]
+        priced_outright += outright
+        frozen_in_continuation += used["frozen"] - outright
+    assert priced_outright > 0 and frozen_in_continuation > 0
+
+
+@pytest.mark.parametrize("rule_name", DIMINISHING)
+def test_winner_with_private_uncovered_vertices_is_priced_without_a_continuation(monkeypatch, rule_name):
+    """Seller 0's vertices are its own, so no admission can change its
+    marginal: it is paid its round-n positive threshold with no copy.
+    Seller 2 shares vertex 2 with seller 1, which is alive at the
+    checkpoint, so its payment runs a continuation."""
+    instance = CoverageInstance(covers=((0,), (1, 2), (2, 3)), vertex_values=(5.0, 1.0, 3.0, 2.0))
+    costs = [1.0, 1.0, 1.0]
+    rule = make_rule(rule_name, 3)
+    naive = naive_sealed(rule, CoverageOracle(instance), costs)
+    used = _lazy_payment_counts(monkeypatch)
+    lazy = lazy_sealed(rule, CoverageOracle(instance), costs)
+    assert 0 in lazy.winners and 2 in lazy.winners
+    assert used["copies"] == 1
+    assert lazy.payments[0] == max(costs[0], rule.threshold_from_marginal(5.0, 0.0, 3))
+    assert [p.hex() for p in lazy.payments] == [p.hex() for p in naive.payments]
+    assert lazy.trace.chosen_at == naive.trace.chosen_at
+
+
+@pytest.mark.parametrize("rule_name", DIMINISHING)
+def test_winner_whose_only_sharer_is_dead_is_priced_without_a_continuation(monkeypatch, rule_name):
+    """Seller 1 holds only vertex 1, which seller 0 also holds, and its
+    marginal is below its retirement floor: it is dead at seller 0's
+    checkpoint, so seller 0 is paid with no continuation."""
+    instance = CoverageInstance(covers=((0, 1), (1,)), vertex_values=(5.0, 1.0))
+    costs = [1.0, 3.0]
+    rule = make_rule(rule_name, 2)
+    assert 1.0 <= rule.retirement_floors(costs)[1]
+    naive = naive_sealed(rule, CoverageOracle(instance), costs)
+    used = _lazy_payment_counts(monkeypatch)
+    lazy = lazy_sealed(rule, CoverageOracle(instance), costs)
+    assert lazy.winners == (0,) and used["copies"] == 0
+    assert lazy.payments == naive.payments == (max(costs[0], rule.threshold_from_marginal(6.0, 0.0, 2)), 0.0)

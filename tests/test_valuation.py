@@ -341,6 +341,28 @@ def test_two_changes_without_a_read_drop_the_vector():
     assert oracle._holders is not None
 
 
+def test_add_covering_reports_the_newly_covered_vertices():
+    """``add_covering`` admits as ``add`` does (one query, the same flip
+    record) and returns the vertices it newly covered, in cover order."""
+    oracle = _coverage_oracle(2, synthetic=True)
+    scratch, twin = oracle.scratch(), oracle.scratch()
+    for i in range(6):
+        if i % 2:  # odd admissions follow a read, so the vector records their flips
+            scratch.marginals(np.arange(oracle.n))
+            twin.marginals(np.arange(oracle.n))
+        covered = {v for j in scratch.members for v in oracle.covers[j]}
+        before = oracle.query_count
+        newly = scratch.add_covering(i)
+        assert oracle.query_count == before + 1
+        assert newly == [v for v in oracle.covers[i] if v not in covered]
+        twin.add(i)
+        assert scratch._flipped == twin._flipped and scratch.members == twin.members
+        _assert_exact_vector(oracle, scratch)
+        _assert_exact_vector(oracle, twin)
+    with pytest.raises(ValueError):
+        scratch.add_covering(0)
+
+
 def _loop_cover_arrays(oracle):
     """The per-seller construction of the cover matrix: one slice
     assignment per seller, then a transposed copy."""
