@@ -17,16 +17,18 @@ admit only the seller just decremented, and between admissions that
 seller's marginal f(i|T) is fixed, so the oracle computes it at most once
 per seller and admission.  The lexicographic and scripted schedules pick
 from the active and demanded sets alone, so they keep picking the same
-seller until it drops or is admitted.  Under such a pair the loop asks for
-a demand and a pick once per event and then steps the picked seller in a
-tight loop, one epsilon per tick, until its price falls below its bid or
-its marginal exceeds twice its price: O(1) work per tick.  Any other pair
-(round-robin, whose cursor moves on every pick; the family adversary, which
-reads prices; exact demand) takes one demand call and one pick per tick.  Both paths decrement prices
-one epsilon at a time, so they give the same winners, payments and tick
-counts.  The online-to-descending conversion with its tailored schedule
-gives exactly the posted-price outcome, so it returns that run's winners
-and payments.
+seller until it drops or is admitted; they share one cursor over the
+undemanded active sellers in pick order, which pops each seller at most
+once per run.  Under such a pair the loop asks for a demand and a pick
+once per event and then steps the picked seller in a tight loop, one
+epsilon per tick, until its price falls below its bid or its marginal
+exceeds twice its price: O(1) work per tick.  Any other pair (round-robin,
+whose cursor moves on every pick; the family adversary, which reads
+prices; exact demand) takes one demand call and one pick per tick.  Both
+paths decrement prices one epsilon at a time, so they give the same
+winners, payments and tick counts.  The online-to-descending conversion
+with its tailored schedule gives exactly the posted-price outcome, so it
+returns that run's winners and payments.
 """
 
 from __future__ import annotations
@@ -161,11 +163,59 @@ class CostScaledDemand:
 # demanded sets, so it repeats its pick until one of them changes.
 
 
-class LexicographicSchedule:
+class _FirstInOrder:
+    """Picks the first undemanded active seller in a fixed order, by cursor.
+
+    The pool (active but not demanded) is kept as a stack in pick order,
+    first pick on top; a pick pops the entries that have left the pool and
+    returns the top.  The stack stays valid while the pool only shrinks, so
+    it is kept only when ``active`` is the last call's frozenset or a subset
+    of it and ``demanded`` the last call's frozenset or a superset of it,
+    and otherwise built again from the two sets.  Along a clock run each
+    seller is popped at most once per build.  The state lives in class
+    defaults, so the first pick builds the stack, and a schedule reused
+    across runs rebuilds when the new run's sets break the test.
+
+    A subclass gives the order as ``_pool_stack(active, demanded)``, the
+    pool with the first pick last, and raises its empty-pool error in
+    ``_exhausted()``.
+    """
+
     picks_from_sets = True
+    _stack: list[int] = []  # never popped: the first pick replaces it
+    _active: frozenset[int] | None = None  # None: nothing to keep
+    _demanded: frozenset[int] | None = None
 
     def pick(self, active: set[int], demanded: frozenset[int], prices: Sequence[float]) -> int:
-        return min(active - demanded)
+        last = self._active
+        if (
+            last is None
+            or not (active is last or active <= last)
+            or not (demanded is self._demanded or demanded >= self._demanded)
+        ):
+            self._stack = self._pool_stack(active, demanded)
+        # A mutable set may change in place, so only frozensets are kept.
+        if isinstance(active, frozenset) and isinstance(demanded, frozenset):
+            self._active, self._demanded = active, demanded
+        else:
+            self._active = self._demanded = None
+        stack = self._stack
+        while stack:
+            i = stack[-1]
+            if i in active and i not in demanded:
+                return i
+            stack.pop()
+        return self._exhausted()
+
+
+class LexicographicSchedule(_FirstInOrder):
+    """Picks ``min(active - demanded)``: the lowest undemanded active index."""
+
+    def _pool_stack(self, active, demanded) -> list[int]:
+        return sorted(active - demanded, reverse=True)
+
+    def _exhausted(self) -> int:
+        return min(())  # min's ValueError on an empty pool
 
 
 class RoundRobinSchedule:
@@ -182,18 +232,16 @@ class RoundRobinSchedule:
         raise ScheduleError("no undemanded active seller")
 
 
-class ScriptedSchedule:
+class ScriptedSchedule(_FirstInOrder):
     """Fixed priority order; picks its first undemanded active entry."""
-
-    picks_from_sets = True
 
     def __init__(self, priority: Sequence[int]):
         self.priority = tuple(int(i) for i in priority)
 
-    def pick(self, active: set[int], demanded: frozenset[int], prices: Sequence[float]) -> int:
-        for i in self.priority:
-            if i in active and i not in demanded:
-                return i
+    def _pool_stack(self, active, demanded) -> list[int]:
+        return [i for i in reversed(self.priority) if i in active and i not in demanded]
+
+    def _exhausted(self) -> int:
         raise ScheduleError("scripted priority exhausted")
 
 
@@ -271,6 +319,16 @@ def _check_step(epsilon: float) -> None:
         raise ValueError(f"step size must be positive and finite, got {epsilon}")
 
 
+def _start_prices(oracle: ValuationOracle) -> list[float]:
+    """f(i | empty) for every seller, from one scratch read of the whole vector.
+
+    Charges n queries, as n ``oracle.marginal(i, ())`` calls do, with their
+    bits: the coverage scratch's vector has the scalar kernel's bits, and
+    the generic scratch reads ``oracle._marginal(i, ())``.
+    """
+    return oracle.scratch().marginals(np.arange(oracle.n)).tolist()
+
+
 def run_descending(
     oracle: ValuationOracle,
     bids: Sequence[float],
@@ -286,17 +344,24 @@ def run_descending(
     seller paid below its bid; a generous tick cap guards against a
     non-compliant demand/schedule pair.  The demand oracle and the schedule
     see the same frozenset of active sellers, rebuilt only when one drops.
+    The start prices come from one scratch read of the whole marginal
+    vector (``_start_prices``), n queries.
 
     If the demand has ``admission_marginal`` and the schedule sets
     ``picks_from_sets``, the picked seller keeps being stepped until its
     next event, a drop or ``admission_marginal(i) > 2 * price``, with the
     same per-tick decrement, count, cap check and test order as one demand
     call and one pick per tick; other pairs take one of each per tick.
+    The lexicographic and scripted schedules pick by cursor: along a run
+    each seller leaves the cursor's stack at most once, so a pick costs
+    amortized O(1) Python work.  What each event still costs in n is
+    C-level set comparisons: the cursor's subset tests and the
+    ``demanded <= active`` check below.
     """
     _check_step(epsilon)
     n = oracle.n
     bids = _check_bids(bids, n)
-    prices = [oracle.marginal(i, ()) for i in range(n)]
+    prices = _start_prices(oracle)
     cap = sum(math.ceil(p / epsilon) + 1 for p in prices) + n + 1
     # A seller priced below its bid from the start leaves before the first demand call.
     active = frozenset(i for i in range(n) if not prices[i] < bids[i])

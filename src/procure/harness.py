@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .descending import CostScaledDemand, ExactDemand, _check_step, run_descending, schedule_factory
+from .descending import CostScaledDemand, ExactDemand, _check_step, _start_prices, run_descending, schedule_factory
 from .instances import BipartiteGraph, ExperimentConfig, active_fraction, build_instance
 from .online import order_factory, order_random, run_posted_price
 from .scoring import ONLINE_CAPABLE_RULES, RULE_NAMES, RandomSeed, make_rule
@@ -186,7 +186,7 @@ def run_mechanism(
         outcome = AuctionOutcome(posted.winners, posted.payments, value=oracle.value(posted.winners))
     else:  # da
         if epsilon is None:
-            top = max((oracle.marginal(i, ()) for i in range(n)), default=1.0)
+            top = max(_start_prices(oracle), default=1.0)
             epsilon = max(top, 1.0) / 50.0
             oracle.reset_query_count()  # the default step's reads are not the auction's
         if spec.rule == "exact":

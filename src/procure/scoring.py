@@ -124,8 +124,10 @@ class ScoringRule:
         # The affine coefficients; round k indexes the alpha tuple directly,
         # over the run's rounds 1 .. n.  Round-free rules carry no tuple:
         # their alpha is 1 in every round.
-        alpha = () if self.diminishing_return else tuple(self.multiplier(k) for k in range(self.horizon + 1))
+        online = self.diminishing_return
+        alpha = () if online else tuple(self.multiplier(k) for k in range(self.horizon + 1))
         beta = {"cost-scaled": 2.0, "noisy-distorted": self.x}.get(self.kind, 1.0)
+        object.__setattr__(self, "_online", online)  # for posted_price, called once per arrival
         object.__setattr__(self, "_affine", self.kind not in ("greedy-rate", "roi"))
         object.__setattr__(self, "_alpha", alpha)
         object.__setattr__(self, "_beta", beta)
@@ -258,7 +260,7 @@ class ScoringRule:
         The seller is admitted iff its bid is strictly below this price: m / beta
         for the affine rules, and m for both ratio rules, whose beta is 1.
         """
-        if not self.diminishing_return:
+        if not self._online:
             raise UnsupportedRuleError(f"rule {self.kind!r} cannot run online")
         return m / self._beta
 

@@ -161,15 +161,18 @@ def _check_bids(bids, n: int) -> list[float]:
     """Bids (or costs) as n floats; rejects a wrong length, NaN and negatives.
 
     +inf is accepted: such a seller's score is never positive, so it is
-    never admitted.
+    never admitted.  The checks are C-level passes (a NaN makes the sum
+    NaN; ``min`` of nonnegatives is nonnegative); only a failing input
+    takes the per-element loops, which name the error, NaN first.
     """
-    bids = [float(b) for b in bids]
+    bids = list(map(float, bids))
     if len(bids) != n:
         raise ValueError(f"expected {n} bids, got {len(bids)}")
-    if any(math.isnan(b) for b in bids):
-        raise ValueError("bids must not be NaN")
-    if any(b < 0 for b in bids):
-        raise ValueError("bids must be nonnegative")
+    if bids and not (min(bids) >= 0.0 and not math.isnan(sum(bids))):
+        if any(math.isnan(b) for b in bids):
+            raise ValueError("bids must not be NaN")
+        if any(b < 0 for b in bids):
+            raise ValueError("bids must be nonnegative")
     return bids
 
 

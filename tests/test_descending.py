@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from procure.descending import (
     FamilyExactDemand,
     LexicographicSchedule,
     RoundRobinSchedule,
+    ScheduleError,
     ScriptedSchedule,
     random_scripted_schedules,
     run_descending,
@@ -82,6 +84,112 @@ class _CountingLex(LexicographicSchedule):
     def pick(self, active, demanded, prices):
         self.picks += 1
         return super().pick(active, demanded, prices)
+
+
+class _MinLex(LexicographicSchedule):
+    """The lexicographic pick from scratch: ``min(active - demanded)`` every call."""
+
+    def pick(self, active, demanded, prices):
+        return min(active - demanded)
+
+
+class _FirstScripted(ScriptedSchedule):
+    """The scripted pick from scratch: a walk over the whole priority every call."""
+
+    def pick(self, active, demanded, prices):
+        for i in self.priority:
+            if i in active and i not in demanded:
+                return i
+        raise ScheduleError("scripted priority exhausted")
+
+
+def _pick_or_error(schedule, active, demanded):
+    try:
+        return schedule.pick(active, demanded, ())
+    except (ValueError, ScheduleError) as exc:
+        return type(exc)
+
+
+def _outcome_bits(out, oracle):
+    return out.winners, tuple(p.hex() for p in out.payments), out.ticks, oracle.query_count
+
+
+class TestCursorSchedules:
+    """The cursor schedules pick what a from-scratch pick picks, call by call."""
+
+    @staticmethod
+    def _pairs(n, priority):
+        return [(LexicographicSchedule(), _MinLex()), (ScriptedSchedule(priority), _FirstScripted(priority))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pick_sequences_match_from_scratch_picks(self, data):
+        n = data.draw(st.integers(1, 9))
+        priority = data.draw(st.permutations(range(n)))
+        subsets = st.frozensets(st.integers(0, n - 1))
+        for cursor, reference in self._pairs(n, priority):
+            active, demanded = frozenset(range(n)), frozenset()
+            for _ in range(data.draw(st.integers(1, 25))):
+                step = data.draw(st.sampled_from(["same", "drop", "demand", "grow", "undemand", "fresh", "mutable"]))
+                if step == "drop" and active:
+                    active = active - {data.draw(st.sampled_from(sorted(active)))}
+                elif step == "demand":
+                    demanded = demanded | {data.draw(st.integers(0, n - 1))}
+                elif step == "grow":  # the pool may grow: the cursor must rebuild
+                    active = active | data.draw(subsets)
+                elif step == "undemand" and demanded:
+                    demanded = demanded - {data.draw(st.sampled_from(sorted(demanded)))}
+                elif step == "fresh":
+                    active, demanded = data.draw(subsets), data.draw(subsets)
+                elif step == "mutable":  # a set changed in place between two picks
+                    pool = set(active)
+                    assert _pick_or_error(cursor, pool, demanded) == _pick_or_error(reference, pool, demanded)
+                    pool |= data.draw(subsets)
+                    assert _pick_or_error(cursor, pool, demanded) == _pick_or_error(reference, pool, demanded)
+                    continue
+                assert _pick_or_error(cursor, active, demanded) == _pick_or_error(reference, active, demanded)
+
+    def test_empty_pool_raises_as_before(self):
+        with pytest.raises(ValueError):
+            LexicographicSchedule().pick(frozenset({1}), frozenset({1}), ())
+        with pytest.raises(ScheduleError):
+            ScriptedSchedule((1, 0)).pick(frozenset({1}), frozenset({1}), ())
+        # A pool that empties along a run raises too, and a grown one picks again.
+        lex = LexicographicSchedule()
+        assert lex.pick(frozenset({0, 1}), frozenset(), ()) == 0
+        with pytest.raises(ValueError):
+            lex.pick(frozenset({0, 1}), frozenset({0, 1}), ())
+        assert lex.pick(frozenset({0, 1}), frozenset({0}), ()) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["cost-scaled", "exact"]))
+    def test_runs_match_from_scratch_schedules(self, seed, demand_kind):
+        oracle, costs = random_oracle(seed, 2, 8)
+        n = oracle.n
+        eps = max(max(oracle.marginal(i, ()) for i in range(n)), 1.0) / 30.0
+        priority = tuple(int(i) for i in np.random.default_rng(seed).permutation(n))
+        make_demand = CostScaledDemand if demand_kind == "cost-scaled" else ExactDemand
+        for cursor, reference in self._pairs(n, priority):
+            got = []
+            for schedule in (cursor, reference):
+                oracle.reset_query_count()
+                out = run_descending(oracle, costs, make_demand(oracle), schedule, eps)
+                got.append(_outcome_bits(out, oracle))
+            assert got[0] == got[1]
+
+    def test_one_schedule_reused_across_runs(self):
+        priority = (5, 2, 7, 0, 9, 1, 3, 8, 4, 6)
+        pairs = ((LexicographicSchedule(), _MinLex), (ScriptedSchedule(priority), partial(_FirstScripted, priority)))
+        for cursor, make_reference in pairs:
+            for seed in (3, 4, 5, 3):
+                oracle, costs = random_oracle(seed, 6, 10)
+                eps = max(max(oracle.marginal(i, ()) for i in range(oracle.n)), 1.0) / 30.0
+                got = []
+                for schedule in (cursor, make_reference()):
+                    oracle.reset_query_count()
+                    out = run_descending(oracle, costs, CostScaledDemand(oracle), schedule, eps)
+                    got.append(_outcome_bits(out, oracle))
+                assert got[0] == got[1]
 
 
 class TestExactDemand:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +70,24 @@ class TestOnlineMeta:
             as_arrival_order((0, 0), 2)
         with pytest.raises(ValueError):
             run_online_meta(make_rule("cost-scaled", 2), oracle, [0.1, 0.1], (1, 1))
+
+
+class TestArrivalOrder:
+    @pytest.mark.parametrize("order", [(0, 0, 1), (0, 1, 3), (-1, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3)])
+    def test_non_permutations_rejected(self, order):
+        with pytest.raises(ValueError, match="permutation"):
+            as_arrival_order(order, 3)
+
+    def test_numpy_integers_accepted(self):
+        got = as_arrival_order(np.array([2, 0, 1]), 3)
+        assert got == (2, 0, 1) and all(type(i) is int for i in got)
+        assert as_arrival_order((), 0) == ()
+
+    @pytest.mark.parametrize("order", [(0.5, 1.2), (0.0, 1.0), (True, False), (0, np.True_)])
+    def test_non_integer_entries_rejected(self, order):
+        # int() would truncate (0.5, 1.2) to the permutation (0, 1).
+        with pytest.raises(TypeError):
+            as_arrival_order(order, 2)
 
 
 class TestPostedPrice:

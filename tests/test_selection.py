@@ -15,6 +15,7 @@ from procure.selection import (
     _lazy_heap,
     _lazy_rounds,
     _marginal_provider,
+    _check_bids,
     _scalar_rounds,
     run_meta,
 )
@@ -106,6 +107,33 @@ def test_admitted_marginals_cover_bids_noisy():
     for i, k in trace.chosen_at.items():
         before = trace.tentative_sets[k - 1]
         assert noisy.marginal(i, before) >= costs[i] - 1e-12
+
+
+class TestCheckBids:
+    """The one bid check every mechanism shares: fast passes, the same messages."""
+
+    @pytest.mark.parametrize("bids", [[math.nan, 1.0, 2.0], [1.0, 2.0, math.nan], [-1.0, math.nan, 2.0],
+                                      [math.nan, -1.0, 2.0], [math.inf, -math.inf, math.nan]])
+    def test_nan_is_named_first(self, bids):
+        with pytest.raises(ValueError, match="NaN"):
+            _check_bids(bids, 3)
+
+    @pytest.mark.parametrize("bids", [[1.0, -1.0, 2.0], [-1e-300, 0.0, 0.0], [math.inf, -math.inf, 1.0]])
+    def test_negative_rejected(self, bids):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _check_bids(bids, 3)
+
+    def test_accepted_bids_are_python_floats(self):
+        got = _check_bids(np.array([-0.0, math.inf, 3]), 3)
+        assert [b.hex() for b in got] == ["-0x0.0p+0", "inf", "0x1.8000000000000p+1"]
+        assert all(type(b) is float for b in got)
+        assert _check_bids([1e308, 1e308], 2) == [1e308, 1e308]  # the sum overflows to inf, not NaN
+        assert _check_bids([], 0) == []
+
+    @pytest.mark.parametrize("bids, n", [([1.0], 2), ([1.0, 2.0, 3.0], 2), ([], 1)])
+    def test_wrong_length_rejected(self, bids, n):
+        with pytest.raises(ValueError, match=f"expected {n} bids"):
+            _check_bids(bids, n)
 
 
 class TestLazy:
