@@ -36,15 +36,18 @@ from .valuation import ValuationOracle, canonical_set, sum_in_order, welfare
 def as_arrival_order(order: Iterable[int], n: int) -> tuple[int, ...]:
     """Validate that ``order`` is a permutation of [0, n); entries as Python ints.
 
-    Entries go through ``operator.index``, which keeps numpy integers and
+    One pass collects the entry types; unless every entry is a plain int,
+    entries go through ``operator.index``, which keeps numpy integers and
     refuses floats (``int()`` would truncate them) with ``TypeError``;
     bools are refused too.  n distinct entries between 0 and n - 1 are a
     permutation.
     """
     order = tuple(order)
-    if bool in map(type, order):
-        raise TypeError("arrival order entries must be integers, not bools")
-    order = tuple(map(operator.index, order))
+    kinds = set(map(type, order))
+    if not kinds <= {int}:
+        if bool in kinds:
+            raise TypeError("arrival order entries must be integers, not bools")
+        order = tuple(map(operator.index, order))
     if len(order) != n or len(set(order)) != n or (n and (min(order) != 0 or max(order) != n - 1)):
         raise ValueError(f"arrival order must be a permutation of 0..{n - 1}")
     return order

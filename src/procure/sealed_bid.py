@@ -117,7 +117,7 @@ def _blockers(scratch: CoverageScratch, i: int) -> list[tuple[int, int]]:
     """(vertex, seller) pairs that can still change i's marginal: each vertex
     of i's cover that the scratch's set leaves uncovered, with each other
     seller that holds it, ordered by seller."""
-    counts, holders = scratch._counts, scratch.oracle._vertex_holders()
+    counts, holders = scratch._counts, scratch.oracle.instance._vertex_holders()
     pairs = [(v, w) for v in scratch.oracle.covers[i] if not counts[v] for w in holders[v] if w != i]
     pairs.sort(key=itemgetter(1))
     return pairs
@@ -251,8 +251,8 @@ class _Lockstep:
         self.rule, self.scratch, self.oracle, self.n = rule, scratch, oracle, oracle.n
         self.bids = np.array(bids)
         self.floors = np.array(rule.retirement_floors(bids))
-        self.cover_rows = oracle._cover_rows()
-        offsets, self.sharers = oracle._neighbours()
+        self.cover_rows = oracle.instance._cover_rows()
+        offsets, self.sharers = oracle.instance._neighbours()
         self.share_begin, self.share_len = offsets[:-1], np.diff(offsets)
         self.payments: dict[int, float] = {}
         self.round = 0  # the last round every open row has run

@@ -93,7 +93,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -136,21 +136,29 @@ class SelectionTrace:
     def winners(self) -> tuple[int, ...]:
         return tuple(sorted(self.chosen_at))
 
+    def _rounds(self, freeze: Callable[[list[int]], Sequence[int]]) -> list:
+        """S_0 .. S_n, each made by ``freeze`` from the running sorted list;
+        a round without an admission reuses the previous round's object."""
+        current: list[int] = []
+        sets = [freeze(current)]
+        for k, i in sorted(zip(self.chosen_at.values(), self.chosen_at)):
+            sets += [sets[-1]] * (k - len(sets))
+            bisect.insort(current, i)
+            sets.append(freeze(current))
+        sets += [sets[-1]] * (self.n + 1 - len(sets))
+        return sets
+
     @property
     def tentative_sets(self) -> tuple[tuple[int, ...], ...]:
-        """S_0 .. S_n in one pass; a round without an admission reuses S_{k-1}."""
-        by_round = {k: i for i, k in self.chosen_at.items()}
-        sets: list[tuple[int, ...]] = [()]
-        current: list[int] = []
-        for k in range(1, self.n + 1):
-            if k in by_round:
-                bisect.insort(current, by_round[k])
-            sets.append(tuple(current) if k in by_round else sets[-1])
-        return tuple(sets)
+        """S_0 .. S_n in one pass over the admissions."""
+        return tuple(self._rounds(tuple))
 
     def to_json(self) -> dict:
+        """The trace as a JSON-ready document, to be read and not changed:
+        the ``tentative_sets`` lists of consecutive rounds without an
+        admission are one list object."""
         return {
-            "tentative_sets": [list(s) for s in self.tentative_sets],
+            "tentative_sets": self._rounds(list),
             "chosen_at": {str(i): k for i, k in self.chosen_at.items()},
             "scores_at_admission": {str(i): s for i, s in self.scores_at_admission.items()},
             "winners": list(self.winners),
@@ -394,7 +402,7 @@ def _lazy_rounds(
     n = len(bids)
     oracle, marginal, score_of = provider.oracle, provider._marginal, rule.score_from_marginal
     heappop, heappush = heapq.heappop, heapq.heappush
-    holders = None if changed is None else oracle._vertex_holders()
+    holders = None if changed is None else oracle.instance._vertex_holders()
     for k in range(start, n + 1):
         while heap:
             neg, i, stamp = heappop(heap)

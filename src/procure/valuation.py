@@ -11,28 +11,30 @@ counts) lives in a scratch object obtained from
 An oracle still holds mutable state, none of which changes an answer: the
 count of value/marginal queries it served, which benchmark harnesses and
 the reported ``oracle_queries`` read to compare algorithms by oracle usage,
-and caches built on first use (the coverage oracle's cover arrays and
-vertex index, the noisy oracle's bounded memo of set values).
+and the noisy oracle's bounded memo of set values.  The coverage oracle's
+array views are caches of the instance, not of the oracle (see below).
 
 The coverage oracle works on canonical covers: sorted and duplicate-free.
 ``CoverageInstance`` records in its validation pass whether every cover is
 already strictly ascending, as ``build_instance`` and ``random_instance``
-make them; the oracle then reuses the instance's covers, and otherwise
-canonicalizes a copy of each.
+make them; the oracle then works on the instance itself, and otherwise on
+a canonical instance of its own over sorted, duplicate-free copies.
 
 A scratch also answers a whole round at once: ``marginals(idx)`` returns
 the marginals of many sellers as an array and charges one query per index.
 The coverage scratch keeps its own marginal vector for all n sellers.  The
 first ``marginals`` call builds it whole from a padded (width x n) matrix of
-cover vertex indices that the oracle builds on first array use (a sentinel
-entry points at a 0.0 value), with one fancy-index assignment of the chained
-covers rather than one slice per seller.  After one admission or removal,
-the next call recomputes only the sellers whose cover holds a vertex that
-became covered or uncovered, found through a vertex-to-sellers index that
-the oracle also builds on first use (a plain loop: the index is one tuple
+cover vertex indices (a sentinel entry points at a 0.0 value), placed with
+one fancy-index assignment of the chained covers rather than one slice per
+seller.  After one admission or removal, the next call recomputes only the
+sellers whose cover holds a vertex that became covered or uncovered, found
+through a vertex-to-sellers index (a plain loop: the index is one tuple
 per vertex, and making those tuples costs an array build more than the
 loop saves); after two changes without a read it builds the vector whole
-again.
+again.  The matrix, the index, and the payments' cover rows and neighbour
+index depend only on the canonical instance, which builds each on first
+use and keeps it: an experiment cell's check oracle and every mechanism
+oracle on the same instance share one build.
 
 Summation order: every float reduction here adds left to right.  The hot
 coverage kernels (the oracle's value and marginal, the scratch's scalar
@@ -283,17 +285,29 @@ class CoverageInstance:
     """A max-coverage valuation: seller i covers a list of vertices.
 
     f(S) is the total value of vertices covered by at least one seller in S.
+    Vertex ids are ints (numpy integers too), never bools or floats.
     ``canonical`` records, from the validation pass, whether every cover is
     strictly ascending (sorted and duplicate-free), the form the oracle
     works on.
+
+    The array views of a canonical instance (the cover matrix, the vertex
+    holders, the cover rows and the neighbour index) depend on nothing
+    else, so they are built on first use and kept in ``_cache``, which
+    every oracle of the instance shares.
     """
 
     covers: tuple[tuple[int, ...], ...]
     vertex_values: tuple[float, ...]
     canonical: bool = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         nv = len(self.vertex_values)
+        if not set(map(type, chain.from_iterable(self.covers))) <= {int}:
+            for i, cov in enumerate(self.covers):
+                for v in cov:
+                    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+                        raise TypeError(f"set {i} references vertex {v!r}, which is not an integer")
         canonical = True
         for i, cov in enumerate(self.covers):
             prev = -1
@@ -320,10 +334,75 @@ class CoverageInstance:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CoverageInstance":
-        covers = tuple(tuple(int(v) for v in c) for c in doc["covers"])
+        """The instance of a ``to_json`` document; a vertex id that is not a
+        JSON integer is refused, not truncated."""
+        covers = tuple(map(tuple, doc["covers"]))
         if int(doc["n_sets"]) != len(covers):
             raise ValueError("n_sets does not match the covers list")
         return cls(covers=covers, vertex_values=tuple(float(x) for x in doc["vertex_values"]))
+
+    # The array views below read the covers as canonical: the oracle asks
+    # them of its canonical form only.
+
+    def _cover_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(width x n) cover vertex indices and the vertex values, built once.
+
+        Row j holds every seller's j-th cover vertex in cover order; shorter
+        covers are padded with the index of a sentinel 0.0 appended to the
+        values.  One fancy-index assignment places every cover vertex.
+        """
+        if "arrays" not in self._cache:
+            n = self.n_sets
+            lengths = np.fromiter(map(len, self.covers), dtype=np.intp, count=n)
+            total = int(lengths.sum())
+            vertices = np.fromiter(chain.from_iterable(self.covers), dtype=np.intp, count=total)
+            sellers = np.repeat(np.arange(n), lengths)
+            positions = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            width = int(lengths.max(initial=0))
+            matrix = np.full((width, n), len(self.vertex_values), dtype=np.intp)
+            matrix[positions, sellers] = vertices
+            values = np.array(self.vertex_values + (0.0,), dtype=float)
+            self._cache["arrays"] = (matrix, values)
+        return self._cache["arrays"]
+
+    def _vertex_holders(self) -> tuple[tuple[int, ...], ...]:
+        """The sellers whose cover holds each vertex, ascending; built once."""
+        if "holders" not in self._cache:
+            holders: list[list[int]] = [[] for _ in self.vertex_values]
+            for i, cov in enumerate(self.covers):
+                for v in cov:
+                    holders[v].append(i)
+            self._cache["holders"] = tuple(map(tuple, holders))
+        return self._cache["holders"]
+
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR offsets and sellers: the sellers whose cover shares a vertex
+        with seller i (i included, when its cover is not empty) are
+        ``sellers[offsets[i]:offsets[i + 1]]``, ascending; built once."""
+        if "neighbours" not in self._cache:
+            n = self.n_sets
+            matrix, values = self._cover_arrays()
+            holds = matrix < len(values) - 1  # not the sentinel
+            vertices, sellers = matrix[holds], np.nonzero(holds)[1]
+            by_vertex = np.argsort(vertices, kind="stable")
+            degree = np.bincount(vertices, minlength=len(values))
+            first = np.cumsum(degree) - degree  # of each vertex's holders in ``by_vertex``
+            # Each (seller, vertex) incidence meets every holder of the vertex.
+            reps = degree[vertices]
+            ends = np.cumsum(reps)
+            at = np.arange(reps.sum()) - np.repeat(ends - reps - first[vertices], reps)
+            pairs = np.unique(np.repeat(sellers, reps) * n + sellers[by_vertex[at]])
+            offsets = np.searchsorted(pairs, np.arange(n + 1) * n)
+            self._cache["neighbours"] = (offsets, pairs % n)
+        return self._cache["neighbours"]
+
+    def _cover_rows(self) -> np.ndarray:
+        """(n x width + 1) cover vertex indices, one row per seller: the
+        sentinel first, then the columns of ``_cover_arrays``; built once."""
+        if "rows" not in self._cache:
+            matrix, values = self._cover_arrays()
+            self._cache["rows"] = np.vstack([np.full(self.n_sets, len(values) - 1, dtype=np.intp), matrix]).T.copy()
+        return self._cache["rows"]
 
 
 class CoverageOracle(ValuationOracle):
@@ -332,22 +411,22 @@ class CoverageOracle(ValuationOracle):
     A marginal sums the values of i's uncovered vertices left to right in
     cover order; a larger set leaves a subsequence of those nonnegative
     terms, whose left-to-right sum is never larger, so marginals shrink.
+
+    ``instance`` is the canonical form of the instance it was given (that
+    instance itself when it is canonical), and the array views come from
+    its cache: every oracle of one canonical instance shares one build of
+    them, while each counts its own queries.
     """
 
     marginals_shrink = True
 
     def __init__(self, instance: CoverageInstance):
         super().__init__(instance.n_sets)
+        if not instance.canonical:
+            instance = CoverageInstance(tuple(tuple(sorted(set(c))) for c in instance.covers), instance.vertex_values)
         self.instance = instance
-        if instance.canonical:
-            self.covers = instance.covers
-        else:
-            self.covers = tuple(tuple(sorted(set(c))) for c in instance.covers)
+        self.covers = instance.covers
         self.vertex_values = instance.vertex_values
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
-        self._holders: tuple[tuple[int, ...], ...] | None = None
-        self._rows: np.ndarray | None = None
-        self._shared: tuple[np.ndarray, np.ndarray] | None = None
 
     def _value(self, s: tuple[int, ...]) -> float:
         covered: set[int] = set()
@@ -373,56 +452,6 @@ class CoverageOracle(ValuationOracle):
     def scratch(self) -> "CoverageScratch":
         return CoverageScratch(self)
 
-    def _cover_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(width x n) cover vertex indices and the vertex values, built once.
-
-        Row j holds every seller's j-th cover vertex in cover order; shorter
-        covers are padded with the index of a sentinel 0.0 appended to the
-        values.  One fancy-index assignment places every cover vertex.
-        """
-        if self._arrays is None:
-            lengths = np.fromiter(map(len, self.covers), dtype=np.intp, count=self.n)
-            total = int(lengths.sum())
-            vertices = np.fromiter(chain.from_iterable(self.covers), dtype=np.intp, count=total)
-            sellers = np.repeat(np.arange(self.n), lengths)
-            positions = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            width = int(lengths.max(initial=0))
-            matrix = np.full((width, self.n), len(self.vertex_values), dtype=np.intp)
-            matrix[positions, sellers] = vertices
-            values = np.array(self.vertex_values + (0.0,), dtype=float)
-            self._arrays = (matrix, values)
-        return self._arrays
-
-    def _vertex_holders(self) -> tuple[tuple[int, ...], ...]:
-        """The sellers whose cover holds each vertex, ascending; built once."""
-        if self._holders is None:
-            holders: list[list[int]] = [[] for _ in self.vertex_values]
-            for i, cov in enumerate(self.covers):
-                for v in cov:
-                    holders[v].append(i)
-            self._holders = tuple(map(tuple, holders))
-        return self._holders
-
-    def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR offsets and sellers: the sellers whose cover shares a vertex
-        with seller i (i included, when its cover is not empty) are
-        ``sellers[offsets[i]:offsets[i + 1]]``, ascending; built once."""
-        if self._shared is None:
-            matrix, values = self._cover_arrays()
-            holds = matrix < len(values) - 1  # not the sentinel
-            vertices, sellers = matrix[holds], np.nonzero(holds)[1]
-            by_vertex = np.argsort(vertices, kind="stable")
-            degree = np.bincount(vertices, minlength=len(values))
-            first = np.cumsum(degree) - degree  # of each vertex's holders in ``by_vertex``
-            # Each (seller, vertex) incidence meets every holder of the vertex.
-            reps = degree[vertices]
-            ends = np.cumsum(reps)
-            at = np.arange(reps.sum()) - np.repeat(ends - reps - first[vertices], reps)
-            pairs = np.unique(np.repeat(sellers, reps) * self.n + sellers[by_vertex[at]])
-            offsets = np.searchsorted(pairs, np.arange(self.n + 1) * self.n)
-            self._shared = (offsets, pairs % self.n)
-        return self._shared
-
     def _masked_marginals(self, covered: np.ndarray, rows: np.ndarray, sellers: np.ndarray) -> np.ndarray:
         """The marginal of ``sellers[t]`` where the vertices ``covered[rows[t]]``
         are covered, for each t; charges no query.
@@ -433,17 +462,9 @@ class CoverageOracle(ValuationOracle):
         build does, so it keeps the scalar kernel's bits: ``np.add.accumulate``
         adds strictly left to right, over a sentinel column placed first.
         """
-        vertices = self._cover_rows()[sellers]
-        terms = np.where(covered[rows[:, None], vertices], 0.0, self._cover_arrays()[1][vertices])
+        vertices = self.instance._cover_rows()[sellers]
+        terms = np.where(covered[rows[:, None], vertices], 0.0, self.instance._cover_arrays()[1][vertices])
         return np.add.accumulate(terms, axis=1)[:, -1]
-
-    def _cover_rows(self) -> np.ndarray:
-        """(n x width + 1) cover vertex indices, one row per seller: the
-        sentinel first, then the columns of ``_cover_arrays``; built once."""
-        if self._rows is None:
-            matrix, values = self._cover_arrays()
-            self._rows = np.vstack([np.full(self.n, len(values) - 1, dtype=np.intp), matrix]).T.copy()
-        return self._rows
 
 
 class CoverageScratch(OracleScratch):
@@ -482,7 +503,7 @@ class CoverageScratch(OracleScratch):
         """Every seller's marginal at the set, built or brought up to date;
         charges no query."""
         if self._vector is None:
-            matrix, values = self.oracle._cover_arrays()
+            matrix, values = self.oracle.instance._cover_arrays()
             live = values.copy()
             live[:-1][np.array(self._counts) > 0] = 0.0
             vector = np.zeros(self.oracle.n)
@@ -490,7 +511,7 @@ class CoverageScratch(OracleScratch):
                 vector += live[row]
             self._vector = vector
         elif self._flipped is not None:
-            holders = self.oracle._vertex_holders()
+            holders = self.oracle.instance._vertex_holders()
             stale: set[int] = set()
             for v in self._flipped:
                 stale.update(holders[v])

@@ -17,6 +17,22 @@ NON_DYADIC_COSTS = (0.0, 0.1, 0.3, 0.7, 1 / 3)
 
 
 @pytest.fixture
+def matrix_builds(monkeypatch) -> list[CoverageInstance]:
+    """Each instance whose cover matrix ``CoverageInstance._cover_arrays``
+    builds during the test, in build order."""
+    built: list[CoverageInstance] = []
+    build = CoverageInstance._cover_arrays
+
+    def counted(self):
+        if "arrays" not in self._cache:
+            built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(CoverageInstance, "_cover_arrays", counted)
+    return built
+
+
+@pytest.fixture
 def coverage_pair():
     """Two sellers: A covers {v1, v2}, B covers {v2, v3}; values (1, 2, 3)."""
     instance = CoverageInstance(covers=((0, 1), (1, 2)), vertex_values=(1.0, 2.0, 3.0))

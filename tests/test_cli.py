@@ -1,7 +1,10 @@
+import hashlib
 import json
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from procure import verification
@@ -16,7 +19,7 @@ from procure.descending import (
     run_descending,
     schedule_factory,
 )
-from procure.harness import CSV_COLUMNS, MechanismSpec, experiment_records
+from procure.harness import CSV_COLUMNS, DEFAULT_MECHANISMS, MechanismSpec, experiment_records
 from procure.instances import ExperimentConfig, build_instance, random_instance, synthetic_bipartite_graph
 from procure.online import order_factory, run_posted_price, worst_sampled_order
 from procure.scoring import make_rule
@@ -101,6 +104,30 @@ class TestExperiment:
         assert out1.read_bytes() == out2.read_bytes()
         traces1 = (tmp_path / "w1.csv.traces.jsonl").read_bytes()
         assert traces1 and traces1 == (tmp_path / "w2.csv.traces.jsonl").read_bytes()
+
+
+    #: sha256 of the ``--no-timing`` CSV and of the ``--trace`` JSONL of the
+    #: default mechanisms at n = 12, 40, 120, s = 1, 2, 2 instances, seed 4,
+    #: recorded under Python 3.11 with numpy 2.4 before the coverage arrays
+    #: moved onto the instance and the trace document was built in one pass.
+    PINNED_INTERPRETER = ("3.11", "2.4")
+    PINNED_CSV = "f6d7102ff194aedfb41b822c6247e9d5f166b0b03d955be3f148d50e5b5d4cb7"
+    PINNED_TRACES = "2bc1983ec7f31e8a08d09ab612136aeecf201c6893457e600a373c4452a18da8"
+
+    def test_default_mechanisms_keep_their_pinned_bytes(self, tmp_path):
+        """The graph and the samples come from numpy's generators, whose
+        streams a numpy release may change, so the digests are compared
+        under the interpreter that recorded them, as perfbench's are."""
+        interpreter = (".".join(platform.python_version_tuple()[:2]), ".".join(np.__version__.split(".")[:2]))
+        if interpreter != self.PINNED_INTERPRETER:
+            pytest.skip(f"digests recorded under {self.PINNED_INTERPRETER}, running {interpreter}")
+        out = tmp_path / "pinned.csv"
+        cfg = tmp_path / "pinned.json"
+        cfg.write_text(json.dumps({"dataset": "synthetic", "n": [12, 40, 120], "s": [1, 2], "instances": 2, "seed": 4}))
+        assert run_cli(["experiment", "--config", str(cfg), "--no-timing", "--trace", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_CSV
+        traces = tmp_path / "pinned.csv.traces.jsonl"
+        assert hashlib.sha256(traces.read_bytes()).hexdigest() == self.PINNED_TRACES
 
 
 class TestVerify:
@@ -481,6 +508,16 @@ def test_posted_row_does_not_count_the_worst_of_search():
     posted = run_posted_price(rule, oracle, costs, order)
     assert record.oracle_queries == oracle.query_count + 1
     assert (record.winner_count, record.total_payment) == (len(posted.winners), posted.total_payment)
+
+
+@pytest.mark.parametrize("mechanisms", [DEFAULT_MECHANISMS, ("alloc:greedy-margin", "sealed:distorted", "posted:cost-scaled")])
+def test_each_cell_builds_its_cover_matrix_once(matrix_builds, mechanisms):
+    """A cell's check oracle and every mechanism oracle share the instance's
+    arrays: one cover matrix per cell, where one per oracle made 1 + m."""
+    graph = synthetic_bipartite_graph(200, 120, seed=3)
+    records = experiment_records(graph, [ARRAY_ROUND_MIN + 8], [1.0, 2.0], 2, mechanisms, seed=5)
+    assert len(records) == 4 * len(mechanisms)
+    assert len(matrix_builds) == len({id(instance) for instance in matrix_builds}) == 4
 
 
 def test_noisy_rows_equal_distorted_rows():

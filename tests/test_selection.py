@@ -1,3 +1,4 @@
+import json
 import math
 from unittest.mock import patch
 
@@ -362,6 +363,28 @@ def test_tentative_sets_derived_from_admission_order(instance):
         assert i in sets[k] and i not in sets[k - 1]
     assert trace.order == sorted(trace.chosen_at, key=trace.chosen_at.get)
     assert trace.to_json()["tentative_sets"] == [list(s) for s in sets]
+
+
+@pytest.mark.parametrize("rule_name", ["distorted", "greedy-margin", "cost-scaled"])
+@pytest.mark.parametrize("n", [1, 12, ARRAY_ROUND_MIN + 40])
+def test_trace_document_has_the_bytes_of_a_copy_per_round(rule_name, n):
+    """``to_json`` shares one list between rounds without an admission; its
+    JSON text equals that of the document with a fresh list per round."""
+    for seed in range(3):
+        instance, costs = random_instance(n, seed)
+        trace = run_meta(make_rule(rule_name, n), CoverageOracle(instance), costs)
+        doc = trace.to_json()
+        sets = doc["tentative_sets"]
+        assert len(sets) == n + 1 and sets == [list(s) for s in trace.tentative_sets]
+        quiet = [k for k in range(1, n + 1) if k not in trace.chosen_at.values()]
+        assert all(sets[k] is sets[k - 1] for k in quiet)
+        copied = {
+            "tentative_sets": [list(s) for s in trace.tentative_sets],
+            "chosen_at": {str(i): k for i, k in trace.chosen_at.items()},
+            "scores_at_admission": {str(i): s for i, s in trace.scores_at_admission.items()},
+            "winners": list(trace.winners),
+        }
+        assert json.dumps(doc) == json.dumps(copied)
 
 
 # ---------------------------------------------------------------------------

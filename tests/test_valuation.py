@@ -62,6 +62,26 @@ class TestCoverage:
         with pytest.raises(ValueError, match="finite"):
             CoverageInstance(covers=((0, 1), (1, 2)), vertex_values=(bad, 2.0, 3.0))
 
+    @pytest.mark.parametrize("vertex", [0.5, 1.0, True, False, np.float64(1.0), np.True_, "1", None])
+    def test_non_integer_vertex_rejected(self, vertex):
+        """It used to be accepted: 0.5 failed only at the first query, with
+        "tuple indices must be integers", and True was read as vertex 1."""
+        with pytest.raises(TypeError, match="set 1 references vertex"):
+            CoverageInstance(covers=((0,), (0, vertex)), vertex_values=(1.0, 2.0))
+
+    def test_numpy_integer_vertices_accepted(self):
+        instance = CoverageInstance(covers=((np.int64(0), np.int32(1)), (np.intp(1),)), vertex_values=(1.0, 2.0))
+        assert instance.canonical
+        assert CoverageOracle(instance).value((0, 1)) == 3.0
+
+    @pytest.mark.parametrize("vertex", [0.5, 1.0, True])
+    def test_non_integer_vertex_rejected_from_json(self, coverage_pair, vertex):
+        """``int()`` used to truncate 0.5 and 1.0 and read true as 1."""
+        doc = coverage_pair.instance.to_json()
+        doc["covers"][1][0] = vertex
+        with pytest.raises(TypeError, match="set 1 references vertex"):
+            CoverageInstance.from_json(json.loads(json.dumps(doc)))
+
     def test_non_finite_vertex_value_rejected_from_json(self, coverage_pair):
         doc = coverage_pair.instance.to_json()
         doc["vertex_values"][0] = math.nan
@@ -335,10 +355,10 @@ def test_two_changes_without_a_read_drop_the_vector():
     scratch.add(1)
     assert scratch._vector is None and scratch._flipped is None
     _assert_exact_vector(oracle, scratch)
-    assert scratch._vector is not None and oracle._holders is None
+    assert scratch._vector is not None and "holders" not in oracle.instance._cache
     scratch.remove(1)
     _assert_exact_vector(oracle, scratch)
-    assert oracle._holders is not None
+    assert "holders" in oracle.instance._cache
 
 
 def test_add_covering_reports_the_newly_covered_vertices():
@@ -401,16 +421,16 @@ def test_cover_kernels_match_loop_built_references(instance):
     are the scalar kernel's left-to-right sums over the uncovered vertices,
     bit for bit."""
     oracle = CoverageOracle(instance)
-    matrix, values = oracle._cover_arrays()
+    matrix, values = oracle.instance._cover_arrays()
     ref_matrix, ref_values = _loop_cover_arrays(oracle)
     assert matrix.dtype == ref_matrix.dtype and matrix.shape == ref_matrix.shape
     assert matrix.flags.c_contiguous
     assert np.array_equal(matrix, ref_matrix)
     assert [v.hex() for v in values.tolist()] == [v.hex() for v in ref_values.tolist()]
-    assert oracle._vertex_holders() == tuple(
+    assert oracle.instance._vertex_holders() == tuple(
         tuple(i for i, cov in enumerate(instance.covers) if v in cov) for v in range(len(instance.vertex_values))
     )
-    offsets, sharers = oracle._neighbours()
+    offsets, sharers = oracle.instance._neighbours()
     covers = [set(cov) for cov in oracle.covers]
     assert [sharers[offsets[i] : offsets[i + 1]].tolist() for i in range(oracle.n)] == [
         [j for j in range(oracle.n) if covers[i] & covers[j]] for i in range(oracle.n)
@@ -465,6 +485,45 @@ def test_oracle_over_non_canonical_covers_answers_as_canonical_ones():
             assert [scratch.marginal(i).hex() for i in outside] == expected
             got = scratch.marginals(np.array(outside, dtype=np.intp)).tolist()
             assert [m.hex() for m in got] == expected
+
+
+def test_oracles_of_one_instance_share_its_arrays(matrix_builds):
+    """Every oracle of one canonical instance reads the same cover matrix,
+    holder index, cover rows and neighbour index, built once; each oracle
+    still counts its own queries."""
+    instance = synthetic_instances(1)[0][0]
+    oracles = [CoverageOracle(instance) for _ in range(4)]
+    for reads, oracle in enumerate(oracles, start=1):
+        assert oracle.instance is instance
+        scratch = oracle.scratch()
+        for _ in range(reads):
+            scratch.marginals(np.arange(oracle.n))
+        assert oracle.query_count == reads * oracle.n
+    assert matrix_builds == [instance]
+    first, *others = oracles
+    views = ("_cover_arrays", "_vertex_holders", "_cover_rows", "_neighbours")
+    for oracle in others:
+        for view in views:
+            assert getattr(oracle.instance, view)() is getattr(first.instance, view)()
+    assert matrix_builds == [instance] and set(instance._cache) == {"arrays", "holders", "rows", "neighbours"}
+
+
+def test_non_canonical_instance_is_canonicalized_per_oracle(matrix_builds):
+    """An oracle over unsorted or repeating covers works on a canonical
+    instance of its own, whose arrays are the canonical covers'; the given
+    instance keeps no arrays."""
+    messy = KERNEL_INSTANCES["non-canonical"]
+    oracle = CoverageOracle(messy)
+    assert oracle.instance.canonical and oracle.instance is not messy
+    assert oracle.instance.covers == oracle.covers == ((1, 3), (0, 2), (), (1,), (0, 1, 2, 3))
+    assert oracle.instance.vertex_values is messy.vertex_values
+    matrix, _ = oracle.instance._cover_arrays()
+    assert np.array_equal(matrix, _loop_cover_arrays(oracle)[0])
+    assert matrix_builds == [oracle.instance] and not messy._cache
+    # the cache takes no part in equality, hashing or the repr
+    assert oracle.instance == CoverageInstance(oracle.covers, messy.vertex_values)
+    assert hash(oracle.instance) == hash(CoverageInstance(oracle.covers, messy.vertex_values))
+    assert "_cache" not in repr(oracle.instance)
 
 
 class TestAdversarialFamily:
